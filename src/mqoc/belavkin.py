@@ -118,8 +118,6 @@ class TrajectoryRecord:
 
 RecordView = namedtuple("RecordView", ["times", "y", "W"])
 
-ZERO_CONTROL = None
-
 
 class ConstantPolicy:
     """Control held at a fixed vector; safe for batched evaluation."""

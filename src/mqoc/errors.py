@@ -22,19 +22,5 @@ class NumericalBlowupError(ArithmeticError):
         self.t = t
 
 
-class IllConditionedWeightError(RejectedInputError):
-    """A weight matrix is too ill-conditioned to invert reliably."""
-
-
 class StabilityError(RejectedInputError):
     """An explicit scheme was configured outside its stability region."""
-
-
-class ConfigError(ValueError):
-    """A scenario configuration failed validation."""
-
-    def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))

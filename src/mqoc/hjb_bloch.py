@@ -2,9 +2,16 @@
 
 The qubit state rho = (I + r.sigma)/2 lives in the unit ball.  The value
 function is computed by explicit backward Euler on a cubic grid masked to
-the ball, with central differences inside and one-sided differences where a
-neighbor leaves the ball.  Grid values outside the ball are filled from the
-nearest inside node so interpolation stays well defined.
+the ball.  Each grid size has one cached stencil, a tap table: for every
+inside node the positions of its 19 taps (itself, 6 face and 12 edge
+neighbours) and per-node weights that encode its rule, central differences
+where both sides are inside and one-sided first (zero second) differences
+where a tap leaves the ball.  A sweep step is one gather of the taps and a
+few contractions against weight tables built once per solve.  The sweep
+keeps values on the inside nodes only; when a time slice is stored, outside
+nodes are filled from the nearest inside node so interpolation stays well
+defined.  The costate lookup applies the same stencil at the grid corners it
+interpolates between.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +110,6 @@ class ValueGrid:
     h: float
     convention: str
     inside: np.ndarray = field(repr=False)  # (n, n, n) ball mask
-    _deriv_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -118,8 +124,37 @@ class ValueGrid:
         return float(self.time_points[-1])
 
 
+# The 19 taps of a node as grid offsets: the centre, the face neighbours
+# (+x, -x, +y, -y, +z, -z), then the diagonals (++, +-, -+, --) of the
+# xy, xz and yz planes.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_UNIT = np.eye(3, dtype=int)
+_TAP_OFFSETS = np.array(
+    [[0, 0, 0]]
+    + [sign * _UNIT[a] for a in range(3) for sign in (1, -1)]
+    + [sa * _UNIT[a] + sb * _UNIT[b] for a, b in _PAIRS for sa in (1, -1) for sb in (1, -1)])
+_PLUS, _MINUS, _EDGES = slice(1, 7, 2), slice(2, 7, 2), slice(7, 19)
+_FACE = np.abs(_TAP_OFFSETS).sum(axis=1) == 1
+_CENTRE = np.abs(_TAP_OFFSETS).sum(axis=1) == 0
+# Tap coefficients of the nine derivatives d/dr_a, d2/dr_a2 and the 4-point
+# d2/dr_a dr_b; `_BallStencil.scale` supplies each node's 1/h factor.
+_PATTERN = np.vstack([_TAP_OFFSETS.T * _FACE,
+                      _TAP_OFFSETS.T ** 2 * _FACE - 2 * _CENTRE,
+                      [_TAP_OFFSETS[:, a] * _TAP_OFFSETS[:, b] for a, b in _PAIRS]]).astype(float)
+_HESSIAN = np.array([[3, 6, 7], [6, 4, 8], [7, 8, 5]])  # Hessian entries as rows of _PATTERN
+_CORNERS = np.array([(cx, cy, cz) for cx in (0, 1) for cy in (0, 1) for cz in (0, 1)])
+_PAULI_BASIS = np.stack((ops.IDENTITY2,) + tuple(ops.PAULI))
+
+
 class _BallStencil:
-    """Precomputed neighbor indexing for derivatives on the masked ball."""
+    """Ball mask, outside fill and the 19-tap derivative stencil of one grid size.
+
+    `taps[t, i]` is the inside position of tap t of inside node i; a tap that
+    leaves the ball points back at the node itself.  `scale[k, i]` encodes
+    node i's rule for derivative k: central where both sides are inside,
+    one-sided where one is (first derivatives only), zero otherwise.  So
+    derivative k at every inside node is scale[k] * (_PATTERN[k] @ v[taps]).
+    """
 
     def __init__(self, n):
         axis_pts = np.linspace(-1.0, 1.0, n)
@@ -131,36 +166,29 @@ class _BallStencil:
         self.inside_flat = np.linalg.norm(self.points, axis=1) <= 1.0 + BLOCH_NORM_TOL
         self.inside = self.inside_flat.reshape(n, n, n)
         self.inside_idx = np.where(self.inside_flat)[0]
-
-        strides = (n * n, n, 1)
+        n_in = len(self.inside_idx)
+        self.affine = np.vstack([np.ones(n_in), self.points[self.inside_idx].T])  # 1, x, y, z
         self.pos_of_flat = np.full(n ** 3, -1)
-        self.pos_of_flat[self.inside_idx] = np.arange(len(self.inside_idx))
-        self.nbr = {}
-        self.nbr_ok = {}
-        coords = [(self.inside_idx // s) % n for s in strides]
-        for ax, stride in enumerate(strides):
-            c = coords[ax]
-            for sign, name in ((1, "p"), (-1, "m")):
-                cand = self.inside_idx + sign * stride
-                ok = (c + sign >= 0) & (c + sign < n)
-                cand = np.where(ok, cand, self.inside_idx)
-                ok &= self.inside_flat[cand]
-                self.nbr[(ax, name)] = np.where(ok, cand, self.inside_idx)
-                self.nbr_ok[(ax, name)] = ok
-        # Diagonal neighbors for cross second derivatives.
-        self.diag = {}
-        self.diag_ok = {}
-        for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            for sa, na in ((1, "p"), (-1, "m")):
-                for sb, nb in ((1, "p"), (-1, "m")):
-                    cand = self.inside_idx + sa * strides[a] + sb * strides[b]
-                    ok = ((coords[a] + sa >= 0) & (coords[a] + sa < n)
-                          & (coords[b] + sb >= 0) & (coords[b] + sb < n))
-                    cand = np.where(ok, cand, self.inside_idx)
-                    ok &= self.inside_flat[cand]
-                    self.diag[(a, b, na + nb)] = np.where(ok, cand, self.inside_idx)
-                    self.diag_ok[(a, b, na + nb)] = ok
-        self._fill_src = self._nearest_inside_map()
+        self.pos_of_flat[self.inside_idx] = np.arange(n_in)
+
+        nodes = np.stack(np.unravel_index(self.inside_idx, self.inside.shape))
+        nbr = nodes[None] + _TAP_OFFSETS[:, :, None]  # (19, 3, N_in)
+        flat = np.ravel_multi_index(tuple(np.clip(nbr, 0, n - 1).swapaxes(0, 1)),
+                                    self.inside.shape)
+        ok = np.all((nbr >= 0) & (nbr < n), axis=1) & self.inside_flat[flat]
+        self.taps = np.where(ok, self.pos_of_flat[flat], np.arange(n_in))
+        both = ok[_PLUS] & ok[_MINUS]
+        h = self.h
+        self.scale = np.concatenate([
+            np.where(both, 0.5 / h, np.where(ok[_PLUS] | ok[_MINUS], 1.0 / h, 0.0)),
+            np.where(both, 1.0 / h ** 2, 0.0),
+            np.where(ok[_EDGES].reshape(3, 4, n_in).all(axis=1), 0.25 / h ** 2, 0.0)])
+        self.fill_pos = self.pos_of_flat[self._nearest_inside_map()]
+
+    @property
+    def points_in(self):
+        """Bloch vectors of the inside nodes, (N_in, 3)."""
+        return self.affine[1:].T
 
     def _nearest_inside_map(self):
         """For every outside node, the flat index of a nearby inside node."""
@@ -195,128 +223,9 @@ class _BallStencil:
         src[outside] = best
         return src
 
-    def fill_outside(self, flat_values):
-        return flat_values[self._fill_src]
-
-    def first_derivative(self, s_flat, axis):
-        """Central difference where both neighbors are valid, else one-sided."""
-        s0 = s_flat[self.inside_idx]
-        sp = s_flat[self.nbr[(axis, "p")]]
-        sm = s_flat[self.nbr[(axis, "m")]]
-        okp = self.nbr_ok[(axis, "p")]
-        okm = self.nbr_ok[(axis, "m")]
-        central = (sp - sm) / (2 * self.h)
-        fwd = (sp - s0) / self.h
-        bwd = (s0 - sm) / self.h
-        out = np.where(okp & okm, central, np.where(okp, fwd, np.where(okm, bwd, 0.0)))
-        return out
-
-    def second_derivative(self, s_flat, axis):
-        s0 = s_flat[self.inside_idx]
-        sp = s_flat[self.nbr[(axis, "p")]]
-        sm = s_flat[self.nbr[(axis, "m")]]
-        ok = self.nbr_ok[(axis, "p")] & self.nbr_ok[(axis, "m")]
-        return np.where(ok, (sp - 2 * s0 + sm) / self.h ** 2, 0.0)
-
-    def cross_derivative(self, s_flat, a, b):
-        spp = s_flat[self.diag[(a, b, "pp")]]
-        smm = s_flat[self.diag[(a, b, "mm")]]
-        spm = s_flat[self.diag[(a, b, "pm")]]
-        smp = s_flat[self.diag[(a, b, "mp")]]
-        ok = (self.diag_ok[(a, b, "pp")] & self.diag_ok[(a, b, "mm")]
-              & self.diag_ok[(a, b, "pm")] & self.diag_ok[(a, b, "mp")])
-        return np.where(ok, (spp + smm - spm - smp) / (4 * self.h ** 2), 0.0)
-
-
-def terminal_values(cost, stencil):
-    """<rho(r), M> on inside nodes, nearest-filled outside."""
-    m = cost.terminal_op
-    m_vec = np.array([np.real(np.trace(m @ s)) for s in ops.PAULI])
-    flat = np.zeros(stencil.n ** 3)
-    r_in = stencil.points[stencil.inside_idx]
-    flat[stencil.inside_idx] = 0.5 * (np.real(np.trace(m)) + r_in @ m_vec)
-    return stencil.fill_outside(flat)
-
-
-def running_cost_field(cost, t, u, stencil):
-    c = cost.running(t, u)
-    c_vec = np.array([np.real(np.trace(c @ s)) for s in ops.PAULI])
-    r_in = stencil.points[stencil.inside_idx]
-    return 0.5 * (np.real(np.trace(c)) + r_in @ c_vec)
-
-
-def stability_limit(model, u_grid, stencil):
-    """Largest admissible explicit time step h^2 / (6 max|s|^2 + eps)."""
-    r_in = stencil.points[stencil.inside_idx]
-    _, s = bloch_dynamics(model, u_grid[0], r_in)
-    smax2 = float(np.max(np.sum(s * s, axis=1)))
-    return stencil.h ** 2 / (6.0 * smax2 + STABILITY_EPS)
-
-
-def solve_hjb_grid(model, cost, u_grid, spec):
-    """Backward explicit scheme for the minimized Hamiltonian over u_grid."""
-    if model.dim != 2:
-        raise RejectedInputError("the grid solver is qubit-only")
-    u_grid = [np.atleast_1d(np.asarray(u, dtype=float)) for u in u_grid]
-    if not u_grid:
-        raise RejectedInputError("u_grid must be nonempty")
-    stencil = _BallStencil(spec.n_space)
-    dt_max = stability_limit(model, u_grid, stencil)
-    if spec.dt > dt_max:
-        raise StabilityError(
-            f"explicit scheme unstable: dt={spec.dt:.3e} exceeds h^2/(6 max|s|^2) = "
-            f"{dt_max:.3e}; increase n_time to at least {int(np.ceil(spec.T / dt_max))}")
-
-    r_in = stencil.points[stencil.inside_idx]
-    drift = []
-    for u in u_grid:
-        b, s = bloch_dynamics(model, u, r_in)
-        drift.append(b)
-    _, s = bloch_dynamics(model, u_grid[0], r_in)
-
-    n_stored = spec.n_time // spec.store_every + 1
-    n = spec.n_space
-    stored = np.empty((n_stored, n, n, n))
-    stored_times = np.empty(n_stored)
-
-    flat = terminal_values(cost, stencil)
-    stored[-1] = flat.reshape(n, n, n)
-    stored_times[-1] = spec.T
-    sign = 1.0 if spec.hamiltonian_sign == SIGN_STANDARD else -1.0
-
-    for step in range(spec.n_time):
-        t_next = spec.T - step * spec.dt
-        t_now = t_next - spec.dt
-        d1 = [stencil.first_derivative(flat, a) for a in range(3)]
-        d2 = [stencil.second_derivative(flat, a) for a in range(3)]
-        dcross = {pair: stencil.cross_derivative(flat, *pair)
-                  for pair in ((0, 1), (0, 2), (1, 2))}
-        diffusion = 0.5 * (s[:, 0] ** 2 * d2[0] + s[:, 1] ** 2 * d2[1]
-                           + s[:, 2] ** 2 * d2[2]) \
-            + s[:, 0] * s[:, 1] * dcross[(0, 1)] \
-            + s[:, 0] * s[:, 2] * dcross[(0, 2)] \
-            + s[:, 1] * s[:, 2] * dcross[(1, 2)]
-        best = None
-        for b, u in zip(drift, u_grid):
-            ham = running_cost_field(cost, t_next, u, stencil) + diffusion \
-                + sign * (b[:, 0] * d1[0] + b[:, 1] * d1[1] + b[:, 2] * d1[2])
-            best = ham if best is None else np.minimum(best, ham)
-        new_flat = np.zeros_like(flat)
-        new_flat[stencil.inside_idx] = flat[stencil.inside_idx] + spec.dt * best
-        flat = stencil.fill_outside(new_flat)
-        k = spec.n_time - step - 1
-        if k % spec.store_every == 0:
-            stored[k // spec.store_every] = flat.reshape(n, n, n)
-            stored_times[k // spec.store_every] = t_now
-
-    return ValueGrid(
-        time_points=stored_times,
-        axes=stencil.axes,
-        values=stored,
-        h=stencil.h,
-        convention=spec.hamiltonian_sign,
-        inside=stencil.inside,
-    )
+    def fill_outside(self, v):
+        """Full flat grid from inside values v, outside nodes nearest-filled."""
+        return v[self.fill_pos]
 
 
 class _GridGeometry:
@@ -331,32 +240,89 @@ class _GridGeometry:
         return cls._cache[n]
 
 
-_SLICE_CACHE_LIMIT = 6
+def _expectation_fields(operators, stencil):
+    """<rho(r), op> = (tr op + r . tr(op sigma)) / 2 at the inside nodes, one row per op."""
+    traces = np.real(np.einsum("uij,kji->uk", np.asarray(operators), _PAULI_BASIS))
+    return (0.5 * traces) @ stencil.affine
 
 
-def _slice_fields(grid, stencil, k):
-    """Gradient (3, N_in) and Hessian (3, 3, N_in) fields of stored slice k."""
-    cache = grid._deriv_cache
-    if k not in cache:
-        flat = grid.values[k].ravel()
-        d1 = np.stack([stencil.first_derivative(flat, a) for a in range(3)])
-        hess = np.zeros((3, 3, len(stencil.inside_idx)))
-        for a in range(3):
-            hess[a, a] = stencil.second_derivative(flat, a)
-        for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            hess[a, b] = hess[b, a] = stencil.cross_derivative(flat, a, b)
-        if len(cache) >= _SLICE_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-        cache[k] = (d1, hess)
-    return cache[k]
+def _sweep_weights(stencil, drift, s, sign):
+    """Tap weights of the diffusion term (19, N_in) and of the signed drift (n_u, 3, N_in).
+
+    With V = v[taps], the diffusion term 1/2 s^T Hess(v) s is
+    sum_t w_diff[t] V[t] and control u's drift term is
+    sum_a w_drift[u, a] (V[+a] - V[-a]).
+    """
+    q = np.concatenate([0.5 * s.T ** 2, [s[:, a] * s[:, b] for a, b in _PAIRS]])
+    w_diff = _PATTERN[3:].T @ (q * stencil.scale[3:])
+    w_drift = sign * np.transpose(drift, (0, 2, 1)) * stencil.scale[:3]
+    return w_diff, w_drift
+
+
+def _explicit_step(v, stencil, running, w_diff, w_drift, dt):
+    """v + dt * min_u [running_u + diffusion + drift_u] on the inside nodes."""
+    at_taps = v[stencil.taps]
+    ham = running + np.einsum("tn,tn->n", w_diff, at_taps)
+    ham += np.einsum("uan,an->un", w_drift, at_taps[_PLUS] - at_taps[_MINUS])
+    return v + dt * np.min(ham, axis=0)
+
+
+def solve_hjb_grid(model, cost, u_grid, spec):
+    """Backward explicit scheme for the minimized Hamiltonian over u_grid."""
+    if model.dim != 2:
+        raise RejectedInputError("the grid solver is qubit-only")
+    u_grid = [np.atleast_1d(np.asarray(u, dtype=float)) for u in u_grid]
+    if not u_grid:
+        raise RejectedInputError("u_grid must be nonempty")
+    stencil = _GridGeometry.get(spec.n_space)
+    # s(r) does not depend on u; the explicit limit is h^2 / (6 max|s|^2).
+    b0, s = bloch_dynamics(model, u_grid[0], stencil.points_in)
+    dt_max = stencil.h ** 2 / (6.0 * float(np.max(np.sum(s * s, axis=1))) + STABILITY_EPS)
+    if spec.dt > dt_max:
+        raise StabilityError(
+            f"explicit scheme unstable: dt={spec.dt:.3e} exceeds h^2/(6 max|s|^2) = "
+            f"{dt_max:.3e}; increase n_time to at least {int(np.ceil(spec.T / dt_max))}")
+    sign = 1.0 if spec.hamiltonian_sign == SIGN_STANDARD else -1.0
+    w_diff, w_drift = _sweep_weights(
+        stencil, [b0] + [bloch_dynamics(model, u, stencil.points_in)[0] for u in u_grid[1:]],
+        s, sign)
+
+    n_stored = spec.n_time // spec.store_every + 1
+    shape = stencil.inside.shape
+    stored = np.empty((n_stored,) + shape)
+    stored_times = np.empty(n_stored)
+
+    v = _expectation_fields([cost.terminal_op], stencil)[0]
+    stored[-1] = stencil.fill_outside(v).reshape(shape)
+    stored_times[-1] = spec.T
+
+    for step in range(spec.n_time):
+        t_next = spec.T - step * spec.dt
+        t_now = t_next - spec.dt
+        running = _expectation_fields([cost.running(t_next, u) for u in u_grid], stencil)
+        v = _explicit_step(v, stencil, running, w_diff, w_drift, spec.dt)
+        k = spec.n_time - step - 1
+        if k % spec.store_every == 0:
+            stored[k // spec.store_every] = stencil.fill_outside(v).reshape(shape)
+            stored_times[k // spec.store_every] = t_now
+
+    return ValueGrid(
+        time_points=stored_times,
+        axes=stencil.axes,
+        values=stored,
+        h=stencil.h,
+        convention=spec.hamiltonian_sign,
+        inside=stencil.inside,
+    )
 
 
 def extract_costate(grid, t, r):
     """Finite-difference costate (p, P) at (t, r) by trilinear interpolation.
 
     p approximates the Bloch gradient of the value function and P its
-    (symmetrized) Hessian, built from central differences at the eight
-    surrounding nodes; one-sided stencils take over at the ball boundary.
+    Hessian, built from the 19-tap stencils of the (up to eight) surrounding
+    inside nodes: central differences inside, one-sided first differences
+    and zero second differences where a tap leaves the ball.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
@@ -373,42 +339,23 @@ def extract_costate(grid, t, r):
     wt = float(np.clip(wt, 0.0, 1.0))
 
     n = grid.n_space
-    h = grid.h
-    ix = np.clip(((r + 1.0) / h).astype(int), 0, n - 2)
-    frac = (r + 1.0) / h - ix
+    ix = np.clip(((r + 1.0) / grid.h).astype(int), 0, n - 2)
+    frac = (r + 1.0) / grid.h - ix
+    weight = np.prod(np.where(_CORNERS, frac, 1 - frac), axis=1)
+    pos = stencil.pos_of_flat[np.ravel_multi_index(tuple((ix + _CORNERS).T), (n, n, n))]
+    used = (weight != 0.0) & (pos >= 0)
+    wsum = np.sum(weight[used])
+    if wsum <= 0.0:
+        raise RejectedInputError(f"no inside nodes around {r}")
+    pos = pos[used]
 
-    def slice_costate(k):
-        d1, hess_field = _slice_fields(grid, stencil, k)
-        p_acc = np.zeros(3)
-        hess_acc = np.zeros((3, 3))
-        wsum = 0.0
-        for cx in (0, 1):
-            for cy in (0, 1):
-                for cz in (0, 1):
-                    weight = ((frac[0] if cx else 1 - frac[0])
-                              * (frac[1] if cy else 1 - frac[1])
-                              * (frac[2] if cz else 1 - frac[2]))
-                    if weight == 0.0:
-                        continue
-                    flat_idx = (ix[0] + cx) * n * n + (ix[1] + cy) * n + (ix[2] + cz)
-                    pos = stencil.pos_of_flat[flat_idx]
-                    if pos < 0:
-                        continue
-                    p_acc += weight * d1[:, pos]
-                    hess_acc += weight * hess_field[:, :, pos]
-                    wsum += weight
-        if wsum <= 0.0:
-            raise RejectedInputError(f"no inside nodes around {r}")
-        return p_acc / wsum, hess_acc / wsum
-
-    p0, h0 = slice_costate(kt)
-    if wt == 0.0:
-        p, hess = p0, h0
-    else:
-        p1, h1 = slice_costate(kt + 1)
-        p = (1 - wt) * p0 + wt * p1
-        hess = (1 - wt) * h0 + wt * h1
-    return p, 0.5 * (hess + hess.T)
+    slices = [kt] if wt == 0.0 else [kt, kt + 1]
+    flat_taps = stencil.inside_idx[stencil.taps[:, pos]]  # (19, corners)
+    at_taps = grid.values.reshape(len(tp), -1)[np.array(slices)[:, None, None], flat_taps]
+    derivs = stencil.scale[:, pos] * (_PATTERN @ at_taps) @ (weight[used] / wsum)  # (slices, 9)
+    if wt != 0.0:
+        derivs = (1 - wt) * derivs[:1] + wt * derivs[1:]
+    return derivs[0, :3], derivs[0, _HESSIAN]
 
 
 def write_grid_csv(grid, path, times=None):

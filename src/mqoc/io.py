@@ -1,4 +1,4 @@
-"""Small deterministic writers/readers: flat CSV and key-value text.
+"""Small deterministic writers: flat CSV and key-value text.
 
 All numbers are written with shortest round-trip formatting so identical
 inputs produce byte-identical files.
@@ -27,14 +27,6 @@ def write_csv(path, header, rows):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def read_csv(path):
-    """Read a flat float CSV written by write_csv; returns (header, array)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return header, data
-
-
 def write_keyvalue(path, items):
     """Write `key = value` lines; values may be scalars or flat sequences."""
     with open(path, "w") as fh:
@@ -44,31 +36,3 @@ def write_keyvalue(path, items):
             else:
                 body = fmt(value)
             fh.write(f"{key} = {body}\n")
-
-
-def read_keyvalue(path):
-    items = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, body = line.partition("=")
-            items[key.strip()] = _parse_value(body.strip())
-    return items
-
-
-def _parse_value(body):
-    if body.startswith("[") and body.endswith("]"):
-        inner = body[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(tok.strip()) for tok in inner.split(",")]
-    for caster in (int, float, complex):
-        try:
-            return caster(body)
-        except ValueError:
-            pass
-    if body in ("true", "false"):
-        return body == "true"
-    return body

@@ -57,6 +57,15 @@ def check_construction(R_param, K_ham, Gamma):
         return "R12^T = R12"
     if np.max(np.abs(r21.T - r21)) > HERM_CONSTRAINT_TOL:
         return "R21^T = R21"
+    # H = X^T R X / 2 is Hermitian iff its symmetric part obeys
+    # sym(R) = P sym(R)* P, P swapping a and a^dag, and the c-number
+    # tr(R^T S) / 4 left by its antisymmetric part ([X_i, X_j] = S_ij) is real.
+    sym = R + R.T
+    swap = np.r_[m:n, :m]
+    if np.max(np.abs(sym - np.conj(sym[np.ix_(swap, swap)]))) > HERM_CONSTRAINT_TOL:
+        return "sym(R) = P sym(R)* P"
+    if abs(np.imag(np.sum(R * symplectic(m)))) > HERM_CONSTRAINT_TOL:
+        return "Im tr(R^T S) = 0"
     if K.shape[0] != n:
         raise DimensionMismatchError(f"K_ham must have {n} rows, got {K.shape[0]}")
     k_minus, k_plus = K[:m], K[m:]

@@ -219,9 +219,3 @@ def annihilation(dim):
     if dim < 1:
         raise RejectedInputError("dim must be >= 1")
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-
-
-def density_from_ket(psi):
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())

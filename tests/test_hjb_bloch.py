@@ -10,6 +10,24 @@ KAPPA = 0.5
 DEPHASING = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(KAPPA) * ops.SIGMA_Z)
 
 
+def full_stencil(stencil):
+    """Mask of inside nodes whose 18 neighbour taps are all inside the ball."""
+    return np.all(stencil.taps[1:] != np.arange(stencil.taps.shape[1]), axis=0)
+
+
+def random_quadratic(seed):
+    """q(r) = c + g.r + r.A.r/2 with its gradient and (constant) Hessian."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3))
+    A = a + a.T
+    g = rng.normal(size=3)
+
+    def q(pts):
+        return 0.3 + pts @ g + 0.5 * np.einsum("ni,ij,nj->n", pts, A, pts)
+
+    return q, (lambda pts: g + pts @ A), A
+
+
 def analytic_grid(fn, n=21, T=1.0):
     """ValueGrid holding a time-independent analytic field, for stencil tests."""
     stencil = hjb._BallStencil(n)
@@ -121,6 +139,25 @@ class TestSolveHjbGrid:
         # well below the value scale.
         assert np.all(large.values <= small.values + 1e-5)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_step_exact_on_quadratic(self, sign):
+        # Central differences are exact on a quadratic q, so wherever all 19
+        # taps are inside, one step is q + dt (sign b.grad q + s.Hess q.s / 2).
+        model = ops.QuantumModel(H0=0.4 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
+                                 Hc=(ops.SIGMA_Y,))
+        q, grad, A = random_quadratic(3)
+        stencil = hjb._BallStencil(21)
+        r = stencil.points_in
+        b, s = hjb.bloch_dynamics(model, [0.7], r)
+        dt = 1e-2
+        w_diff, w_drift = hjb._sweep_weights(stencil, [b], s, sign)
+        stepped = hjb._explicit_step(q(r), stencil, np.zeros((1, len(r))), w_diff, w_drift, dt)
+        exact = q(r) + dt * (sign * np.sum(b * grad(r), axis=1)
+                             + 0.5 * np.einsum("ni,ij,nj->n", s, A, s))
+        full = full_stencil(stencil)
+        assert np.count_nonzero(full) > len(r) // 2
+        assert np.max(np.abs(stepped - exact)[full]) < 1e-12
+
     def test_grid_refinement_contracts(self):
         # The control minimum bends S away from linearity, so resolution matters.
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(KAPPA) * ops.SIGMA_Z,
@@ -158,6 +195,34 @@ class TestExtractCostate:
         p, P = hjb.extract_costate(grid, 0.0, r)
         assert np.allclose(p, r, atol=1e-9)
         assert np.allclose(P, np.eye(3), atol=1e-7)
+
+    def test_quadratic_field_off_node(self):
+        # Where all eight corners have full stencils, p is the trilinear
+        # interpolation of the linear gradient (so exact) and P is the Hessian.
+        q, grad, A = random_quadratic(4)
+        grid = analytic_grid(q)
+        stencil = hjb._BallStencil(grid.n_space)
+        full = full_stencil(stencil)
+        rng = np.random.default_rng(5)
+        checked = 0
+        for r in rng.uniform(-0.7, 0.7, size=(100, 3)):
+            ix = ((r + 1.0) / grid.h).astype(int)
+            corners = ix + np.array([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+            pos = stencil.pos_of_flat[np.ravel_multi_index(corners.T, grid.inside.shape)]
+            if np.any(pos < 0) or not np.all(full[pos]):
+                continue
+            p, P = hjb.extract_costate(grid, rng.uniform(0.0, 1.0), r)
+            assert np.max(np.abs(p - grad(r[None])[0])) < 1e-12
+            assert np.max(np.abs(P - A)) < 1e-10
+            checked += 1
+        assert checked >= 50
+
+    def test_rejects_point_without_inside_corner(self):
+        # At even n no node lies on the axes: the corners weighted at the pole
+        # (1, 0, 0) are (1, +-h/2, +-h/2), all outside the ball.
+        grid = analytic_grid(lambda pts: np.zeros(len(pts)), n=6)
+        with pytest.raises(RejectedInputError, match="no inside nodes"):
+            hjb.extract_costate(grid, 0.5, np.array([1.0, 0.0, 0.0]))
 
     def test_rejects_outside_ball(self):
         grid = analytic_grid(lambda pts: np.zeros(len(pts)))

@@ -57,6 +57,21 @@ def fock_drift(R, gamma, hbar=1.0, dim=8, low=3):
     return A
 
 
+def fock_hermiticity_defect(R, dim=6, low=3):
+    """max |H - H^dag| for H = (1/2) X^T R X on a truncated Fock space.
+
+    Only states with every occupation <= low are compared: H moves an
+    occupation by at most 2, so there the cutoff at dim cannot be reached.
+    """
+    m = R.shape[0] // 2
+    a1 = ops.annihilation(dim)
+    a = [np.kron(np.kron(np.eye(dim ** k), a1), np.eye(dim ** (m - 1 - k))) for k in range(m)]
+    X = a + [ak.conj().T for ak in a]
+    H = 0.5 * sum(R[i, j] * X[i] @ X[j] for i in range(2 * m) for j in range(2 * m))
+    keep = np.all(np.indices((dim,) * m).reshape(m, -1) <= low, axis=0)
+    return np.max(np.abs((H - H.conj().T)[np.ix_(keep, keep)]))
+
+
 class TestBuildAB:
     def test_real_gamma_correction_vanishes(self):
         R = oscillator_R(1.0)
@@ -148,6 +163,35 @@ class TestBuildAB:
         Aq = mom.to_quadrature(A, 1)
         assert np.max(np.abs(Aq.imag)) < 1e-12
         assert np.allclose(Aq.real, [[0.0, omega], [-omega, 0.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_construction_check_matches_fock_hermiticity(self, m):
+        # Random complex R that satisfy the block constraints: as drawn, after
+        # projection onto a Hermitian H, and with a real or imaginary
+        # antisymmetric a-a^dag term (an imaginary one leaves H - H^dag = const).
+        rng = np.random.default_rng(m)
+        swap = np.r_[m:2 * m, :m]
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        antisym = np.zeros((2 * m, 2 * m))
+        antisym[0, m], antisym[m, 0] = 1.0, -1.0
+        cases = [np.array([[0.3j, 1.0], [1.0, 0.3j]])] if m == 1 else []
+        for _ in range(6):
+            r11, r12, r21 = cplx(m, m), cplx(m, m), cplx(m, m)
+            R = np.block([[r11, r12 + r12.T], [r21 + r21.T, r11.T]])
+            sym = (R + R.T) / 2
+            herm = (sym + np.conj(sym[np.ix_(swap, swap)])) / 2
+            z = rng.normal()
+            cases += [R, herm, herm + z * antisym, herm + 1j * z * antisym]
+        verdicts = set()
+        for R in cases:
+            hermitian = fock_hermiticity_defect(R) < 1e-9
+            accepted = mom.check_construction(R, np.zeros((2 * m, 1)), None) is None
+            assert accepted == hermitian
+            verdicts.add(hermitian)
+        assert verdicts == {True, False}
 
 
 class TestKalmanGain:
