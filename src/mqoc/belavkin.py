@@ -139,13 +139,18 @@ def noise_increments(seed, n_steps, dt):
     return rng.normal(0.0, np.sqrt(dt), size=n_steps)
 
 
+def _euler_step(model, u, rho, dW, dt):
+    """Euler-Maruyama step of a stack of states; returns (rho', <L + L^dag>)."""
+    w, sig, mean = ops.drift_and_fluctuation(model.block, u, rho)
+    return rho + w * dt + sig * dW[:, None, None], mean
+
+
 def step_sme(rho, u, dW, model, cfg, step_index=None):
     """One Euler-Maruyama step rho' = rho + w dt + sigma dW (plus projection)."""
     if not np.isfinite(dW):
         raise RejectedInputError("dW must be finite")
-    w = ops.lindblad_drift(model, u, rho)
-    sig = ops.fluctuation(model.L, rho)
-    out = rho + w * cfg.dt + sig * dW
+    u, rho = ops.check_drift_inputs(model, u, rho)
+    out = _euler_step(model, u, rho[None], np.array([dW]), cfg.dt)[0][0]
     if not np.all(np.isfinite(out)):
         label = "step_sme" if step_index is None else f"step_sme at step {step_index}"
         raise NumericalBlowupError(f"non-finite state after {label}", step_index=step_index)
@@ -192,16 +197,15 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     d = model.dim
     k_ctrl = model.n_controls
 
-    dW = np.stack([noise_increments(s, n, cfg.dt) for s in seeds])  # (n_traj, n)
     times = np.linspace(0.0, cfg.T, n + 1)
-
-    lsum = model.L + ops.dagger(model.L)
-    channel_ops = [(L, ops.dagger(L), ops.dagger(L) @ L) for L in model.channels()]
-    hc_stack = np.stack(model.Hc) if k_ctrl else None
+    # w_path[:, k + 1] holds the raw increment dW_k until step k adds
+    # w_path[:, k] to it, so the noise needs no array of its own.
+    w_path = np.zeros((n_traj, n + 1))
+    for i, s in enumerate(seeds):
+        w_path[i, 1:] = noise_increments(s, n, cfg.dt)
 
     rho = np.broadcast_to(rho0, (n_traj, d, d)).copy()
     y = np.zeros((n_traj, n + 1))
-    w_path = np.zeros((n_traj, n + 1))
     controls = np.zeros((n_traj, n + 1, k_ctrl))
     if keep_states:
         states = np.empty((n_traj, n + 1, d, d), dtype=complex)
@@ -211,18 +215,8 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
         t = times[k]
         u = _policy_controls(policy, t, rho, times, y, w_path, k, k_ctrl)
         controls[:, k] = u
-
-        if k_ctrl:
-            h = model.H0[None] + np.einsum("sk,kij->sij", u, hc_stack)
-        else:
-            h = model.H0[None]
-        drift = (-1j / model.hbar) * (h @ rho - rho @ h)
-        for L, Ld, LdL in channel_ops:
-            drift = drift + L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-        mean = np.real(np.einsum("sij,ji->s", rho, lsum))
-        sig = model.L @ rho + rho @ ops.dagger(model.L) - mean[:, None, None] * rho
-
-        rho = rho + drift * cfg.dt + sig * dW[:, k, None, None]
+        dW = w_path[:, k + 1].copy()
+        rho, mean = _euler_step(model, u, rho, dW, cfg.dt)
         total = rho.sum()
         if not (np.isfinite(total.real) and np.isfinite(total.imag)):
             bad = np.where(~np.isfinite(rho.reshape(n_traj, -1)).all(axis=1))[0]
@@ -232,8 +226,8 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
         if cfg.normalize_each_step:
             rho = ops.project_physical(rho)
 
-        y[:, k + 1] = y[:, k] + mean * cfg.dt + dW[:, k]
-        w_path[:, k + 1] = w_path[:, k] + dW[:, k]
+        y[:, k + 1] = y[:, k] + mean * cfg.dt + dW
+        w_path[:, k + 1] = w_path[:, k] + dW
         if keep_states:
             states[:, k + 1] = rho
 

@@ -32,6 +32,8 @@ def check_bloch(r):
     r = np.asarray(r, dtype=float)
     if r.shape[-1] != 3:
         raise RejectedInputError(f"Bloch vector must have 3 components, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise RejectedInputError("Bloch vector has non-finite components")
     if np.any(np.linalg.norm(r, axis=-1) > 1.0 + BLOCH_NORM_TOL):
         raise RejectedInputError("Bloch vector lies outside the unit ball")
     return r
@@ -58,15 +60,14 @@ def bloch_dynamics(model, u, r):
 
     dr = b dt + s dW reproduces the density-matrix stochastic step under the
     linear Bloch map; both vectors are computed exactly by pushing the
-    matrix-valued drift and fluctuation through tr(. sigma_i).
+    matrix-valued drift and fluctuation of one kernel call through
+    tr(. sigma_i).
     """
     if model.dim != 2:
         raise RejectedInputError("bloch_dynamics requires a qubit model")
-    r = np.asarray(r, dtype=float)
-    rho = density_from_bloch(r)
-    b = bloch_from_density(ops.lindblad_drift(model, u, rho))
-    s = bloch_from_density(ops.fluctuation(model.L, rho))
-    return b, s
+    u, rho = ops.check_drift_inputs(model, u, density_from_bloch(r))
+    w, sig, _ = ops.drift_and_fluctuation(model.block, u, rho)
+    return bloch_from_density(w), bloch_from_density(sig)
 
 
 @dataclass(frozen=True)
@@ -327,6 +328,8 @@ def extract_costate(grid, t, r):
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise RejectedInputError("r must be a single Bloch vector")
+    if not np.all(np.isfinite(r)):
+        raise RejectedInputError(f"point {r} has non-finite components")
     if np.linalg.norm(r) > 1.0 + BLOCH_NORM_TOL:
         raise RejectedInputError(f"point {r} lies outside the Bloch ball")
     tp = grid.time_points

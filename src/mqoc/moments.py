@@ -51,8 +51,8 @@ def check_construction(R_param, K_ham, Gamma):
     m = n // 2
     r11, r12 = R[:m, :m], R[:m, m:]
     r21, r22 = R[m:, :m], R[m:, m:]
-    if np.max(np.abs(r11.T - r22)) > HERM_CONSTRAINT_TOL:
-        return "R11^T = R22"
+    if np.max(np.abs(r11 + r11.T - np.conj(r22 + r22.T))) > HERM_CONSTRAINT_TOL:
+        return "R11 + R11^T = (R22 + R22^T)*"
     if np.max(np.abs(r12.T - r12)) > HERM_CONSTRAINT_TOL:
         return "R12^T = R12"
     if np.max(np.abs(r21.T - r21)) > HERM_CONSTRAINT_TOL:

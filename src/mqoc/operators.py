@@ -2,9 +2,35 @@
 
 All functions accept stacked inputs: a state argument may have shape
 (..., d, d) with leading batch axes, and operators broadcast against it.
+
+Drift and fluctuation come from one batched kernel, `drift_and_fluctuation`.
+Its precondition is that every state is Hermitian: then A rho = (rho A^dag)^dag,
+so every product the maths needs is a right product rho @ A.  Each model
+carries one `OperatorBlock`, its right factors side by side,
+
+    right = [G0^dag | (i/hbar) Hc[0] | ... | L^dag | L_extra[0]^dag | ...],
+    G0^dag = (i/hbar) H0 - (1/2) sum_L L^dag L,
+
+so a stack of n states costs one GEMM (n d, d) @ (d, J d) plus one
+(n d, d) @ (d, d) product (L rho) L^dag per dissipative channel.  With
+Y = rho G(u)^dag, G(u)^dag = G0^dag + sum_i u_i (i/hbar) Hc[i], and
+V = rho L^dag for the measured L:
+
+    w = Y + Y^dag + sum_L (L rho) L^dag,      L rho = (rho L^dag)^dag,
+    sigma = V + V^dag - <L + L^dag> rho,      <L + L^dag> = 2 Re tr V.
+
+`lindblad_drift` and `fluctuation` validate their inputs, Hermiticity
+included, and call the kernel; the filter calls it directly on its batch.
+
+`project_physical` repairs integration drift by clipping negative
+eigenvalues.  For d = 2 it is closed form: with h the Hermitian part, t its
+trace and r its Bloch vector (h = (t I + r.sigma) / 2), the eigenvalues are
+(t +- |r|) / 2; the result is h / t when none is negative and the pure
+projector (I + r.sigma / |r|) / 2 onto the top eigenvector when one is.
+Larger d goes through `numpy.linalg.eigh`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +67,7 @@ def herm_defect(m):
 
 
 def as_operator(m, name="operator"):
-    """Validate a square complex matrix (dim >= 1, dim <= MAX_DIM)."""
+    """Validate a square complex matrix (dim >= 1, dim <= MAX_DIM, finite entries)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise RejectedInputError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -51,6 +77,8 @@ def as_operator(m, name="operator"):
         raise RejectedInputError(
             f"{name} has dim {m.shape[-1]} above the dense-algebra cap {MAX_DIM}"
         )
+    if not np.all(np.isfinite(m)):
+        raise RejectedInputError(f"{name} has non-finite entries")
     return m
 
 
@@ -95,6 +123,7 @@ class QuantumModel:
     Hc: tuple = ()
     L_extra: tuple = ()
     hbar: float = 1.0
+    block: "OperatorBlock" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h0 = check_hermitian(np.asarray(self.H0, dtype=complex), name="H0")
@@ -116,6 +145,7 @@ class QuantumModel:
         object.__setattr__(self, "L", lop)
         object.__setattr__(self, "Hc", hc)
         object.__setattr__(self, "L_extra", extra)
+        object.__setattr__(self, "block", OperatorBlock.of_model(self))
 
     @property
     def dim(self):
@@ -149,12 +179,85 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def dissipator(L, rho, LdL=None):
-    """L rho L^dag - (1/2){L^dag L, rho} for one channel."""
-    Ld = dagger(L)
-    if LdL is None:
-        LdL = Ld @ L
-    return L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
+@dataclass(frozen=True, eq=False)
+class OperatorBlock:
+    """Right factors of the drift and fluctuation, side by side for one GEMM.
+
+    `right` is (d, J d): `n_gen` generator blocks (G0^dag, then (i/hbar) Hc[i]
+    per control; none for a fluctuation-only block), then L^dag per channel,
+    the measured channel first.  `daggers` holds the L^dag of every channel
+    whose dissipator enters the drift.
+    """
+
+    right: np.ndarray
+    n_gen: int
+    daggers: tuple
+
+    @classmethod
+    def of_model(cls, model):
+        daggers = tuple(dagger(L) for L in model.channels())
+        g0 = (1j / model.hbar) * model.H0 - 0.5 * sum(
+            ld @ L for ld, L in zip(daggers, model.channels()))
+        cols = (g0,) + tuple((1j / model.hbar) * h for h in model.Hc) + daggers
+        return cls(np.concatenate(cols, axis=1), 1 + model.n_controls, daggers)
+
+    @classmethod
+    def of_channel(cls, L):
+        """Fluctuation only, for the measured channel L."""
+        return cls(dagger(L), 0, ())
+
+    @property
+    def dim(self):
+        return self.right.shape[0]
+
+
+def drift_and_fluctuation(block, u, rho):
+    """Drift w, fluctuation sigma and <L + L^dag> of a stack of Hermitian states.
+
+    rho is (..., d, d) and must be Hermitian (not checked here; see the module
+    docstring).  u is (k,) for one control shared by all states or (..., k)
+    per state.  Returns (w, sigma, mean) with w None for a block without
+    generator.
+    """
+    d = block.dim
+    batch = rho.shape[:-2]
+    rho = rho.reshape(-1, d, d)
+    n = rho.shape[0]
+    prod = (rho.reshape(n * d, d) @ block.right).reshape(n, d, -1, d)
+    v = prod[:, :, block.n_gen]
+    mean = 2.0 * np.real(np.einsum("nii->n", v))
+    sig = v + dagger(v) - mean[:, None, None] * rho
+    w = None
+    if block.n_gen:
+        y = prod[:, :, 0]
+        if block.n_gen > 1:
+            c = np.broadcast_to(u, batch + (block.n_gen - 1,)).reshape(n, -1)
+            for i in range(block.n_gen - 1):
+                y = y + c[:, i, None, None] * prod[:, :, 1 + i]
+        w = y + dagger(y)
+        for j, ld in enumerate(block.daggers):
+            l_rho = dagger(prod[:, :, block.n_gen + j]).reshape(n * d, d)
+            w += (l_rho @ ld).reshape(n, d, d)
+        w = w.reshape(batch + (d, d))
+    return w, sig.reshape(batch + (d, d)), mean.reshape(batch)
+
+
+def check_drift_inputs(model, u, rho):
+    """Validate (u, rho) for the model's kernel: Hermitian rho of the model's
+    dim, u with one entry per control, shared or one row per state."""
+    rho = check_hermitian(rho, name="rho")
+    if rho.shape[-1] != model.dim:
+        raise DimensionMismatchError(
+            f"rho has dim {rho.shape[-1]}, model has dim {model.dim}"
+        )
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape[-1] != model.n_controls:
+        raise DimensionMismatchError(
+            f"control has {u.shape[-1]} components, model has {model.n_controls}"
+        )
+    if u.ndim > 1 and u.shape[:-1] != rho.shape[:-2]:
+        raise DimensionMismatchError(f"controls {u.shape} do not match states {rho.shape}")
+    return u, rho
 
 
 def lindblad_drift(model, u, rho):
@@ -162,26 +265,20 @@ def lindblad_drift(model, u, rho):
 
     w = -(i/hbar)[H(u), rho] plus the dissipator of the measured channel and
     of every extra channel.  Hermitian and trace-free for valid states.
+    u may hold one control per state, shape (..., k).
     """
-    rho = as_operator(rho, "rho")
-    if rho.shape[-1] != model.dim:
-        raise DimensionMismatchError(
-            f"rho has dim {rho.shape[-1]}, model has dim {model.dim}"
-        )
-    h = model.hamiltonian(u)
-    w = (-1j / model.hbar) * (h @ rho - rho @ h)
-    for L in model.channels():
-        w = w + dissipator(L, rho)
-    return w
+    u, rho = check_drift_inputs(model, u, rho)
+    return drift_and_fluctuation(model.block, u, rho)[0]
 
 
 def fluctuation(L, rho):
     """Measurement-induced state fluctuation sigma(rho) = L rho + rho L^dag - <L+L^dag> rho."""
     L = as_operator(L, "L")
-    rho = as_operator(rho, "rho")
+    if L.ndim != 2:
+        raise RejectedInputError(f"L must be a single matrix, got shape {L.shape}")
+    rho = check_hermitian(rho, name="rho")
     _same_dim(L, rho, "L and rho")
-    mean = np.real(trace(rho @ (L + dagger(L))))
-    return L @ rho + rho @ dagger(L) - mean[..., None, None] * rho
+    return drift_and_fluctuation(OperatorBlock.of_channel(L), None, rho)[1]
 
 
 def expectation(rho, X):
@@ -197,6 +294,7 @@ def project_physical(m):
 
     Rejects inputs farther than PROJECTION_HERM_TOL from Hermitian; raises
     DegenerateStateError when clipping removes essentially all trace.
+    Closed form for d = 2 (see the module docstring), eigh otherwise.
     """
     m = as_operator(m, "m")
     defect = np.max(herm_defect(m))
@@ -205,6 +303,8 @@ def project_physical(m):
             f"matrix too far from Hermitian to project (defect {defect:.3e})"
         )
     h = (m + dagger(m)) / 2.0
+    if h.shape[-1] == 2:
+        return _project_qubit(h)
     w, v = np.linalg.eigh(h)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)
@@ -212,6 +312,26 @@ def project_physical(m):
         raise DegenerateStateError("state trace vanished after clipping negative eigenvalues")
     w = w / tr[..., None]
     return (v * w[..., None, :]) @ dagger(v)
+
+
+def _project_qubit(h):
+    """project_physical of Hermitian (..., 2, 2) h: alpha h + beta I per state."""
+    a = h[..., 0, 0].real
+    c = h[..., 1, 1].real
+    b = h[..., 0, 1]
+    t = a + c
+    norm_r = np.sqrt((a - c) ** 2 + 4.0 * (b.real ** 2 + b.imag ** 2))
+    clipped = t < norm_r  # the low eigenvalue (t - |r|) / 2 is negative
+    tr = np.where(clipped, np.maximum(0.5 * (t + norm_r), 0.0), t)
+    if np.any(tr <= DEGENERATE_TRACE_FLOOR):
+        raise DegenerateStateError("state trace vanished after clipping negative eigenvalues")
+    # Clipped: (I + r.sigma / |r|) / 2 = I / 2 + (h - t I / 2) / |r|.
+    alpha = 1.0 / np.where(clipped, norm_r, t)
+    beta = np.where(clipped, 0.5 - 0.5 * t * alpha, 0.0)
+    out = alpha[..., None, None] * h
+    out[..., 0, 0] += beta
+    out[..., 1, 1] += beta
+    return out
 
 
 def annihilation(dim):

@@ -66,6 +66,11 @@ class TestBlochMaps:
         with pytest.raises(RejectedInputError):
             hjb.density_from_bloch([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_bloch_rejects_non_finite(self, bad):
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            hjb.check_bloch([bad, 0.0, 0.0])
+
 
 class TestBlochDynamics:
     def test_pure_precession(self):
@@ -228,6 +233,11 @@ class TestExtractCostate:
         grid = analytic_grid(lambda pts: np.zeros(len(pts)))
         with pytest.raises(RejectedInputError):
             hjb.extract_costate(grid, 0.5, np.array([0.9, 0.9, 0.9]))
+
+    def test_rejects_non_finite_point(self):
+        grid = analytic_grid(lambda pts: np.zeros(len(pts)))
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            hjb.extract_costate(grid, 0.5, np.array([np.nan, 0.0, 0.0]))
 
     def test_rejects_time_outside_range(self):
         grid = analytic_grid(lambda pts: np.zeros(len(pts)), T=1.0)

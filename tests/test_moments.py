@@ -94,6 +94,16 @@ class TestBuildAB:
         A, _ = mom.build_AB(R, np.zeros((R.shape[0], 1)), np.array(gamma), hbar)
         assert np.max(np.abs(A - fock_drift(R, gamma, hbar))) < 1e-10
 
+    def test_complex_r11_matches_fock_generator(self):
+        # R11 = R22* complex: a phased squeezing term a^2 + a^dag^2 with a
+        # Hermitian H, so the construction check must accept it.
+        R = np.array([[0.3 + 0.2j, 1.0], [1.0, 0.3 - 0.2j]])
+        gamma = [[0.7 + 0.3j, 0.2 - 0.1j]]
+        assert fock_hermiticity_defect(R) < 1e-12
+        assert mom.check_construction(R, np.zeros((2, 1)), np.array(gamma)) is None
+        A, _ = mom.build_AB(R, np.zeros((2, 1)), np.array(gamma))
+        assert np.max(np.abs(A - fock_drift(R, gamma))) < 1e-10
+
     def test_complex_gamma_correction_survives(self):
         R = oscillator_R(1.0)
         K = np.zeros((2, 1))

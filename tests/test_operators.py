@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mqoc import operators as ops
 from mqoc.errors import DegenerateStateError, DimensionMismatchError, RejectedInputError
@@ -181,3 +183,124 @@ class TestQuantumModel:
         model = ops.QuantumModel(H0=ops.SIGMA_Z, L=np.zeros((2, 2)), Hc=(ops.SIGMA_X,))
         h = model.hamiltonian([0.5])
         assert np.allclose(h, ops.SIGMA_Z + 0.5 * ops.SIGMA_X)
+
+
+class TestNonFiniteRejected:
+    def test_check_hermitian(self):
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            ops.check_hermitian(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+    def test_check_density(self):
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            ops.check_density(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_project_physical(self, dim, bad):
+        m = np.eye(dim, dtype=complex) / dim
+        m[0, 0] = bad
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            ops.project_physical(m)
+
+
+def reference_dynamics(H0, Hc, Ls, u, rho, hbar):
+    """Drift, fluctuation and <L + L^dag> of one state, product by product."""
+    h = H0 + sum(ui * hi for ui, hi in zip(u, Hc))
+    w = (-1j / hbar) * (h @ rho - rho @ h)
+    for L in Ls:
+        Ld = L.conj().T
+        w = w + L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
+    L = Ls[0]
+    mean = np.real(np.trace(rho @ (L + L.conj().T)))
+    return w, L @ rho + rho @ L.conj().T - mean * rho, mean
+
+
+def random_operator(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+class TestDriftKernelProperties:
+    @given(dim=st.integers(2, 5), n_controls=st.integers(0, 2), n_extra=st.integers(0, 1),
+           n_states=st.integers(1, 6), per_state=st.booleans(),
+           hbar=st.sampled_from([1.0, 0.5, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_matrix_reference(self, dim, n_controls, n_extra, n_states,
+                                          per_state, hbar, seed):
+        rng = np.random.default_rng(seed)
+        # Non-normal channels: random complex L, so L^dag L != L L^dag.
+        model = ops.QuantumModel(
+            H0=random_hermitian(rng, dim), L=random_operator(rng, dim),
+            Hc=tuple(random_hermitian(rng, dim) for _ in range(n_controls)),
+            L_extra=tuple(random_operator(rng, dim) for _ in range(n_extra)), hbar=hbar)
+        rho = np.stack([random_density(rng, dim) for _ in range(n_states)])
+        shape = (n_states, n_controls) if per_state else (n_controls,)
+        u = rng.normal(size=shape)
+        w, sig, mean = ops.drift_and_fluctuation(model.block, u, rho)
+        for i in range(n_states):
+            ref = reference_dynamics(model.H0, model.Hc, model.channels(),
+                                     u[i] if per_state else u, rho[i], hbar)
+            assert np.max(np.abs(w[i] - ref[0])) <= 1e-12
+            assert np.max(np.abs(sig[i] - ref[1])) <= 1e-12
+            assert abs(mean[i] - ref[2]) <= 1e-12
+        assert np.array_equal(ops.lindblad_drift(model, u, rho), w)
+        assert np.array_equal(ops.fluctuation(model.L, rho),
+                              ops.drift_and_fluctuation(ops.OperatorBlock.of_channel(model.L),
+                                                        None, rho)[1])
+        assert np.max(np.abs(ops.fluctuation(model.L, rho) - sig)) <= 1e-12
+
+    def test_per_state_controls_must_match_states(self):
+        model = ops.QuantumModel(H0=ops.SIGMA_Z, L=ops.SIGMA_X, Hc=(ops.SIGMA_Y,))
+        rho = np.stack([np.eye(2) / 2] * 3)
+        with pytest.raises(DimensionMismatchError):
+            ops.lindblad_drift(model, np.zeros((2, 1)), rho)
+
+    def test_rejects_nonhermitian_state(self):
+        # The kernel's right-product identities hold for Hermitian states only.
+        model = ops.QuantumModel(H0=ops.SIGMA_Z, L=ops.SIGMA_X)
+        with pytest.raises(RejectedInputError, match="not Hermitian"):
+            ops.lindblad_drift(model, [], np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+
+def eigh_projection(m):
+    """project_physical's rule through eigh, for every dim."""
+    if np.max(np.abs(m - m.conj().T)) > ops.PROJECTION_HERM_TOL:
+        raise RejectedInputError("too far from Hermitian")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w = np.clip(w, 0.0, None)
+    if w.sum() <= ops.DEGENERATE_TRACE_FLOOR:
+        raise DegenerateStateError("trace vanished")
+    return (v * (w / w.sum())) @ v.conj().T
+
+
+def outcome(fn, m):
+    try:
+        return fn(m)
+    except RejectedInputError as exc:  # DegenerateStateError is a subclass
+        return type(exc)
+
+
+class TestQubitProjectionProperties:
+    @given(low=st.floats(-0.5, 1.5), high=st.floats(-0.5, 1.5),
+           angles=st.tuples(st.floats(0, np.pi), st.floats(0, 2 * np.pi)),
+           skew=st.sampled_from([0.0, 1e-9, 0.05, 0.099, 0.2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(low=0.3, high=0.7, angles=(0.4, 1.0), skew=0.0, seed=0)      # PSD
+    @example(low=-0.1, high=1.1, angles=(0.0, 0.0), skew=0.0, seed=0)     # clipped
+    @example(low=0.0, high=1.0, angles=(1.2, 2.5), skew=0.0, seed=0)      # pure
+    @example(low=0.5, high=0.5, angles=(0.0, 0.0), skew=0.0, seed=0)      # maximally mixed
+    @example(low=-1e-5, high=0.0, angles=(0.7, 0.3), skew=0.0, seed=0)    # degenerate
+    @example(low=0.0, high=0.0, angles=(0.0, 0.0), skew=0.0, seed=0)      # zero
+    @example(low=0.3, high=0.7, angles=(0.4, 1.0), skew=0.2, seed=0)      # too skew
+    def test_matches_eigh_reference(self, low, high, angles, skew, seed):
+        theta, phi = angles
+        top = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+        bottom = np.array([-np.conj(top[1]), np.conj(top[0])])
+        m = high * np.outer(top, top.conj()) + low * np.outer(bottom, bottom.conj())
+        # A perturbation whose largest entrywise Hermiticity defect is `skew`.
+        e = random_operator(np.random.default_rng(seed), 2)
+        m = m + skew * e / np.max(np.abs(e - e.conj().T))
+        got, want = outcome(ops.project_physical, m), outcome(eigh_projection, m)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert not isinstance(got, type), got
+            assert np.max(np.abs(got - want)) <= 1e-12
