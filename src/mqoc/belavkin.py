@@ -119,20 +119,6 @@ class TrajectoryRecord:
 RecordView = namedtuple("RecordView", ["times", "y", "W"])
 
 
-class ConstantPolicy:
-    """Control held at a fixed vector; safe for batched evaluation."""
-
-    batched = True
-
-    def __init__(self, u):
-        self.u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def __call__(self, t, rho, past):
-        if rho.ndim == 2:
-            return self.u
-        return np.broadcast_to(self.u, (rho.shape[0],) + self.u.shape)
-
-
 def noise_increments(seed, n_steps, dt):
     """Innovation increments dW ~ Normal(0, dt) from a Philox stream keyed by seed."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -284,24 +270,15 @@ def filter_observable_check(traj, X, model):
     projection bends the filter away from the raw conditional-expectation SDE.
     """
     X = ops.check_hermitian(np.asarray(X, dtype=complex), 1e-10, "X")
-    L = model.L
-    lsum = L + ops.dagger(L)
-    xl = X @ L + ops.dagger(L) @ X
     dt = traj.dt
     dW = np.diff(traj.innovations_W)
-    # Expectations along the stored trajectory, vectorized over time.
-    gen_u = None
-    gen_op = None
-    gen_vals = np.empty(traj.n_steps)
-    for k in range(traj.n_steps):
-        u = traj.controls[k]
-        if gen_op is None or not np.array_equal(u, gen_u):
-            gen_op = adjoint_generator(model, u, X)
-            gen_u = np.array(u, copy=True)
-        gen_vals[k] = np.real(np.einsum("ij,ji->", traj.states[k], gen_op))
-    xl_vals = np.real(np.einsum("tij,ji->t", traj.states[:-1], xl))
-    lsum_vals = np.real(np.einsum("tij,ji->t", traj.states[:-1], lsum))
+    # Along the stored states: tr(rho adjoint_generator(X)) = tr(X w), and
+    # <X L + L^dag X> = tr(X (L rho + rho L^dag)) = tr(X sigma) + <L + L^dag> <X>.
+    u, rho = ops.check_drift_inputs(model, traj.controls[:-1], traj.states[:-1])
+    w, sig, lsum_vals = ops.drift_and_fluctuation(model.block, u, rho)
     refs = np.real(np.einsum("tij,ji->t", traj.states, X))
+    gen_vals = np.real(np.einsum("tij,ji->t", w, X))
+    xl_vals = np.real(np.einsum("tij,ji->t", sig, X)) + lsum_vals * refs[:-1]
     m = refs[0]
     worst = 0.0
     for k in range(traj.n_steps):
@@ -320,16 +297,8 @@ def trajectory_csv_header(dim, n_controls):
 
 def write_trajectory_csv(traj, path):
     """One row per stored step: t, y, W, u_0..u_k, rho_re flat, rho_im flat."""
-    d = traj.states.shape[-1]
-    k_ctrl = traj.controls.shape[-1]
-    header = trajectory_csv_header(d, k_ctrl)
-
-    def rows():
-        for i in range(len(traj.times)):
-            row = [traj.times[i], traj.record_y[i], traj.innovations_W[i]]
-            row += list(traj.controls[i])
-            row += list(traj.states[i].real.ravel())
-            row += list(traj.states[i].imag.ravel())
-            yield row
-
-    write_csv(path, header, rows())
+    n, d = len(traj.times), traj.states.shape[-1]
+    header = trajectory_csv_header(d, traj.controls.shape[-1])
+    rows = np.column_stack([traj.times, traj.record_y, traj.innovations_W, traj.controls,
+                            traj.states.real.reshape(n, -1), traj.states.imag.reshape(n, -1)])
+    write_csv(path, header, map(np.ndarray.tolist, rows))

@@ -1,9 +1,18 @@
 """Finite-difference dynamic programming for a measured qubit in Bloch coordinates.
 
-The qubit state rho = (I + r.sigma)/2 lives in the unit ball.  The value
-function is computed by explicit backward Euler on a cubic grid masked to
-the ball.  Each grid size has one cached stencil, a tap table: for every
-inside node the positions of its 19 taps (itself, 6 face and 12 edge
+The qubit state rho = (I + r.sigma)/2 lives in the unit ball, and the filter
+moves it by dr = b dt + s dW with
+
+    b(r, u) = A(u) r + c,          A(u) = A[0] + sum_i u_i A[1 + i],
+    s(r) = s0 + S1 r - (l.r) r,    l_j = tr((L + L^dag) sigma_j) / 2.
+
+These images are read off the model's kernel once (`operators.BlochGenerator`,
+held as `model.bloch`); `bloch_dynamics`, the grid solver and the Hamiltonian
+of `pontryagin` all evaluate them.
+
+The value function is computed by explicit backward Euler on a cubic grid
+masked to the ball.  Each grid size has one cached stencil, a tap table: for
+every inside node the positions of its 19 taps (itself, 6 face and 12 edge
 neighbours) and per-node weights that encode its rule, central differences
 where both sides are inside and one-sided first (zero second) differences
 where a tap leaves the ball.  A sweep step is one gather of the taps and a
@@ -44,8 +53,7 @@ def bloch_from_density(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-1] != 2 or rho.shape[-2] != 2:
         raise RejectedInputError("bloch_from_density needs a qubit state")
-    comps = [np.real(np.einsum("...ij,ji->...", rho, s)) for s in ops.PAULI]
-    return np.stack(comps, axis=-1)
+    return ops.pauli_components(rho)
 
 
 def density_from_bloch(r):
@@ -56,18 +64,15 @@ def density_from_bloch(r):
 
 
 def bloch_dynamics(model, u, r):
-    """Drift b(r, u) and diffusion s(r) of the Bloch image of the filter.
+    """Drift b(r, u) = A(u) r + c and diffusion s(r) = s0 + S1 r - (l.r) r.
 
     dr = b dt + s dW reproduces the density-matrix stochastic step under the
-    linear Bloch map; both vectors are computed exactly by pushing the
-    matrix-valued drift and fluctuation of one kernel call through
-    tr(. sigma_i).
+    linear Bloch map.  r is (..., 3); u is (k,) or one row per point.
     """
-    if model.dim != 2:
-        raise RejectedInputError("bloch_dynamics requires a qubit model")
-    u, rho = ops.check_drift_inputs(model, u, density_from_bloch(r))
-    w, sig, _ = ops.drift_and_fluctuation(model.block, u, rho)
-    return bloch_from_density(w), bloch_from_density(sig)
+    gen = model.bloch
+    r = check_bloch(r)
+    u = ops.check_control(model, u, r.shape[:-1])
+    return gen.drift(u, r), gen.diffusion(r)
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,6 @@ _PATTERN = np.vstack([_TAP_OFFSETS.T * _FACE,
                       [_TAP_OFFSETS[:, a] * _TAP_OFFSETS[:, b] for a, b in _PAIRS]]).astype(float)
 _HESSIAN = np.array([[3, 6, 7], [6, 4, 8], [7, 8, 5]])  # Hessian entries as rows of _PATTERN
 _CORNERS = np.array([(cx, cy, cz) for cx in (0, 1) for cy in (0, 1) for cz in (0, 1)])
-_PAULI_BASIS = np.stack((ops.IDENTITY2,) + tuple(ops.PAULI))
 
 
 class _BallStencil:
@@ -168,7 +172,7 @@ class _BallStencil:
         self.inside = self.inside_flat.reshape(n, n, n)
         self.inside_idx = np.where(self.inside_flat)[0]
         n_in = len(self.inside_idx)
-        self.affine = np.vstack([np.ones(n_in), self.points[self.inside_idx].T])  # 1, x, y, z
+        self.points_in = self.points[self.inside_idx]  # (N_in, 3)
         self.pos_of_flat = np.full(n ** 3, -1)
         self.pos_of_flat[self.inside_idx] = np.arange(n_in)
 
@@ -185,11 +189,6 @@ class _BallStencil:
             np.where(both, 1.0 / h ** 2, 0.0),
             np.where(ok[_EDGES].reshape(3, 4, n_in).all(axis=1), 0.25 / h ** 2, 0.0)])
         self.fill_pos = self.pos_of_flat[self._nearest_inside_map()]
-
-    @property
-    def points_in(self):
-        """Bloch vectors of the inside nodes, (N_in, 3)."""
-        return self.affine[1:].T
 
     def _nearest_inside_map(self):
         """For every outside node, the flat index of a nearby inside node."""
@@ -241,10 +240,10 @@ class _GridGeometry:
         return cls._cache[n]
 
 
-def _expectation_fields(operators, stencil):
-    """<rho(r), op> = (tr op + r . tr(op sigma)) / 2 at the inside nodes, one row per op."""
-    traces = np.real(np.einsum("uij,kji->uk", np.asarray(operators), _PAULI_BASIS))
-    return (0.5 * traces) @ stencil.affine
+def expectation_fields(operators, r):
+    """<rho(r), op> = (tr op + r . tr(op sigma)) / 2, (n_ops, N) for points r (N, 3)."""
+    traces = np.real(np.einsum("uij,kji->uk", np.asarray(operators), ops.PAULI_BASIS))
+    return 0.5 * (traces[:, :1] + traces[:, 1:] @ r.T)
 
 
 def _sweep_weights(stencil, drift, s, sign):
@@ -270,37 +269,35 @@ def _explicit_step(v, stencil, running, w_diff, w_drift, dt):
 
 def solve_hjb_grid(model, cost, u_grid, spec):
     """Backward explicit scheme for the minimized Hamiltonian over u_grid."""
-    if model.dim != 2:
-        raise RejectedInputError("the grid solver is qubit-only")
-    u_grid = [np.atleast_1d(np.asarray(u, dtype=float)) for u in u_grid]
+    gen = model.bloch
+    u_grid = [ops.check_control(model, u) for u in u_grid]
     if not u_grid:
         raise RejectedInputError("u_grid must be nonempty")
     stencil = _GridGeometry.get(spec.n_space)
+    pts = stencil.points_in
     # s(r) does not depend on u; the explicit limit is h^2 / (6 max|s|^2).
-    b0, s = bloch_dynamics(model, u_grid[0], stencil.points_in)
+    s = gen.diffusion(pts)
     dt_max = stencil.h ** 2 / (6.0 * float(np.max(np.sum(s * s, axis=1))) + STABILITY_EPS)
     if spec.dt > dt_max:
         raise StabilityError(
             f"explicit scheme unstable: dt={spec.dt:.3e} exceeds h^2/(6 max|s|^2) = "
             f"{dt_max:.3e}; increase n_time to at least {int(np.ceil(spec.T / dt_max))}")
     sign = 1.0 if spec.hamiltonian_sign == SIGN_STANDARD else -1.0
-    w_diff, w_drift = _sweep_weights(
-        stencil, [b0] + [bloch_dynamics(model, u, stencil.points_in)[0] for u in u_grid[1:]],
-        s, sign)
+    w_diff, w_drift = _sweep_weights(stencil, gen.drift(np.array(u_grid)[:, None], pts), s, sign)
 
     n_stored = spec.n_time // spec.store_every + 1
     shape = stencil.inside.shape
     stored = np.empty((n_stored,) + shape)
     stored_times = np.empty(n_stored)
 
-    v = _expectation_fields([cost.terminal_op], stencil)[0]
+    v = expectation_fields([cost.terminal_op], pts)[0]
     stored[-1] = stencil.fill_outside(v).reshape(shape)
     stored_times[-1] = spec.T
 
     for step in range(spec.n_time):
         t_next = spec.T - step * spec.dt
         t_now = t_next - spec.dt
-        running = _expectation_fields([cost.running(t_next, u) for u in u_grid], stencil)
+        running = expectation_fields([cost.running(t_next, u) for u in u_grid], pts)
         v = _explicit_step(v, stencil, running, w_diff, w_drift, spec.dt)
         k = spec.n_time - step - 1
         if k % spec.store_every == 0:
@@ -325,13 +322,9 @@ def extract_costate(grid, t, r):
     inside nodes: central differences inside, one-sided first differences
     and zero second differences where a tap leaves the ball.
     """
-    r = np.asarray(r, dtype=float)
+    r = check_bloch(r)
     if r.shape != (3,):
         raise RejectedInputError("r must be a single Bloch vector")
-    if not np.all(np.isfinite(r)):
-        raise RejectedInputError(f"point {r} has non-finite components")
-    if np.linalg.norm(r) > 1.0 + BLOCH_NORM_TOL:
-        raise RejectedInputError(f"point {r} lies outside the Bloch ball")
     tp = grid.time_points
     if not (tp[0] - 1e-12 <= t <= tp[-1] + 1e-12):
         raise RejectedInputError(f"t={t} outside grid time range")
@@ -362,22 +355,14 @@ def extract_costate(grid, t, r):
 
 
 def write_grid_csv(grid, path, times=None):
-    """Flat CSV `t, rx, ry, rz, S` for the requested stored slices."""
+    """Flat CSV `t, rx, ry, rz, S` of the inside nodes in C order, per requested slice."""
     from .io import write_csv
 
     if times is None:
         times = [grid.time_points[0]]
     idx = [int(np.argmin(np.abs(grid.time_points - t))) for t in times]
-    ax = grid.axes
-
-    def rows():
-        for k in idx:
-            t = grid.time_points[k]
-            vals = grid.values[k]
-            for i, rx in enumerate(ax[0]):
-                for j, ry in enumerate(ax[1]):
-                    for l, rz in enumerate(ax[2]):
-                        if grid.inside[i, j, l]:
-                            yield (t, rx, ry, rz, vals[i, j, l])
-
-    write_csv(path, ["t", "rx", "ry", "rz", "S"], rows())
+    pts = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)[grid.inside]
+    rows = np.concatenate([
+        np.column_stack([np.full(len(pts), grid.time_points[k]), pts, grid.values[k][grid.inside]])
+        for k in idx])
+    write_csv(path, ["t", "rx", "ry", "rz", "S"], map(np.ndarray.tolist, rows))

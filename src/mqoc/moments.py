@@ -305,7 +305,7 @@ def _block_matrix(block, name):
 
 
 def save_linear_model(model, path):
-    """Key-value text with row-major matrix blocks."""
+    """YAML mapping, keys sorted, of row-major matrix blocks {shape, data[_re, _im]}."""
     doc = {name: _matrix_block(getattr(model, name))
            for name in ("A", "B", "C", "D", "F", "G", "M_cov")}
     if model.construction is not None:

@@ -31,6 +31,7 @@ Larger d goes through `numpy.linalg.eigh`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY2 = np.eye(2, dtype=complex)
+PAULI_BASIS = np.stack((IDENTITY2,) + PAULI)  # I, sigma_x, sigma_y, sigma_z
 
 
 def dagger(m):
@@ -156,19 +158,21 @@ class QuantumModel:
         return len(self.Hc)
 
     def hamiltonian(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float)) if np.size(u) else np.zeros(0)
-        if u.shape[-1] != len(self.Hc):
-            raise DimensionMismatchError(
-                f"control has {u.shape[-1]} components, model has {len(self.Hc)}"
-            )
         h = self.H0
-        for ui, hci in zip(u, self.Hc):
+        for ui, hci in zip(check_control(self, u), self.Hc):
             h = h + ui * hci
         return h
 
     def channels(self):
         """All dissipative channels: the measured L first, then L_extra."""
         return (self.L,) + self.L_extra
+
+    @cached_property
+    def bloch(self):
+        """The `BlochGenerator` of a qubit model, built on first use."""
+        if self.dim != 2:
+            raise RejectedInputError("the Bloch chart is qubit-only")
+        return BlochGenerator.of_model(self)
 
 
 def commutator(a, b):
@@ -242,6 +246,68 @@ def drift_and_fluctuation(block, u, rho):
     return w, sig.reshape(batch + (d, d)), mean.reshape(batch)
 
 
+def pauli_components(m):
+    """Re tr(m sigma_i) for i = x, y, z of (..., 2, 2) m: the Bloch vector of a state."""
+    return np.real(np.einsum("...ij,kji->...k", m, PAULI_BASIS[1:]))
+
+
+@dataclass(frozen=True, eq=False)
+class BlochGenerator:
+    """Bloch images of a qubit model's drift and fluctuation (`hjb_bloch` docstring):
+    b(r, u) = A(u) r + c with A(u) = A[0] + sum_i u_i A[1 + i], and
+    s(r) = s0 + S1 r - (l.r) r.
+
+    `of_model` reads them off one kernel call on the basis I/2, sigma_j/2 at
+    u = 0 and at every u = e_i: w is linear in rho and affine in u, and the
+    control parts have no constant term, because [Hc, I] = 0.
+    """
+
+    A: np.ndarray  # (1 + k, 3, 3)
+    c: np.ndarray  # (3,)
+    s0: np.ndarray  # (3,)
+    S1: np.ndarray  # (3, 3)
+    ell: np.ndarray  # (3,)
+
+    @classmethod
+    def of_model(cls, model):
+        k = model.n_controls
+        u = np.concatenate([np.zeros((1, k)), np.eye(k)])
+        w, sig, mean = drift_and_fluctuation(
+            model.block, np.repeat(u[:, None], 4, axis=1),
+            np.broadcast_to(PAULI_BASIS / 2.0, (1 + k, 4, 2, 2)))
+        wb = pauli_components(w)  # (1 + k, basis, component)
+        A = np.swapaxes(wb[:, 1:], 1, 2).copy()
+        A[1:] -= A[0]
+        # At sigma_j/2 the kernel subtracts l_j e_j; S1 subtracts <L + L^dag>(I/2) e_j.
+        ell = mean[0, 1:]
+        S1 = pauli_components(sig[0, 1:]).T + np.diag(ell - mean[0, 0])
+        return cls(A, wb[0, 0], pauli_components(sig[0, 0]), S1, ell)
+
+    def drift_matrix(self, u):
+        """A(u) for u (..., k)."""
+        return self.A[0] + np.tensordot(u, self.A[1:], axes=(-1, 0))
+
+    def drift(self, u, r):
+        """b(r, u) for u (k,) or (..., k) broadcasting against r (..., 3)."""
+        return (self.drift_matrix(u) @ r[..., None])[..., 0] + self.c
+
+    def diffusion(self, r):
+        """s(r) for r (..., 3)."""
+        return self.s0 + r @ self.S1.T - (r @ self.ell)[..., None] * r
+
+
+def check_control(model, u, batch=()):
+    """Validate u: one entry per control, shared (k,) or one row per state (*batch, k)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape[-1] != model.n_controls:
+        raise DimensionMismatchError(
+            f"control has {u.shape[-1]} components, model has {model.n_controls}"
+        )
+    if u.ndim > 1 and u.shape[:-1] != batch:
+        raise DimensionMismatchError(f"controls {u.shape} do not match states {batch}")
+    return u
+
+
 def check_drift_inputs(model, u, rho):
     """Validate (u, rho) for the model's kernel: Hermitian rho of the model's
     dim, u with one entry per control, shared or one row per state."""
@@ -250,14 +316,7 @@ def check_drift_inputs(model, u, rho):
         raise DimensionMismatchError(
             f"rho has dim {rho.shape[-1]}, model has dim {model.dim}"
         )
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape[-1] != model.n_controls:
-        raise DimensionMismatchError(
-            f"control has {u.shape[-1]} components, model has {model.n_controls}"
-        )
-    if u.ndim > 1 and u.shape[:-1] != rho.shape[:-2]:
-        raise DimensionMismatchError(f"controls {u.shape} do not match states {rho.shape}")
-    return u, rho
+    return check_control(model, u, rho.shape[:-2]), rho
 
 
 def lindblad_drift(model, u, rho):

@@ -2,11 +2,20 @@
 
 Value-function gradients for the qubit are carried in the real Bloch chart:
 the costate p and the noise costate q are 3-vectors, and the second-order
-weight P is the 3x3 Bloch Hessian.  The sign convention flag matches the
-grid solver: 'standard' puts +<b, p> in the Hamiltonian, 'paper' flips it.
+weight P is the 3x3 Bloch Hessian.  With the filter's Bloch drift
+b(r, u) = A(u) r + c and diffusion s(r) = s0 + S1 r - (l.r) r (see
+`hjb_bloch`), the Hamiltonian and its exact gradient in r (p and P held
+fixed) are
+
+    H = <C(t, u)>(r) + sign <b, p> + (1/2) s^T P s,
+    grad_r H = tr(C sigma) / 2 + sign A(u)^T p + J^T (P + P^T) s / 2,
+
+with <C>(r) = (tr C + r . tr(C sigma)) / 2 and J = ds/dr = S1 - (l.r) I - r l^T.
+The sign convention flag matches the grid solver: 'standard' puts +<b, p>
+in the Hamiltonian, 'paper' flips it.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -14,8 +23,6 @@ from . import hjb_bloch as hb
 from . import operators as ops
 from .errors import NumericalBlowupError, RejectedInputError
 from .io import write_keyvalue
-
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,69 +51,58 @@ def _sign(convention):
     raise RejectedInputError(f"unknown convention {convention!r}")
 
 
-def _density_unchecked(r):
-    # Polynomial extension of rho(r); used only for finite-difference probes
-    # that may step just outside the ball.
-    return 0.5 * (np.einsum("...k,kij->...ij", np.asarray(r, float),
-                            np.stack(ops.PAULI)) + ops.IDENTITY2)
-
-
-def _hamiltonian_bloch(t, u, r, p, P, model, cost, sign):
-    rho = _density_unchecked(r)
-    b = hb.bloch_from_density(ops.lindblad_drift(model, u, rho))
-    s = hb.bloch_from_density(ops.fluctuation(model.L, rho))
-    running = np.real(ops.expectation(rho, cost.running(t, u)))
-    return float(running + sign * (b @ p) + 0.5 * (s @ P @ s))
+def _check_costate(p, P, batch=()):
+    """Finite p of shape (*batch, 3) and P of shape (*batch, 3, 3)."""
+    p = np.asarray(p, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if p.shape != batch + (3,) or P.shape != batch + (3, 3):
+        raise RejectedInputError(
+            f"p and P must have shapes {batch + (3,)} and {batch + (3, 3)}, "
+            f"got {p.shape} and {P.shape}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(P))):
+        raise RejectedInputError("costate (p, P) has non-finite entries")
+    return p, P
 
 
 def generalized_hamiltonian(t, u, rho, p, P, model, cost, convention=hb.SIGN_STANDARD):
-    """Scalar Hamiltonian C + sign.<drift, p> + (1/2) s^T P s at a qubit state."""
-    rho = ops.check_density(rho)
-    if rho.shape[-1] != 2:
-        raise RejectedInputError("the Bloch-chart Hamiltonian is qubit-only")
-    p = np.asarray(p, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if p.shape != (3,) or P.shape != (3, 3):
-        raise RejectedInputError("p must be a 3-vector and P a 3x3 matrix")
-    r = hb.bloch_from_density(rho)
-    return _hamiltonian_bloch(t, u, r, p, P, model, cost, _sign(convention))
+    """C + sign.<drift, p> + (1/2) s^T P s at u: the minimum over the one-point grid [u]."""
+    return minimize_hamiltonian(t, rho, p, P, model, cost, [u], convention)[1]
 
 
-def hamiltonian_gradient_r(t, u, r, p, P, model, cost, convention=hb.SIGN_STANDARD,
-                           step=FD_STEP):
-    """Central finite-difference gradient of the Hamiltonian in r (p, P fixed)."""
+def hamiltonian_gradient_r(t, u, r, p, P, model, cost, convention=hb.SIGN_STANDARD):
+    """Exact gradient of the Hamiltonian in r, with p and P held fixed (module docstring)."""
     sign = _sign(convention)
-    r = np.asarray(r, dtype=float)
-    grad = np.zeros(3)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        hi = _hamiltonian_bloch(t, u, r + e, p, P, model, cost, sign)
-        lo = _hamiltonian_bloch(t, u, r - e, p, P, model, cost, sign)
-        grad[i] = (hi - lo) / (2 * step)
-    return grad
+    gen = model.bloch
+    r = hb.check_bloch(r)
+    p, P = _check_costate(p, P, r.shape[:-1])
+    u = ops.check_control(model, u)
+    grad_c = 0.5 * ops.pauli_components(cost.running(t, u))
+    jac = gen.S1 - (r @ gen.ell)[..., None, None] * np.eye(3) - r[..., :, None] * gen.ell
+    return (grad_c + sign * p @ gen.drift_matrix(u)
+            + np.einsum("...ji,...jk,...k->...i", jac, 0.5 * (P + np.swapaxes(P, -1, -2)),
+                        gen.diffusion(r)))
 
 
 def minimize_hamiltonian(t, rho, p, P, model, cost, u_grid, convention=hb.SIGN_STANDARD):
-    """Exhaustive minimum over the control grid; ties go to the
-    lexicographically smallest control vector."""
+    """Exhaustive minimum over the control grid for one state or a stack of states.
+
+    rho is (2, 2) with p (3,) and P (3, 3), or (n, 2, 2) with p (n, 3) and
+    P (n, 3, 3).  Returns (u, H) per state; ties go to the lexicographically
+    smallest control vector.
+    """
     if len(u_grid) == 0:
         raise RejectedInputError("u_grid must be nonempty")
     rho = ops.check_density(rho)
     r = hb.bloch_from_density(rho)
-    sign = _sign(convention)
-    grid = np.atleast_2d(np.asarray([np.atleast_1d(u) for u in u_grid], dtype=float))
-    order = np.lexsort(tuple(grid[:, k] for k in range(grid.shape[1] - 1, -1, -1)))
-    best_u = None
-    best_h = np.inf
-    for idx in order:
-        u = grid[idx]
-        h = _hamiltonian_bloch(t, u, r, np.asarray(p, float), np.asarray(P, float),
-                               model, cost, sign)
-        if h < best_h:
-            best_h = h
-            best_u = u
-    return best_u, best_h
+    p, P = _check_costate(p, P, r.shape[:-1])
+    grid = np.array(sorted(tuple(ops.check_control(model, u)) for u in u_grid))
+    gen = model.bloch
+    s = gen.diffusion(r)
+    running = hb.expectation_fields([cost.running(t, u) for u in grid], r.reshape(-1, 3))
+    h = (running.T.reshape(r.shape[:-1] + (len(grid),))
+         + _sign(convention) * np.einsum("...ui,...i->...u", gen.drift(grid, r[..., None, :]), p)
+         + 0.5 * np.einsum("...i,...ij,...j->...", s, P, s)[..., None])
+    return grid[np.argmin(h, axis=-1)], np.min(h, axis=-1)
 
 
 def costate_backward_step(adj, rho, u, dW, dt, grad_H_rho):
@@ -131,17 +127,14 @@ class GridPolicy:
 
     def __call__(self, t, rho, past):
         t = min(t, self.grid.T)
-        single = rho.ndim == 2
-        batch = rho[None] if single else rho
-        out = np.empty((len(batch), len(self.u_grid[0])))
-        for i, state in enumerate(batch):
-            r = hb.bloch_from_density(state)
-            r = r / max(1.0, np.linalg.norm(r))
-            p, P = hb.extract_costate(self.grid, t, r)
-            u, _ = minimize_hamiltonian(t, state, p, P, self.model, self.cost,
-                                        self.u_grid, self.grid.convention)
-            out[i] = u
-        return out[0] if single else out
+        r = hb.bloch_from_density(rho)
+        r = r / np.maximum(1.0, np.linalg.norm(r, axis=-1, keepdims=True))
+        costates = [hb.extract_costate(self.grid, t, x) for x in r.reshape(-1, 3)]
+        p = np.reshape([c[0] for c in costates], r.shape)
+        P = np.reshape([c[1] for c in costates], r.shape + (3,))
+        u, _ = minimize_hamiltonian(t, rho, p, P, self.model, self.cost, self.u_grid,
+                                    self.grid.convention)
+        return u
 
 
 @dataclass(frozen=True)
@@ -163,15 +156,7 @@ class FbsdeReport:
         return self.mean_backward_residual / self.mean_costate_norm
 
     def write(self, path):
-        write_keyvalue(path, {
-            "terminal_residual": self.terminal_residual,
-            "max_backward_residual": self.max_backward_residual,
-            "mean_backward_residual": self.mean_backward_residual,
-            "mean_costate_norm": self.mean_costate_norm,
-            "grid_h": self.grid_h,
-            "dt": self.dt,
-            "convention": self.convention,
-        })
+        write_keyvalue(path, asdict(self))
 
 
 def fbsde_residual(traj, grid, model, cost, u_grid):
@@ -200,7 +185,7 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
     for k in range(n + 1):
         p_ref[k], P_ref[k] = hb.extract_costate(grid, traj.times[k], r_path[k])
 
-    m_vec = np.array([np.real(np.trace(cost.terminal_op @ s)) for s in ops.PAULI])
+    m_vec = ops.pauli_components(cost.terminal_op)
     terminal_residual = float(np.linalg.norm(p_ref[-1] - 0.5 * m_vec))
 
     dW = np.diff(traj.innovations_W)

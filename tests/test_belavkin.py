@@ -228,6 +228,31 @@ class TestFilterObservableCheck:
             assert bel.filter_observable_check(traj, ops.SIGMA_Z, model) <= 5e-2
 
 
+    def test_matches_heisenberg_reference(self):
+        # The recursion's coefficients along the stored states, taken from the
+        # Heisenberg-picture generator one step at a time.
+        model = ops.QuantumModel(
+            H0=0.3 * ops.SIGMA_X, L=0.4 * ops.SIGMA_Z + 0.2j * ops.SIGMA_Y + 0.1 * ops.SIGMA_X,
+            Hc=(ops.SIGMA_Y,), L_extra=(0.3 * np.array([[0.0, 1.0], [0.0, 0.0]]),))
+        cfg = bel.SmeConfig(dt=1e-3, T=0.3, seed=5)
+        traj = bel.generate_record(model, lambda t, rho, past: [np.sin(7 * t)], None, cfg,
+                                   GROUND)
+        L = model.L
+        for X in (ops.SIGMA_X, ops.SIGMA_Y, ops.SIGMA_Z):
+            worst = 0.0
+            m = np.real(np.trace(traj.states[0] @ X))
+            for k in range(traj.n_steps):
+                rho = traj.states[k]
+                gen = np.real(np.trace(rho @ bel.adjoint_generator(model, traj.controls[k], X)))
+                xl = np.real(np.trace(rho @ (X @ L + ops.dagger(L) @ X)))
+                lsum = np.real(np.trace(rho @ (L + ops.dagger(L))))
+                dW = traj.innovations_W[k + 1] - traj.innovations_W[k]
+                m = m + gen * cfg.dt + (xl - lsum * m) * dW
+                worst = max(worst, abs(m - np.real(np.trace(traj.states[k + 1] @ X))))
+            assert abs(bel.filter_observable_check(traj, X, model) - worst) <= 1e-12
+            assert worst > 1e-4
+
+
 class TestCsvExport:
     def test_roundtrip_columns(self, tmp_path):
         cfg = bel.SmeConfig(dt=0.05, T=0.2, seed=4)

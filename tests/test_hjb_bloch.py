@@ -256,3 +256,19 @@ class TestGridCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,rx,ry,rz,S"
         assert len(lines) - 1 == int(np.sum(grid.inside))
+
+    def test_rows_are_inside_nodes_in_c_order(self, tmp_path):
+        cost = bel.CostSpec(running_op=lambda t, u: 0.3 * ops.SIGMA_X,
+                            terminal_op=np.diag([0.0, 1.0]).astype(complex))
+        spec = hjb.GridSpec(T=0.05, n_space=11, n_time=20, store_every=5)
+        grid = hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)], spec)
+        path = tmp_path / "grid.csv"
+        hjb.write_grid_csv(grid, path, times=[0.0, 0.05])
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        pts = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)[grid.inside]
+        n_in = len(pts)
+        assert rows.shape == (2 * n_in, 5)
+        for half, k in zip((rows[:n_in], rows[n_in:]), (0, -1)):
+            assert np.all(half[:, 0] == grid.time_points[k])
+            assert np.array_equal(half[:, 1:4], pts)
+            assert np.array_equal(half[:, 4], grid.values[k][grid.inside])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
@@ -119,6 +121,121 @@ class TestMinimizeHamiltonian:
         with pytest.raises(RejectedInputError):
             pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
                                      CONTROLLED, plain_cost(), [])
+
+
+    def test_zero_control_grid(self):
+        # A model without controls has the one-point grid [()], which the HJB
+        # solver and fbsde_residual accept; the argmin and the policy must too.
+        model = ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z)
+        cost = bel.CostSpec(running_op=lambda t, u: EXCITED, terminal_op=EXCITED)
+        rho = hjb.density_from_bloch([0.1, 0.2, 0.3])
+        u, h = pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
+                                        model, cost, [np.zeros(0)])
+        assert u.shape == (0,)
+        assert h == pytest.approx(cost.running_value(0.0, u, rho))
+        grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)],
+                                  hjb.GridSpec(T=0.05, n_space=11, n_time=20))
+        policy = pmp.GridPolicy(grid, model, cost, [np.zeros(0)])
+        assert policy(0.0, np.stack([rho, rho]), None).shape == (2, 0)
+
+    def test_batch_matches_single_states(self):
+        rng = np.random.default_rng(11)
+        r = rng.normal(size=(6, 3))
+        r *= rng.uniform(0, 0.95, size=(6, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+        rho = hjb.density_from_bloch(r)
+        p = rng.normal(size=(6, 3))
+        P = rng.normal(size=(6, 3, 3))
+        cost = plain_cost(weight=0.2)
+        u_grid = [[u] for u in np.linspace(-1, 1, 7)]
+        u, h = pmp.minimize_hamiltonian(0.0, rho, p, P, CONTROLLED, cost, u_grid)
+        for i in range(6):
+            ui, hi = pmp.minimize_hamiltonian(0.0, rho[i], p[i], P[i], CONTROLLED, cost, u_grid)
+            assert np.array_equal(u[i], ui)
+            assert h[i] == pytest.approx(hi, abs=1e-14)
+            assert hi == pytest.approx(pmp.generalized_hamiltonian(0.0, ui, rho[i], p[i], P[i],
+                                                                   CONTROLLED, cost), abs=1e-14)
+
+
+class TestCostateValidation:
+    RHO = hjb.density_from_bloch([0.1, 0.0, 0.2])
+
+    @pytest.mark.parametrize("p, P", [
+        (np.array([np.nan, 0.0, 0.0]), np.zeros((3, 3))),
+        (np.zeros(3), np.full((3, 3), np.inf)),
+        (np.zeros(2), np.zeros((3, 3))),
+        (np.zeros(3), np.zeros((2, 2))),
+        (np.zeros((2, 3)), np.zeros((2, 3, 3))),  # a batch for a single state
+    ])
+    def test_rejected_everywhere(self, p, P):
+        args = (p, P, CONTROLLED, plain_cost())
+        with pytest.raises(RejectedInputError):
+            pmp.minimize_hamiltonian(0.0, self.RHO, *args, [[0.0], [1.0]])
+        with pytest.raises(RejectedInputError):
+            pmp.generalized_hamiltonian(0.0, [0.0], self.RHO, *args)
+        with pytest.raises(RejectedInputError):
+            pmp.hamiltonian_gradient_r(0.0, [0.0], np.array([0.1, 0.0, 0.2]), *args)
+
+    def test_batch_must_match_states(self):
+        with pytest.raises(RejectedInputError):
+            pmp.minimize_hamiltonian(0.0, np.stack([self.RHO] * 3), np.zeros((2, 3)),
+                                     np.zeros((2, 3, 3)), CONTROLLED, plain_cost(), [[0.0]])
+
+    @pytest.mark.parametrize("r", [[2.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    def test_gradient_rejects_point_off_ball(self, r):
+        with pytest.raises(RejectedInputError):
+            pmp.hamiltonian_gradient_r(0.0, [0.0], np.array(r), np.zeros(3), np.zeros((3, 3)),
+                                       CONTROLLED, plain_cost())
+
+
+def random_hermitian(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return (g + g.conj().T) / 2
+
+
+def random_operator(rng):
+    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+
+def random_ball_points(rng, n, radius):
+    r = rng.normal(size=(n, 3))
+    return r * rng.uniform(0, radius, size=(n, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+
+
+class TestBlochGeneratorProperties:
+    @given(n_controls=st.integers(0, 2), n_extra=st.integers(0, 1),
+           hbar=st.sampled_from([1.0, 0.5, 2.0]), convention=st.sampled_from(["standard", "paper"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_kernel_and_central_difference(self, n_controls, n_extra, hbar, convention,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        # Non-normal channels: random complex L, so L^dag L != L L^dag.
+        model = ops.QuantumModel(
+            H0=random_hermitian(rng), L=random_operator(rng),
+            Hc=tuple(random_hermitian(rng) for _ in range(n_controls)),
+            L_extra=tuple(random_operator(rng) for _ in range(n_extra)), hbar=hbar)
+        r = random_ball_points(rng, 5, 1.0)
+        u = rng.normal(size=(5, n_controls))
+        b, s = hjb.bloch_dynamics(model, u, r)
+        w, sig, _ = ops.drift_and_fluctuation(model.block, u, hjb.density_from_bloch(r))
+        assert np.max(np.abs(b - hjb.bloch_from_density(w))) <= 1e-12
+        assert np.max(np.abs(s - hjb.bloch_from_density(sig))) <= 1e-12
+
+        c_ops = [random_hermitian(rng) for _ in range(1 + n_controls)]
+        cost = bel.CostSpec(running_op=lambda t, v: c_ops[0] + sum(
+            vi * ci for vi, ci in zip(v, c_ops[1:])), terminal_op=np.zeros((2, 2)))
+        p = rng.normal(size=3)
+        P = rng.normal(size=(3, 3))
+        step = 1e-3
+        for x, ux in zip(random_ball_points(rng, 3, 0.99 - 2 * step), u):
+            def H(y):
+                return pmp.generalized_hamiltonian(0.0, ux, hjb.density_from_bloch(y), p, P,
+                                                   model, cost, convention)
+            # H is quartic in r, so the five-point central difference is exact
+            # up to rounding.
+            fd = np.array([(H(x - 2 * e) - 8 * H(x - e) + 8 * H(x + e) - H(x + 2 * e))
+                           / (12 * step) for e in step * np.eye(3)])
+            grad = pmp.hamiltonian_gradient_r(0.0, ux, x, p, P, model, cost, convention)
+            assert np.max(np.abs(grad - fd)) <= 1e-8
 
 
 class TestCostateBackwardStep:
