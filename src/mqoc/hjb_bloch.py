@@ -23,6 +23,7 @@ defined.  The costate lookup applies the same stencil at the grid corners it
 interpolates between.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,16 +229,10 @@ class _BallStencil:
         return v[self.fill_pos]
 
 
-class _GridGeometry:
-    """Caches one stencil per grid size so repeated solves/queries stay cheap."""
-
-    _cache = {}
-
-    @classmethod
-    def get(cls, n):
-        if n not in cls._cache:
-            cls._cache[n] = _BallStencil(n)
-        return cls._cache[n]
+@functools.cache
+def _stencil(n):
+    """The stencil of grid size n, built on first use so repeated solves/queries stay cheap."""
+    return _BallStencil(n)
 
 
 def expectation_fields(operators, r):
@@ -273,7 +268,7 @@ def solve_hjb_grid(model, cost, u_grid, spec):
     u_grid = [ops.check_control(model, u) for u in u_grid]
     if not u_grid:
         raise RejectedInputError("u_grid must be nonempty")
-    stencil = _GridGeometry.get(spec.n_space)
+    stencil = _stencil(spec.n_space)
     pts = stencil.points_in
     # s(r) does not depend on u; the explicit limit is h^2 / (6 max|s|^2).
     s = gen.diffusion(pts)
@@ -328,7 +323,7 @@ def extract_costate(grid, t, r):
     tp = grid.time_points
     if not (tp[0] - 1e-12 <= t <= tp[-1] + 1e-12):
         raise RejectedInputError(f"t={t} outside grid time range")
-    stencil = _GridGeometry.get(grid.n_space)
+    stencil = _stencil(grid.n_space)
 
     kt = int(np.clip(np.searchsorted(tp, t) - 1, 0, len(tp) - 2))
     wt = (t - tp[kt]) / (tp[kt + 1] - tp[kt])

@@ -6,17 +6,21 @@ annihilator representation X = (a_1..a_m; a_1^dag..a_m^dag), where
 [X_i, X_j] = S_ij, and the matrices A, B it returns act there too.  Gamma
 acts on the Hermitian quadratures (x; p) = U X of `to_quadrature`: each row
 is one channel L = Gamma_l . (x; p).
-Simulation scenarios use real quadrature coordinates, where the conditional
-mean follows dXhat = (A Xhat + B u) dt + Ktilde dYtilde with gain
-Ktilde = Sigma C^T + M and a deterministic covariance recursion.
+
+The filter runs in real quadrature coordinates: the conditional mean
+follows dXhat = (A Xhat + B u) dt + Ktilde dYtilde with Ktilde = Sigma C^T + M,
+and Sigma follows a Riccati recursion that never reads the record.  So
+`covariance_path` computes Sigma and Ktilde once per call, and
+`run_moment_filter` advances a whole batch of means against them.  Model
+files are the package's key-value text (`save_linear_model`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
+from .io import read_keyvalue, write_keyvalue
 
 HERM_CONSTRAINT_TOL = 1e-10
 SIGMA_PSD_TOL = 1e-9
@@ -121,22 +125,27 @@ def to_quadrature(mat, m):
     return u @ mat @ np.linalg.inv(u)
 
 
+MODEL_MATRICES = ("A", "B", "C", "F", "M_cov")
+CONSTRUCTION_KEYS = ("R_param", "K_ham", "Gamma", "hbar")
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """State-space matrices of the measured linear model.
 
-    n states, d control/noise channels, q measured outputs.  M_cov is the
-    constant part of the filter gain (a covariance of noise increments,
-    treated as a free model parameter).  The optional construction block
-    records the Hamiltonian parameters the A/B matrices came from.
+    n states, d controls, q measured outputs.  M_cov is the constant part of
+    the filter gain (a covariance of noise increments, treated as a free
+    model parameter), and F F^T the optional diffusion of the covariance.
+    Sigma and Ktilde never read the record: `covariance_path` computes them
+    once per filter call.  The optional construction block records the
+    Hamiltonian parameters the A/B matrices came from (`CONSTRUCTION_KEYS`);
+    `save_linear_model` writes the model as key-value text.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray = None
     F: np.ndarray = None
-    G: np.ndarray = None
     M_cov: np.ndarray = None
     construction: dict = None
 
@@ -152,26 +161,22 @@ class LinearModel:
         if C.shape[1] != n:
             raise DimensionMismatchError(f"C must have {n} columns")
         q = C.shape[0]
-        D = np.zeros((q, B.shape[1])) if self.D is None else _mat(self.D, "D")
         F = np.zeros((n, n)) if self.F is None else _mat(self.F, "F")
-        G = np.eye(q) if self.G is None else _mat(self.G, "G")
         M = np.zeros((n, q)) if self.M_cov is None else _mat(self.M_cov, "M_cov")
-        if D.shape != (q, B.shape[1]):
-            raise DimensionMismatchError(f"D must be {(q, B.shape[1])}")
         if F.shape[0] != n:
             raise DimensionMismatchError(f"F must have {n} rows")
-        if G.shape[0] != q:
-            raise DimensionMismatchError(f"G must have {q} rows")
         if M.shape != (n, q):
             raise DimensionMismatchError(f"M_cov must be {(n, q)}")
         if self.construction is not None:
+            unknown = sorted(set(self.construction) - set(CONSTRUCTION_KEYS))
+            if unknown:
+                raise RejectedInputError(f"unknown construction keys {unknown}")
             violated = check_construction(
-                self.construction["R_param"], self.construction["K_ham"],
+                self.construction.get("R_param"), self.construction.get("K_ham"),
                 self.construction.get("Gamma"))
             if violated is not None:
                 raise RejectedInputError(f"Hermiticity constraint violated: {violated}")
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("F", F),
-                          ("G", G), ("M_cov", M)):
+        for name, val in (("A", A), ("B", B), ("C", C), ("F", F), ("M_cov", M)):
             object.__setattr__(self, name, val)
 
     @property
@@ -186,14 +191,13 @@ class LinearModel:
     def q(self):
         return self.C.shape[0]
 
-    @property
-    def FFt(self):
-        return np.real(self.F @ np.conj(self.F.T))
-
 
 @dataclass(frozen=True)
 class MomentState:
-    """Conditional mean vector and (symmetrized) covariance of the filter."""
+    """Conditional mean vector and covariance of the filter.
+
+    `covariance_path` checks that sigma is PSD, with the rest of its path.
+    """
 
     xhat: np.ndarray
     sigma: np.ndarray
@@ -203,9 +207,6 @@ class MomentState:
         sigma = _mat(self.sigma, "sigma")
         if sigma.shape != (len(xhat), len(xhat)):
             raise DimensionMismatchError("sigma shape does not match xhat")
-        sym = (sigma + sigma.T) / 2
-        if np.min(np.linalg.eigvalsh(np.real(sym))) < -SIGMA_PSD_TOL:
-            raise RejectedInputError("symmetric part of sigma must be PSD")
         object.__setattr__(self, "xhat", xhat)
         object.__setattr__(self, "sigma", np.asarray(sigma, dtype=float))
 
@@ -244,87 +245,111 @@ def covariance_step(sigma, A, ktilde, include_diffusion=False, FFt=None, dt=None
     return (out + out.T) / 2
 
 
-def moment_filter_step(state, u, dYtilde, model, dt, include_diffusion=False):
-    """One joint Euler step of the conditional mean and covariance."""
-    if np.iscomplexobj(model.A) or np.iscomplexobj(model.B) or np.iscomplexobj(model.C):
-        raise RejectedInputError(
-            "moment filtering runs in the real quadrature representation")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    dY = np.atleast_1d(np.asarray(dYtilde, dtype=float))
-    if u.shape[-1] != model.d:
-        raise DimensionMismatchError(f"control must have {model.d} components")
-    if dY.shape[-1] != model.q:
-        raise DimensionMismatchError(f"innovation must have {model.q} components")
-    ktilde = kalman_gain(state.sigma, model.C, model.M_cov)
-    xhat = state.xhat + (model.A @ state.xhat + model.B @ u) * dt + ktilde @ dY
-    if not np.all(np.isfinite(xhat)):
-        raise NumericalBlowupError("non-finite mean after moment_filter_step")
-    sigma = covariance_step(state.sigma, model.A, ktilde,
-                            include_diffusion=include_diffusion,
-                            FFt=model.FFt, dt=dt)
-    return MomentState(xhat=xhat, sigma=sigma)
+def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
+    """Sigma_0..Sigma_n (n_steps + 1, n, n) and Ktilde_0..Ktilde_{n-1} (n_steps, n, q).
+
+    Ktilde_k = `kalman_gain`(Sigma_k) and Sigma_{k+1} = `covariance_step`
+    (Sigma_k, Ktilde_k) never read the record, so one path serves every
+    trajectory of a filter call.  The path is checked once, at the end: a
+    non-finite Sigma raises NumericalBlowupError, and a symmetric part with
+    an eigenvalue below -SIGMA_PSD_TOL raises RejectedInputError.
+    """
+    sigma0 = _mat(sigma0, "sigma0")
+    if sigma0.shape != (model.n, model.n):
+        raise DimensionMismatchError(f"sigma0 must be {(model.n, model.n)}, got {sigma0.shape}")
+    sigmas = np.empty((n_steps + 1, model.n, model.n))
+    gains = np.empty((n_steps, model.n, model.q))
+    sigmas[0] = sigma0
+    FFt = np.real(model.F @ np.conj(model.F.T))
+    for k in range(n_steps):
+        gains[k] = kalman_gain(sigmas[k], model.C, model.M_cov)
+        sigmas[k + 1] = covariance_step(sigmas[k], model.A, gains[k],
+                                        include_diffusion=include_diffusion, FFt=FFt, dt=dt)
+    if not np.all(np.isfinite(sigmas)):
+        raise NumericalBlowupError("non-finite covariance on the filter's path")
+    sym = (sigmas + np.swapaxes(sigmas, 1, 2)) / 2
+    if np.min(np.linalg.eigvalsh(sym)) < -SIGMA_PSD_TOL:
+        raise RejectedInputError("symmetric part of sigma must be PSD along the covariance path")
+    return sigmas, gains
+
+
+def _per_step(rows, n_steps, width, name):
+    """Per-step inputs (..., n_steps, width) as column vectors, or None."""
+    if rows is None:
+        return None
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-2:] != (n_steps, width):
+        raise DimensionMismatchError(
+            f"{name} must have shape (..., {n_steps}, {width}), got {rows.shape}")
+    return rows[..., None]
 
 
 def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None,
                       include_diffusion=False):
-    """Iterate the filter; returns (xhat_path, sigma_path) with n_steps+1 entries."""
-    xs = np.empty((n_steps + 1, model.n))
-    sigmas = np.empty((n_steps + 1, model.n, model.n))
-    xs[0] = state.xhat
-    sigmas[0] = state.sigma
-    cur = state
+    """Filter a batch of records from one initial state; returns (xhat_path, sigma_path).
+
+    innovations (..., n_steps, q) and controls (..., n_steps, d) hold one
+    row per step, None meaning zero; their leading axes broadcast to the
+    batch shape.  The covariance path is shared (`covariance_path`), so
+    xhat_path has shape (*batch, n_steps + 1, n) and sigma_path
+    (n_steps + 1, n, n).
+    """
+    if any(np.iscomplexobj(getattr(model, name)) for name in ("A", "B", "C", "M_cov")):
+        raise RejectedInputError("moment filtering runs in the real quadrature representation")
+    dy = _per_step(innovations, n_steps, model.q, "innovations")
+    u = _per_step(controls, n_steps, model.d, "controls")
+    sigmas, gains = covariance_path(model, state.sigma, dt, n_steps, include_diffusion)
+    batch = np.broadcast_shapes(*(v.shape[:-3] for v in (dy, u) if v is not None))
+    xs = np.empty(batch + (n_steps + 1, model.n))
+    xs[..., 0, :] = state.xhat
+    # Means are column vectors: a stacked matmul does one matrix-vector
+    # product per record, so a batch gives the bits of its records one by one.
+    x = np.broadcast_to(state.xhat[:, None], batch + (model.n, 1)).copy()
     for k in range(n_steps):
-        u = np.zeros(model.d) if controls is None else controls[k]
-        dy = np.zeros(model.q) if innovations is None else innovations[k]
-        cur = moment_filter_step(cur, u, dy, model, dt,
-                                 include_diffusion=include_diffusion)
-        xs[k + 1] = cur.xhat
-        sigmas[k + 1] = cur.sigma
+        drift = model.A @ x
+        if u is not None:
+            drift = drift + model.B @ u[..., k, :, :]
+        x = x + drift * dt
+        if dy is not None:
+            x = x + gains[k] @ dy[..., k, :, :]
+        xs[..., k + 1, :] = x[..., 0]
+    if not np.all(np.isfinite(xs)):
+        raise NumericalBlowupError("non-finite mean in run_moment_filter")
     return xs, sigmas
 
 
-def _matrix_block(m):
-    m = np.asarray(m)
-    if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > 0:
-        return {"shape": list(m.shape),
-                "data_re": [float(v) for v in m.real.ravel()],
-                "data_im": [float(v) for v in m.imag.ravel()]}
-    return {"shape": list(m.shape), "data": [float(v) for v in np.real(m).ravel()]}
-
-
-def _block_matrix(block, name):
-    try:
-        shape = tuple(block["shape"])
-        if "data" in block:
-            return np.array(block["data"], dtype=float).reshape(shape)
-        data = np.array(block["data_re"], dtype=float) \
-            + 1j * np.array(block["data_im"], dtype=float)
-        return data.reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RejectedInputError(f"malformed matrix block {name!r}: {exc}") from exc
+def moment_filter_step(state, u, dYtilde, model, dt, include_diffusion=False):
+    """One Euler step of the mean and covariance: `run_moment_filter` with n_steps = 1."""
+    xs, sigmas = run_moment_filter(state, model, dt, 1, controls=np.reshape(u, (1, -1)),
+                                   innovations=np.reshape(dYtilde, (1, -1)),
+                                   include_diffusion=include_diffusion)
+    return MomentState(xhat=xs[1], sigma=sigmas[1])
 
 
 def save_linear_model(model, path):
-    """YAML mapping, keys sorted, of row-major matrix blocks {shape, data[_re, _im]}."""
-    doc = {name: _matrix_block(getattr(model, name))
-           for name in ("A", "B", "C", "D", "F", "G", "M_cov")}
-    if model.construction is not None:
-        doc["construction"] = {k: _matrix_block(v) if not np.isscalar(v) else float(v)
-                               for k, v in model.construction.items()}
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)
+    """Key-value text through `io.write_keyvalue`: `<name>.shape = [...]`, `<name> = [...]`.
+
+    One pair per matrix of `MODEL_MATRICES` (row-major), then one per
+    construction entry as `construction.<key>`; a scalar has shape [].
+    """
+    arrays = {name: getattr(model, name) for name in MODEL_MATRICES}
+    for key, value in (model.construction or {}).items():
+        arrays[f"construction.{key}"] = np.asarray(value)
+    items = {}
+    for name, arr in arrays.items():
+        items[f"{name}.shape"] = list(arr.shape)
+        items[name] = arr
+    write_keyvalue(path, items)
 
 
 def load_linear_model(path):
-    """Parse and validate a model file; the first violated constraint is named."""
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    mats = {}
-    for name in ("A", "B", "C", "D", "F", "G", "M_cov"):
-        if name in doc:
-            mats[name] = _block_matrix(doc[name], name)
-    construction = None
-    if "construction" in doc:
-        construction = {k: (_block_matrix(v, k) if isinstance(v, dict) else float(v))
-                        for k, v in doc["construction"].items()}
-    return LinearModel(construction=construction, **mats)
+    """Read a `save_linear_model` file with the strict `io.read_keyvalue`.
+
+    Bad keys are rejected by name, a construction block that violates a
+    Hermiticity constraint by the first violated equation.
+    """
+    prefix = "construction."
+    arrays = read_keyvalue(path, MODEL_MATRICES + tuple(prefix + k for k in CONSTRUCTION_KEYS))
+    construction = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+    mats = {k: v for k, v in arrays.items() if not k.startswith(prefix)}
+    return LinearModel(construction=construction or None, **mats)

@@ -297,8 +297,10 @@ class BlochGenerator:
 
 
 def check_control(model, u, batch=()):
-    """Validate u: one entry per control, shared (k,) or one row per state (*batch, k)."""
+    """Validate u: finite, one entry per control, shared (k,) or one row per state (*batch, k)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all(np.isfinite(u)):
+        raise RejectedInputError(f"control {u} has non-finite entries")
     if u.shape[-1] != model.n_controls:
         raise DimensionMismatchError(
             f"control has {u.shape[-1]} components, model has {model.n_controls}"

@@ -128,7 +128,6 @@ class GridPolicy:
     def __call__(self, t, rho, past):
         t = min(t, self.grid.T)
         r = hb.bloch_from_density(rho)
-        r = r / np.maximum(1.0, np.linalg.norm(r, axis=-1, keepdims=True))
         costates = [hb.extract_costate(self.grid, t, x) for x in r.reshape(-1, 3)]
         p = np.reshape([c[0] for c in costates], r.shape)
         P = np.reshape([c[1] for c in costates], r.shape + (3,))

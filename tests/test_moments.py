@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,7 +7,7 @@ from scipy.linalg import expm
 from mqoc import belavkin as bel
 from mqoc import moments as mom
 from mqoc import operators as ops
-from mqoc.errors import DimensionMismatchError, RejectedInputError
+from mqoc.errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
 
 
 def oscillator_R(omega, hbar=1.0):
@@ -314,6 +316,75 @@ class TestMomentFilterStep:
         assert np.max(np.abs(mix - split)) < 1e-10
 
 
+def filter_inputs(seed, shape, dt):
+    """Damped oscillator with two outputs and two controls, random inputs of `shape`."""
+    rng = np.random.default_rng(seed)
+    # Non-dyadic entries and sums over two terms, so a change in the order
+    # of the arithmetic shows in the bits.
+    model = mom.LinearModel(A=damped_oscillator_model(1.3, 0.7).A,
+                            B=np.array([[0.3, -0.7], [0.9, 0.1]]),
+                            C=np.array([[1.1, 0.2], [-0.3, 0.7]]), F=0.6 * np.eye(2),
+                            M_cov=np.array([[-0.3, 0.1], [0.2, 0.05]]))
+    state = mom.MomentState(xhat=[0.5, -0.2], sigma=np.eye(2))
+    return model, state, rng.normal(0, np.sqrt(dt), size=shape), rng.normal(size=shape)
+
+
+class TestRunMomentFilter:
+    def test_batch_equals_stacked_records(self):
+        dt, n = 1e-2, 40
+        model, state, dys, us = filter_inputs(5, (2, 3, n, 2), dt)
+        us = us[0]  # controls (3, n, 2) broadcast against innovations (2, 3, n, 2)
+        xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us,
+                                           innovations=dys, include_diffusion=True)
+        assert xs.shape == (2, 3, n + 1, 2)
+        for i in range(2):
+            for j in range(3):
+                x1, s1 = mom.run_moment_filter(state, model, dt, n, controls=us[j],
+                                               innovations=dys[i, j], include_diffusion=True)
+                assert np.array_equal(xs[i, j], x1)
+                assert np.array_equal(sigmas, s1)
+
+    def test_steps_reproduce_run(self):
+        dt, n = 1e-2, 30
+        model, state, dys, us = filter_inputs(6, (n, 2), dt)
+        xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us,
+                                           innovations=dys, include_diffusion=True)
+        cur = state
+        for k in range(n):
+            cur = mom.moment_filter_step(cur, us[k], dys[k], model, dt, include_diffusion=True)
+            assert np.array_equal(cur.xhat, xs[k + 1])
+            assert np.array_equal(cur.sigma, sigmas[k + 1])
+
+    def test_rejects_misshapen_inputs(self):
+        dt, n = 1e-2, 10
+        model, state, dys, us = filter_inputs(7, (n, 2), dt)
+        with pytest.raises(DimensionMismatchError, match="innovations"):
+            mom.run_moment_filter(state, model, dt, n, innovations=dys[1:])
+        with pytest.raises(DimensionMismatchError, match="controls"):
+            mom.run_moment_filter(state, model, dt, n, controls=np.hstack([us, us]))
+
+    def test_rejects_covariance_path_leaving_psd(self):
+        # A = 0, C = I, no M: Sigma = I/2 steps to (1/2 - dt/4) I, negative at dt = 3.
+        model = mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2))
+        state = mom.MomentState(xhat=[0.0, 0.0], sigma=0.5 * np.eye(2))
+        with pytest.raises(RejectedInputError, match="PSD"):
+            mom.run_moment_filter(state, model, 3.0, 4)
+
+    def test_rejects_non_finite_covariance_path(self):
+        # A = 10 I, C = 0: Sigma grows by 21x per unit step until it overflows.
+        model = mom.LinearModel(A=10.0 * np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
+        state = mom.MomentState(xhat=[0.0, 0.0], sigma=np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalBlowupError, match="covariance"):
+            mom.run_moment_filter(state, model, 1.0, 300)
+
+    def test_rejects_non_finite_mean(self):
+        model, state, _, _ = filter_inputs(8, (1, 2), 1e-2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalBlowupError, match="mean"):
+            mom.run_moment_filter(state, model, 1e-2, 5, innovations=np.full((5, 2), 1e308))
+
+
 class TestBelavkinAgreement:
     def test_first_moments_track_fock_filter(self):
         # Ground truth: dense filter on a cutoff-20 Fock space, fed to the
@@ -356,8 +427,8 @@ class TestModelFile:
         path = tmp_path / "model.yaml"
         mom.save_linear_model(model, path)
         loaded = mom.load_linear_model(path)
-        for name in ("A", "B", "C", "D", "F", "G", "M_cov"):
-            assert np.allclose(getattr(loaded, name), getattr(model, name))
+        for name in mom.MODEL_MATRICES:
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
 
     def test_loader_names_violated_equation(self, tmp_path):
         R = np.array([[0.3, 1.0], [1.0, 0.7]])
@@ -366,9 +437,64 @@ class TestModelFile:
         path = tmp_path / "model.yaml"
         mom.save_linear_model(model, path)
         doc = path.read_text()
-        doc += ("construction:\n  R_param:\n    shape: [2, 2]\n"
-                "    data: [0.3, 1.0, 1.0, 0.7]\n  K_ham:\n    shape: [2, 1]\n"
-                "    data: [0.0, 0.0]\n")
+        doc += ("construction.R_param.shape = [2, 2]\n"
+                "construction.R_param = [0.3, 1.0, 1.0, 0.7]\n"
+                "construction.K_ham.shape = [2, 1]\nconstruction.K_ham = [0.0, 0.0]\n")
         path.write_text(doc)
         with pytest.raises(RejectedInputError, match="R11"):
             mom.load_linear_model(path)
+
+    def test_roundtrip_complex_construction_and_scalar(self, tmp_path):
+        R = np.array([[0.3 + 0.2j, 1.0], [1.0, 0.3 - 0.2j]])
+        construction = {"R_param": R, "K_ham": np.zeros((2, 1)),
+                        "Gamma": np.array([[0.7 + 0.3j, 0.2 - 0.1j]]), "hbar": 0.7}
+        A, _ = mom.build_AB(R, construction["K_ham"], construction["Gamma"], hbar=0.7)
+        model = mom.LinearModel(A=A, B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]),
+                                M_cov=np.array([[-0.1], [0.3]]), construction=construction)
+        path = tmp_path / "model.txt"
+        mom.save_linear_model(model, path)
+        lines = path.read_text().splitlines()
+        assert "A.shape = [2, 2]" in lines
+        assert "construction.hbar.shape = []" in lines
+        assert "construction.hbar = [0.7]" in lines
+        loaded = mom.load_linear_model(path)
+        for name in mom.MODEL_MATRICES:
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+        assert loaded.construction.keys() == construction.keys()
+        for key, value in construction.items():
+            assert np.array_equal(loaded.construction[key], value)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("B.shape", lambda lines: [ln for ln in lines if not ln.startswith("B.shape")]),
+        ("C", lambda lines: [("C = [1.0]" if ln.startswith("C = ") else ln) for ln in lines]),
+        ("A", lambda lines: lines + ["A = [0.0, 0.0, 0.0, 0.0]"]),
+        ("A", lambda lines: [("A.shape = [-1, 2]" if ln.startswith("A.shape") else ln)
+                             for ln in lines]),
+        ("Z.shape", lambda lines: lines + ["Z.shape = [1]", "Z = [0.0]"]),
+        ("D.shape", lambda lines: lines + ["D.shape = [1, 1]", "D = [1.0]"]),
+        ("G.shape", lambda lines: lines + ["G.shape = [1, 1]", "G = [5.0]"]),
+        ("construction.omega", lambda lines: lines + ["construction.omega = [1.0]"]),
+        ("M_cov", lambda lines: [("M_cov = [0.0, x]" if ln.startswith("M_cov = ") else ln)
+                                 for ln in lines]),
+    ], ids=["missing-shape", "length-mismatch", "duplicate", "negative-shape", "unknown",
+            "stray-D", "stray-G", "unknown-construction", "not-a-number"])
+    def test_reader_names_offending_key(self, tmp_path, key, edit):
+        path = tmp_path / "model.txt"
+        mom.save_linear_model(damped_oscillator_model(), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(RejectedInputError, match=re.escape(repr(key))):
+            mom.load_linear_model(path)
+
+
+def test_linear_model_rejects_unknown_construction_key():
+    construction = {"R_param": oscillator_R(1.0), "K_ham": np.zeros((2, 1)), "omega": 1.0}
+    with pytest.raises(RejectedInputError, match="omega"):
+        mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                        construction=construction)
+
+
+@pytest.mark.parametrize("field", ["D", "G"])
+def test_linear_model_has_no_unused_fields(field):
+    with pytest.raises(TypeError):
+        mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                        **{field: np.eye(1)})

@@ -187,6 +187,44 @@ class TestCostateValidation:
                                        CONTROLLED, plain_cost())
 
 
+class TestNonFiniteControl:
+    U_GRID = [[0.0], [np.nan]]
+
+    def test_hjb_solve_refuses_before_sweeping(self):
+        spec = hjb.GridSpec(T=0.1, n_space=11, n_time=100)
+        with pytest.raises(RejectedInputError, match="control"):
+            hjb.solve_hjb_grid(CONTROLLED, plain_cost(), self.U_GRID, spec)
+
+    def test_argmin_refuses(self):
+        rho = hjb.density_from_bloch([0.1, 0.0, 0.2])
+        with pytest.raises(RejectedInputError, match="control"):
+            pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)), CONTROLLED,
+                                     plain_cost(), self.U_GRID)
+
+
+class TestGridPolicyBoundary:
+    def test_sphere_states_need_no_clamp(self):
+        # check_density accepts |r| up to 1 + 2 PSD_EIG_TOL, inside check_bloch's
+        # 1 + BLOCH_NORM_TOL: just past the sphere the policy acts as on it, and
+        # further out the costate lookup refuses the state.
+        cost = plain_cost(weight=0.2)
+        u_grid = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
+        spec = hjb.GridSpec(T=0.05, n_space=11, n_time=100)
+        policy = pmp.GridPolicy(hjb.solve_hjb_grid(CONTROLLED, cost, u_grid, spec),
+                                CONTROLLED, cost, u_grid)
+        unit = np.random.default_rng(4).normal(size=(6, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+
+        def states(scale):
+            r = scale * unit
+            return 0.5 * (ops.IDENTITY2 + np.einsum("nk,kij->nij", r, np.stack(ops.PAULI)))
+
+        on_sphere = policy(0.02, states(1.0), None)
+        assert np.array_equal(policy(0.02, states(1.0 + 1.5e-10), None), on_sphere)
+        with pytest.raises(RejectedInputError):
+            policy(0.02, states(1.0 + 1e-6), None)
+
+
 def random_hermitian(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return (g + g.conj().T) / 2
