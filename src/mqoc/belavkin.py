@@ -28,8 +28,8 @@ class SmeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.dt <= self.T):
-            raise RejectedInputError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        if not 0 < self.dt <= self.T < np.inf:
+            raise RejectedInputError(f"need 0 < dt <= T < inf, got dt={self.dt}, T={self.T}")
         ratio = self.T / self.dt
         if abs(ratio - round(ratio)) > STEP_COUNT_TOL * max(1.0, ratio):
             raise RejectedInputError(f"T/dt = {ratio} does not round to an integer step count")

@@ -17,10 +17,10 @@ neighbours) and per-node weights that encode its rule, central differences
 where both sides are inside and one-sided first (zero second) differences
 where a tap leaves the ball.  A sweep step is one gather of the taps and a
 few contractions against weight tables built once per solve.  The sweep
-keeps values on the inside nodes only; when a time slice is stored, outside
-nodes are filled from the nearest inside node so interpolation stays well
-defined.  The costate lookup applies the same stencil at the grid corners it
-interpolates between.
+keeps values on the inside nodes only; a stored slice holds 0 at the outside
+nodes, and nothing reads them.  The costate lookup applies the same stencil
+at the inside grid corners it interpolates between, for a whole batch of
+points at once.
 """
 
 import functools
@@ -91,8 +91,8 @@ class GridSpec:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.T <= 0 or self.n_space < 5 or self.n_time < 1:
-            raise RejectedInputError("GridSpec needs T > 0, n_space >= 5, n_time >= 1")
+        if not 0 < self.T < np.inf or self.n_space < 5 or self.n_time < 1:
+            raise RejectedInputError("GridSpec needs finite T > 0, n_space >= 5, n_time >= 1")
         if self.hamiltonian_sign not in (SIGN_STANDARD, SIGN_PAPER):
             raise RejectedInputError(f"unknown hamiltonian_sign {self.hamiltonian_sign!r}")
         if self.store_every < 1 or self.n_time % self.store_every:
@@ -109,16 +109,31 @@ class GridSpec:
 
 @dataclass(eq=False)
 class ValueGrid:
-    """Backward-solved cost-to-go on a Bloch-ball grid."""
+    """Backward-solved cost-to-go on a Bloch-ball grid.
+
+    time_points are the stored times, finite and strictly increasing (at
+    least two); axes are the three node coordinate axes of length n; values
+    has shape (len(time_points), n, n, n) and inside, the ball mask, shape
+    (n, n, n).  Only the inside nodes of values are read.
+    """
 
     time_points: np.ndarray
     axes: tuple
-    values: np.ndarray  # (n_stored_times, n, n, n)
+    values: np.ndarray
     h: float
     convention: str
-    inside: np.ndarray = field(repr=False)  # (n, n, n) ball mask
+    inside: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        tp = np.asarray(self.time_points, dtype=float)
+        if tp.ndim != 1 or len(tp) < 2 or not np.all(np.isfinite(tp)) or np.any(np.diff(tp) <= 0):
+            raise RejectedInputError(
+                "time_points must be at least two finite, strictly increasing times")
+        cube = (len(self.axes[0]),) * 3
+        if np.shape(self.values) != (len(tp),) + cube or np.shape(self.inside) != cube:
+            raise RejectedInputError(
+                f"values and inside must have shapes {(len(tp),) + cube} and {cube}, "
+                f"got {np.shape(self.values)} and {np.shape(self.inside)}")
         if not np.all(np.isfinite(self.values)):
             raise RejectedInputError("value grid contains non-finite entries")
 
@@ -153,7 +168,7 @@ _CORNERS = np.array([(cx, cy, cz) for cx in (0, 1) for cy in (0, 1) for cz in (0
 
 
 class _BallStencil:
-    """Ball mask, outside fill and the 19-tap derivative stencil of one grid size.
+    """Ball mask and the 19-tap derivative stencil of one grid size.
 
     `taps[t, i]` is the inside position of tap t of inside node i; a tap that
     leaves the ball points back at the node itself.  `scale[k, i]` encodes
@@ -164,7 +179,6 @@ class _BallStencil:
 
     def __init__(self, n):
         axis_pts = np.linspace(-1.0, 1.0, n)
-        self.n = n
         self.axes = (axis_pts, axis_pts, axis_pts)
         self.h = axis_pts[1] - axis_pts[0]
         gx, gy, gz = np.meshgrid(axis_pts, axis_pts, axis_pts, indexing="ij")
@@ -189,44 +203,6 @@ class _BallStencil:
             np.where(both, 0.5 / h, np.where(ok[_PLUS] | ok[_MINUS], 1.0 / h, 0.0)),
             np.where(both, 1.0 / h ** 2, 0.0),
             np.where(ok[_EDGES].reshape(3, 4, n_in).all(axis=1), 0.25 / h ** 2, 0.0)])
-        self.fill_pos = self.pos_of_flat[self._nearest_inside_map()]
-
-    def _nearest_inside_map(self):
-        """For every outside node, the flat index of a nearby inside node."""
-        n = self.n
-        outside = np.where(~self.inside_flat)[0]
-        src = np.arange(n ** 3)
-        pts = self.points[outside]
-        norms = np.linalg.norm(pts, axis=1)
-        pulled = pts / norms[:, None]  # radial projection to the sphere
-        # Snap to the nearest grid node, then search its 3x3x3 neighborhood.
-        approx = np.clip(np.rint((pulled + 1.0) / self.h), 0, n - 1).astype(int)
-        offsets = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1)
-                            for k in (-1, 0, 1)])
-        best = np.full(len(outside), -1)
-        best_d = np.full(len(outside), np.inf)
-        for off in offsets:
-            cand = np.clip(approx + off, 0, n - 1)
-            flat = cand[:, 0] * n * n + cand[:, 1] * n + cand[:, 2]
-            good = self.inside_flat[flat]
-            d = np.linalg.norm(self.points[flat] - pts, axis=1)
-            take = good & (d < best_d)
-            best[take] = flat[take]
-            best_d[take] = d[take]
-        # Rare corner nodes may miss: fall back to the closest inside node on
-        # the pulled ray by brute force.
-        missing = best < 0
-        if np.any(missing):
-            inside_pts = self.points[self.inside_idx]
-            for i in np.where(missing)[0]:
-                d = np.linalg.norm(inside_pts - pulled[i], axis=1)
-                best[i] = self.inside_idx[int(np.argmin(d))]
-        src[outside] = best
-        return src
-
-    def fill_outside(self, v):
-        """Full flat grid from inside values v, outside nodes nearest-filled."""
-        return v[self.fill_pos]
 
 
 @functools.cache
@@ -281,12 +257,11 @@ def solve_hjb_grid(model, cost, u_grid, spec):
     w_diff, w_drift = _sweep_weights(stencil, gen.drift(np.array(u_grid)[:, None], pts), s, sign)
 
     n_stored = spec.n_time // spec.store_every + 1
-    shape = stencil.inside.shape
-    stored = np.empty((n_stored,) + shape)
+    stored = np.zeros((n_stored,) + stencil.inside.shape)
     stored_times = np.empty(n_stored)
 
     v = expectation_fields([cost.terminal_op], pts)[0]
-    stored[-1] = stencil.fill_outside(v).reshape(shape)
+    stored[-1][stencil.inside] = v
     stored_times[-1] = spec.T
 
     for step in range(spec.n_time):
@@ -296,7 +271,7 @@ def solve_hjb_grid(model, cost, u_grid, spec):
         v = _explicit_step(v, stencil, running, w_diff, w_drift, spec.dt)
         k = spec.n_time - step - 1
         if k % spec.store_every == 0:
-            stored[k // spec.store_every] = stencil.fill_outside(v).reshape(shape)
+            stored[k // spec.store_every][stencil.inside] = v
             stored_times[k // spec.store_every] = t_now
 
     return ValueGrid(
@@ -310,43 +285,53 @@ def solve_hjb_grid(model, cost, u_grid, spec):
 
 
 def extract_costate(grid, t, r):
-    """Finite-difference costate (p, P) at (t, r) by trilinear interpolation.
+    """Finite-difference costate (p, P) at points r (..., 3) and times t.
 
+    t is a scalar or broadcasts to r's batch shape r.shape[:-1]; p has shape
+    (..., 3) and P (..., 3, 3), so one point r (3,) gives p (3,) and P (3, 3).
     p approximates the Bloch gradient of the value function and P its
-    Hessian, built from the 19-tap stencils of the (up to eight) surrounding
-    inside nodes: central differences inside, one-sided first differences
-    and zero second differences where a tap leaves the ball.
+    Hessian: linear in t between stored slices, and trilinear in r over the
+    19-tap stencils of the (up to eight) surrounding inside nodes, with
+    central differences inside and one-sided first (zero second) differences
+    where a tap leaves the ball.  No outside node is read.
     """
     r = check_bloch(r)
-    if r.shape != (3,):
-        raise RejectedInputError("r must be a single Bloch vector")
+    batch = r.shape[:-1]
+    t = np.asarray(t, dtype=float)
+    try:
+        t = np.broadcast_to(t, batch).reshape(-1)
+    except ValueError:
+        raise RejectedInputError(
+            f"t of shape {t.shape} does not broadcast to the batch shape {batch}") from None
     tp = grid.time_points
-    if not (tp[0] - 1e-12 <= t <= tp[-1] + 1e-12):
-        raise RejectedInputError(f"t={t} outside grid time range")
+    late = ~((tp[0] - 1e-12 <= t) & (t <= tp[-1] + 1e-12))
+    if np.any(late):
+        raise RejectedInputError(f"t={t[late][0]} outside grid time range")
     stencil = _stencil(grid.n_space)
+    r = r.reshape(-1, 3)
 
-    kt = int(np.clip(np.searchsorted(tp, t) - 1, 0, len(tp) - 2))
-    wt = (t - tp[kt]) / (tp[kt + 1] - tp[kt])
-    wt = float(np.clip(wt, 0.0, 1.0))
+    kt = np.clip(np.searchsorted(tp, t) - 1, 0, len(tp) - 2)
+    wt = np.clip((t - tp[kt]) / (tp[kt + 1] - tp[kt]), 0.0, 1.0)[:, None]
 
     n = grid.n_space
     ix = np.clip(((r + 1.0) / grid.h).astype(int), 0, n - 2)
-    frac = (r + 1.0) / grid.h - ix
-    weight = np.prod(np.where(_CORNERS, frac, 1 - frac), axis=1)
-    pos = stencil.pos_of_flat[np.ravel_multi_index(tuple((ix + _CORNERS).T), (n, n, n))]
-    used = (weight != 0.0) & (pos >= 0)
-    wsum = np.sum(weight[used])
-    if wsum <= 0.0:
-        raise RejectedInputError(f"no inside nodes around {r}")
-    pos = pos[used]
+    frac = ((r + 1.0) / grid.h - ix)[:, None]
+    corners = ix[:, None] + _CORNERS  # (N, 8, 3)
+    pos = stencil.pos_of_flat[np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)),
+                                                   grid.inside.shape)]
+    weight = np.where(pos >= 0, np.prod(np.where(_CORNERS, frac, 1 - frac), axis=-1), 0.0)
+    wsum = np.sum(weight, axis=1)
+    if np.any(wsum <= 0.0):
+        raise RejectedInputError(f"no inside nodes around {r[np.argmax(wsum <= 0.0)]}")
+    pos = np.maximum(pos, 0)  # an outside corner has weight 0; read any inside node
 
-    slices = [kt] if wt == 0.0 else [kt, kt + 1]
-    flat_taps = stencil.inside_idx[stencil.taps[:, pos]]  # (19, corners)
-    at_taps = grid.values.reshape(len(tp), -1)[np.array(slices)[:, None, None], flat_taps]
-    derivs = stencil.scale[:, pos] * (_PATTERN @ at_taps) @ (weight[used] / wsum)  # (slices, 9)
-    if wt != 0.0:
-        derivs = (1 - wt) * derivs[:1] + wt * derivs[1:]
-    return derivs[0, :3], derivs[0, _HESSIAN]
+    flat_taps = stencil.inside_idx[stencil.taps.T[pos]]  # (N, 8, 19)
+    values = grid.values.reshape(len(tp), -1)
+    at_taps = values[(kt[:, None] + [0, 1])[..., None, None], flat_taps[:, None]]
+    derivs = stencil.scale.T[pos][:, None] * (at_taps @ _PATTERN.T)  # (N, 2 slices, 8, 9)
+    derivs = np.einsum("nsck,nc->nsk", derivs, weight / wsum[:, None])
+    derivs = (1 - wt) * derivs[:, 0] + wt * derivs[:, 1]
+    return derivs[:, :3].reshape(batch + (3,)), derivs[:, _HESSIAN].reshape(batch + (3, 3))
 
 
 def write_grid_csv(grid, path, times=None):

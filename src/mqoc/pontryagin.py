@@ -115,7 +115,11 @@ def costate_backward_step(adj, rho, u, dW, dt, grad_H_rho):
 
 
 class GridPolicy:
-    """Greedy feedback from a value grid: argmin of the Hamiltonian at (t, r)."""
+    """Greedy feedback from a value grid: argmin of the Hamiltonian at (t, r).
+
+    Called with one state rho (2, 2) it returns one control (k,); with a
+    stack (n, 2, 2) it returns (n, k) from one costate lookup for the stack.
+    """
 
     batched = True
 
@@ -127,10 +131,7 @@ class GridPolicy:
 
     def __call__(self, t, rho, past):
         t = min(t, self.grid.T)
-        r = hb.bloch_from_density(rho)
-        costates = [hb.extract_costate(self.grid, t, x) for x in r.reshape(-1, 3)]
-        p = np.reshape([c[0] for c in costates], r.shape)
-        P = np.reshape([c[1] for c in costates], r.shape + (3,))
+        p, P = hb.extract_costate(self.grid, t, hb.bloch_from_density(rho))
         u, _ = minimize_hamiltonian(t, rho, p, P, self.model, self.cost, self.u_grid,
                                     self.grid.convention)
         return u
@@ -179,10 +180,9 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
     if traj.times[-1] > grid.T + 1e-9:
         raise RejectedInputError("trajectory horizon exceeds the grid horizon")
 
-    p_ref = np.empty((n + 1, 3))
-    P_ref = np.empty((n + 1, 3, 3))
-    for k in range(n + 1):
-        p_ref[k], P_ref[k] = hb.extract_costate(grid, traj.times[k], r_path[k])
+    p_ref, P_ref = hb.extract_costate(grid, traj.times, r_path)
+    _, s = hb.bloch_dynamics(model, traj.controls, r_path)
+    q = np.einsum("nij,nj->ni", P_ref, s)
 
     m_vec = ops.pauli_components(cost.terminal_op)
     terminal_residual = float(np.linalg.norm(p_ref[-1] - 0.5 * m_vec))
@@ -192,14 +192,11 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
     residuals = np.empty(n + 1)
     residuals[-1] = 0.0
     for k in range(n - 1, -1, -1):
-        r_next = r_path[k + 1]
-        _, s_next = hb.bloch_dynamics(model, traj.controls[k + 1], r_next)
-        q = P_ref[k + 1] @ s_next
         grad = hamiltonian_gradient_r(
-            traj.times[k + 1], traj.controls[k + 1], r_next, p_prop, P_ref[k + 1],
+            traj.times[k + 1], traj.controls[k + 1], r_path[k + 1], p_prop, P_ref[k + 1],
             model, cost, grid.convention)
         # Undo the forward increment dp = -grad dt + q dW over [t_k, t_{k+1}].
-        adj = costate_backward_step(AdjointState(p=p_prop, q=q), traj.states[k + 1],
+        adj = costate_backward_step(AdjointState(p=p_prop, q=q[k + 1]), traj.states[k + 1],
                                     traj.controls[k + 1], -dW[k], -dt, grad)
         p_prop = adj.p
         residuals[k] = np.linalg.norm(p_prop - p_ref[k])

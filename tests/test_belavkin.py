@@ -27,6 +27,12 @@ class TestSmeConfig:
     def test_step_count(self):
         assert bel.SmeConfig(dt=1e-3, T=1.0).n_steps == 1000
 
+    @pytest.mark.parametrize("dt, T", [(1e-3, np.inf), (np.inf, np.inf), (np.nan, 1.0),
+                                       (1e-3, np.nan)])
+    def test_rejects_non_finite_step_or_horizon(self, dt, T):
+        with pytest.raises(RejectedInputError, match="dt"):
+            bel.SmeConfig(dt=dt, T=T)
+
 
 class TestStepSme:
     def test_frozen_model(self):

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,29 @@ def analytic_grid(fn, n=21, T=1.0):
         convention=hjb.SIGN_STANDARD,
         inside=stencil.inside,
     )
+
+
+@functools.cache
+def solved_grid(n):
+    """A controlled qubit's value grid on n^3 nodes over T = 0.01, every 4th step stored.
+
+    n_time grows as 1/h^2, so dt stays inside the explicit stability limit.
+    """
+    model = ops.QuantumModel(H0=0.4 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
+                             Hc=(ops.SIGMA_Y,))
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    cost = bel.quadratic_control_cost(0.5 * excited, excited, 0.2)
+    spec = hjb.GridSpec(T=0.01, n_space=n, n_time=(n - 1) ** 2 // 20, store_every=4)
+    return hjb.solve_hjb_grid(model, cost, [[-1.0], [0.0], [1.0]], spec)
+
+
+def lookup_points(grid, shape, seed):
+    """Points of the given batch shape, each within h of the sphere or deeper inside at even odds."""
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=shape + (3,))
+    radius = np.where(rng.uniform(size=shape) < 0.5, rng.uniform(1.0 - grid.h, 1.0, size=shape),
+                      rng.uniform(0.0, 1.0 - grid.h, size=shape))
+    return r * (radius / np.linalg.norm(r, axis=-1))[..., None]
 
 
 class TestBlochMaps:
@@ -243,6 +269,111 @@ class TestExtractCostate:
         grid = analytic_grid(lambda pts: np.zeros(len(pts)), T=1.0)
         with pytest.raises(RejectedInputError):
             hjb.extract_costate(grid, 2.0, np.zeros(3))
+
+
+class TestBatchedCostate:
+    GRIDS = [("analytic", 21), ("analytic", 41), ("solved", 21), ("solved", 41)]
+
+    @staticmethod
+    def grid(kind, n):
+        return solved_grid(n) if kind == "solved" else analytic_grid(random_quadratic(6)[0], n=n)
+
+    @staticmethod
+    def assert_matches_single_calls(grid, t, r):
+        p, P = hjb.extract_costate(grid, t, r)
+        assert p.shape == r.shape and P.shape == r.shape + (3,)
+        t = np.broadcast_to(t, r.shape[:-1])
+        for idx in np.ndindex(r.shape[:-1]):
+            p1, P1 = hjb.extract_costate(grid, t[idx], r[idx])
+            assert p1.shape == (3,) and P1.shape == (3, 3)
+            assert np.max(np.abs(p[idx] - p1)) <= 1e-12
+            assert np.max(np.abs(P[idx] - P1)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, n", GRIDS)
+    def test_per_point_times_on_and_between_slices(self, kind, n):
+        grid = self.grid(kind, n)
+        r = lookup_points(grid, (2, 5), seed=n)
+        tp = grid.time_points
+        rng = np.random.default_rng(n)
+        on_slice = tp[rng.integers(len(tp), size=5)]
+        between = rng.uniform(tp[0], tp[-1], size=5)
+        self.assert_matches_single_calls(grid, np.stack([on_slice, between]), r)
+
+    @pytest.mark.parametrize("kind, n", GRIDS)
+    def test_scalar_time(self, kind, n):
+        grid = self.grid(kind, n)
+        tp = grid.time_points
+        for t in (tp[0], tp[1], 0.5 * (tp[-2] + tp[-1]), tp[-1]):
+            self.assert_matches_single_calls(grid, t, lookup_points(grid, (2, 5), seed=1))
+
+    def test_outside_nodes_are_never_read(self, tmp_path):
+        grid = solved_grid(21)
+        poisoned = dataclasses.replace(grid, values=np.where(grid.inside, grid.values, 1e300))
+        r = lookup_points(grid, (200,), seed=2)
+        t = np.random.default_rng(2).uniform(0.0, grid.T, size=200)
+        for a, b in zip(hjb.extract_costate(grid, t, r), hjb.extract_costate(poisoned, t, r)):
+            assert np.array_equal(a, b)
+        for g, name in ((grid, "clean.csv"), (poisoned, "poisoned.csv")):
+            hjb.write_grid_csv(g, tmp_path / name, times=grid.time_points)
+        assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "poisoned.csv").read_bytes()
+
+    def test_solved_grid_is_zero_outside(self):
+        grid = solved_grid(21)
+        assert np.all(grid.values[:, ~grid.inside] == 0.0)
+
+    def test_rejects_batch_with_point_without_inside_corner(self):
+        grid = analytic_grid(lambda pts: np.zeros(len(pts)), n=6)
+        r = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        with pytest.raises(RejectedInputError, match=r"no inside nodes around \[1\. 0\. 0\.\]"):
+            hjb.extract_costate(grid, 0.5, r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 2.0])
+    def test_rejects_batch_with_bad_time(self, bad):
+        grid = analytic_grid(lambda pts: np.zeros(len(pts)), T=1.0)
+        with pytest.raises(RejectedInputError, match=f"t={bad} outside grid time range"):
+            hjb.extract_costate(grid, np.array([0.5, bad, 0.2]), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("t_shape", [(3,), (2, 1, 1), (4, 2)])
+    def test_rejects_time_shape_not_broadcasting(self, t_shape):
+        grid = analytic_grid(lambda pts: np.zeros(len(pts)))
+        with pytest.raises(RejectedInputError, match="broadcast"):
+            hjb.extract_costate(grid, np.full(t_shape, 0.5), np.zeros((4, 3)))
+
+
+class TestValueGridShape:
+    @staticmethod
+    def make(n=20, n_slices=2, time_points=(0.0, 1.0), inside_n=None):
+        axis = np.linspace(-1.0, 1.0, n)
+        inside_n = n if inside_n is None else inside_n
+        return hjb.ValueGrid(time_points=np.array(time_points), axes=(axis, axis, axis),
+                             values=np.zeros((n_slices, n, n, n)), h=float(axis[1] - axis[0]),
+                             convention=hjb.SIGN_STANDARD,
+                             inside=np.ones((inside_n,) * 3, dtype=bool))
+
+    def test_accepts_matching_shapes(self):
+        assert self.make().n_space == 20
+
+    def test_rejects_slice_count_differing_from_time_points(self):
+        # Accepted before, a lookup then read the slices at the wrong stride.
+        with pytest.raises(RejectedInputError, match="shapes"):
+            self.make(n_slices=3)
+
+    def test_rejects_misshapen_mask(self):
+        with pytest.raises(RejectedInputError, match="shapes"):
+            self.make(inside_n=19)
+
+    @pytest.mark.parametrize("time_points", [(0.0,), (0.0, np.nan), (0.0, np.inf),
+                                             (1.0, 0.0), (0.0, 0.0)])
+    def test_rejects_bad_time_points(self, time_points):
+        with pytest.raises(RejectedInputError, match="time_points"):
+            self.make(n_slices=len(time_points), time_points=time_points)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_non_finite_or_non_positive_horizon(self, T):
+        with pytest.raises(RejectedInputError, match="finite T > 0"):
+            hjb.GridSpec(T=T)
 
 
 class TestGridCsv:

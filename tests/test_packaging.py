@@ -1,6 +1,8 @@
-"""The declared dependencies are exactly what the package and its tests import."""
+"""The declared dependencies are exactly what the package and its tests import,
+and every declared console script resolves to code."""
 
 import ast
+import importlib
 import importlib.metadata
 import re
 import sys
@@ -44,3 +46,12 @@ def test_runtime_dependencies_are_the_package_imports():
 def test_test_extra_covers_the_test_imports():
     available = declared(PROJECT["dependencies"] + PROJECT["optional-dependencies"]["test"])
     assert distributions(third_party_imports(ROOT / "tests")) <= available
+
+
+def test_console_scripts_resolve_to_callables():
+    for name, target in PROJECT.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"console script {name} -> {target} is not callable"

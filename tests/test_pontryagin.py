@@ -225,6 +225,24 @@ class TestGridPolicyBoundary:
             policy(0.02, states(1.0 + 1e-6), None)
 
 
+class TestGridPolicyBatch:
+    def test_batch_matches_single_states(self):
+        cost = plain_cost(weight=0.2)
+        u_grid = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
+        spec = hjb.GridSpec(T=0.05, n_space=21, n_time=100)
+        policy = pmp.GridPolicy(hjb.solve_hjb_grid(CONTROLLED, cost, u_grid, spec),
+                                CONTROLLED, cost, u_grid)
+        rng = np.random.default_rng(8)
+        r = rng.normal(size=(40, 3))
+        r *= rng.uniform(0, 1, size=(40, 1)) ** (1 / 3) / np.linalg.norm(r, axis=1, keepdims=True)
+        rho = hjb.density_from_bloch(r)
+        for t in (0.0, 0.0123, 0.05):
+            batch = policy(t, rho, None)
+            assert batch.shape == (40, 1)
+            assert len(np.unique(batch)) > 1
+            assert np.array_equal(batch, np.stack([policy(t, x, None) for x in rho]))
+
+
 def random_hermitian(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return (g + g.conj().T) / 2
