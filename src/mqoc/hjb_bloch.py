@@ -16,11 +16,10 @@ every inside node the positions of its 19 taps (itself, 6 face and 12 edge
 neighbours) and per-node weights that encode its rule, central differences
 where both sides are inside and one-sided first (zero second) differences
 where a tap leaves the ball.  A sweep step is one gather of the taps and a
-few contractions against weight tables built once per solve.  The sweep
-keeps values on the inside nodes only; a stored slice holds 0 at the outside
-nodes, and nothing reads them.  The costate lookup applies the same stencil
-at the inside grid corners it interpolates between, for a whole batch of
-points at once.
+few contractions against weight tables built once per solve.  The value
+grid holds the inside nodes only, in C order; the stencil owns the grid's
+geometry.  The costate lookup applies the same stencil at the inside grid
+corners it interpolates between, for a whole batch of points at once.
 """
 
 import functools
@@ -102,19 +101,18 @@ class GridSpec:
     def dt(self):
         return self.T / self.n_time
 
-    @property
-    def h(self):
-        return 2.0 / (self.n_space - 1)
-
 
 @dataclass(eq=False)
 class ValueGrid:
     """Backward-solved cost-to-go on a Bloch-ball grid.
 
     time_points are the stored times, finite and strictly increasing (at
-    least two); axes are the three node coordinate axes of length n; values
-    has shape (len(time_points), n, n, n) and inside, the ball mask, shape
-    (n, n, n).  Only the inside nodes of values are read.
+    least two).  values has shape (len(time_points), N_in): one column per
+    inside node of the ball, in C order (the order of `_stencil(n).points_in`).
+    A cube (len(time_points), n, n, n) is also accepted, and only its inside
+    nodes are kept.  The geometry belongs to `_stencil(n)`, with n = len(axes[0])
+    and n >= 5: axes must be linspace(-1, 1, n) three times, h its spacing and
+    inside its ball mask (n, n, n), or the grid is refused.
     """
 
     time_points: np.ndarray
@@ -129,13 +127,28 @@ class ValueGrid:
         if tp.ndim != 1 or len(tp) < 2 or not np.all(np.isfinite(tp)) or np.any(np.diff(tp) <= 0):
             raise RejectedInputError(
                 "time_points must be at least two finite, strictly increasing times")
-        cube = (len(self.axes[0]),) * 3
-        if np.shape(self.values) != (len(tp),) + cube or np.shape(self.inside) != cube:
+        if self.convention not in (SIGN_STANDARD, SIGN_PAPER):
+            raise RejectedInputError(f"unknown convention {self.convention!r}")
+        n = len(self.axes[0])
+        if n < 5:
+            raise RejectedInputError(f"value grid needs n >= 5 nodes per axis, got {n}")
+        stencil = _stencil(n)
+        if (len(self.axes) != 3 or not abs(self.h - stencil.h) <= 1e-12
+                or any(np.shape(a) != (n,) or not np.max(np.abs(a - stencil.axes[0])) <= 1e-12
+                       for a in self.axes)):
+            raise RejectedInputError(f"axes and h must be linspace(-1, 1, {n}) and its spacing")
+        cube = stencil.inside.shape
+        shapes = ((len(tp), len(stencil.points_in)), (len(tp),) + cube)
+        if np.shape(self.values) not in shapes or np.shape(self.inside) != cube:
             raise RejectedInputError(
-                f"values and inside must have shapes {(len(tp),) + cube} and {cube}, "
+                f"values and inside must have shapes {shapes[0]} or {shapes[1]}, and {cube}, "
                 f"got {np.shape(self.values)} and {np.shape(self.inside)}")
+        if not np.array_equal(self.inside, stencil.inside):
+            raise RejectedInputError(f"inside must be the ball mask of the {n}^3 grid")
         if not np.all(np.isfinite(self.values)):
             raise RejectedInputError("value grid contains non-finite entries")
+        values = np.asarray(self.values, dtype=float)
+        self.values = values[:, stencil.inside] if values.ndim == 4 else values
 
     @property
     def n_space(self):
@@ -257,31 +270,33 @@ def solve_hjb_grid(model, cost, u_grid, spec):
     w_diff, w_drift = _sweep_weights(stencil, gen.drift(np.array(u_grid)[:, None], pts), s, sign)
 
     n_stored = spec.n_time // spec.store_every + 1
-    stored = np.zeros((n_stored,) + stencil.inside.shape)
-    stored_times = np.empty(n_stored)
-
-    v = expectation_fields([cost.terminal_op], pts)[0]
-    stored[-1][stencil.inside] = v
-    stored_times[-1] = spec.T
+    stored = np.empty((n_stored, len(pts)))
+    stored[-1] = v = expectation_fields([cost.terminal_op], pts)[0]
 
     for step in range(spec.n_time):
         t_next = spec.T - step * spec.dt
-        t_now = t_next - spec.dt
         running = expectation_fields([cost.running(t_next, u) for u in u_grid], pts)
         v = _explicit_step(v, stencil, running, w_diff, w_drift, spec.dt)
         k = spec.n_time - step - 1
         if k % spec.store_every == 0:
-            stored[k // spec.store_every][stencil.inside] = v
-            stored_times[k // spec.store_every] = t_now
+            stored[k // spec.store_every] = v
 
     return ValueGrid(
-        time_points=stored_times,
+        time_points=np.linspace(0.0, spec.T, n_stored),
         axes=stencil.axes,
         values=stored,
         h=stencil.h,
         convention=spec.hamiltonian_sign,
         inside=stencil.inside,
     )
+
+
+def _check_times(grid, t):
+    """Refuse any entry of the time array t that is non-finite or outside the stored range."""
+    tp = grid.time_points
+    late = ~((tp[0] - 1e-12 <= t) & (t <= tp[-1] + 1e-12))
+    if np.any(late):
+        raise RejectedInputError(f"t={t[late][0]} outside grid time range")
 
 
 def extract_costate(grid, t, r):
@@ -303,31 +318,26 @@ def extract_costate(grid, t, r):
     except ValueError:
         raise RejectedInputError(
             f"t of shape {t.shape} does not broadcast to the batch shape {batch}") from None
+    _check_times(grid, t)
     tp = grid.time_points
-    late = ~((tp[0] - 1e-12 <= t) & (t <= tp[-1] + 1e-12))
-    if np.any(late):
-        raise RejectedInputError(f"t={t[late][0]} outside grid time range")
     stencil = _stencil(grid.n_space)
     r = r.reshape(-1, 3)
 
     kt = np.clip(np.searchsorted(tp, t) - 1, 0, len(tp) - 2)
     wt = np.clip((t - tp[kt]) / (tp[kt + 1] - tp[kt]), 0.0, 1.0)[:, None]
 
-    n = grid.n_space
-    ix = np.clip(((r + 1.0) / grid.h).astype(int), 0, n - 2)
-    frac = ((r + 1.0) / grid.h - ix)[:, None]
+    ix = np.clip(((r + 1.0) / stencil.h).astype(int), 0, grid.n_space - 2)
+    frac = ((r + 1.0) / stencil.h - ix)[:, None]
     corners = ix[:, None] + _CORNERS  # (N, 8, 3)
     pos = stencil.pos_of_flat[np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)),
-                                                   grid.inside.shape)]
+                                                   stencil.inside.shape)]
     weight = np.where(pos >= 0, np.prod(np.where(_CORNERS, frac, 1 - frac), axis=-1), 0.0)
     wsum = np.sum(weight, axis=1)
     if np.any(wsum <= 0.0):
         raise RejectedInputError(f"no inside nodes around {r[np.argmax(wsum <= 0.0)]}")
     pos = np.maximum(pos, 0)  # an outside corner has weight 0; read any inside node
 
-    flat_taps = stencil.inside_idx[stencil.taps.T[pos]]  # (N, 8, 19)
-    values = grid.values.reshape(len(tp), -1)
-    at_taps = values[(kt[:, None] + [0, 1])[..., None, None], flat_taps[:, None]]
+    at_taps = grid.values[(kt[:, None] + [0, 1])[..., None, None], stencil.taps.T[pos][:, None]]
     derivs = stencil.scale.T[pos][:, None] * (at_taps @ _PATTERN.T)  # (N, 2 slices, 8, 9)
     derivs = np.einsum("nsck,nc->nsk", derivs, weight / wsum[:, None])
     derivs = (1 - wt) * derivs[:, 0] + wt * derivs[:, 1]
@@ -335,14 +345,17 @@ def extract_costate(grid, t, r):
 
 
 def write_grid_csv(grid, path, times=None):
-    """Flat CSV `t, rx, ry, rz, S` of the inside nodes in C order, per requested slice."""
+    """Flat CSV `t, rx, ry, rz, S`: for each requested time (default: the first
+    stored one), the stored slice nearest to it, one row per inside node in C
+    order.  A time that is non-finite or outside the grid's range is refused.
+    """
     from .io import write_csv
 
-    if times is None:
-        times = [grid.time_points[0]]
-    idx = [int(np.argmin(np.abs(grid.time_points - t))) for t in times]
-    pts = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)[grid.inside]
-    rows = np.concatenate([
-        np.column_stack([np.full(len(pts), grid.time_points[k]), pts, grid.values[k][grid.inside]])
-        for k in idx])
+    tp = grid.time_points
+    times = np.asarray([tp[0]] if times is None else times, dtype=float)
+    _check_times(grid, times)
+    idx = [int(np.argmin(np.abs(tp - t))) for t in times]
+    pts = _stencil(grid.n_space).points_in
+    rows = np.concatenate([np.column_stack([np.full(len(pts), tp[k]), pts, grid.values[k]])
+                           for k in idx])
     write_csv(path, ["t", "rx", "ry", "rz", "S"], map(np.ndarray.tolist, rows))

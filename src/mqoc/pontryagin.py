@@ -127,7 +127,9 @@ class GridPolicy:
         self.grid = grid
         self.model = model
         self.cost = cost
-        self.u_grid = [np.atleast_1d(np.asarray(u, dtype=float)) for u in u_grid]
+        self.u_grid = [ops.check_control(model, u) for u in u_grid]
+        if not self.u_grid:
+            raise RejectedInputError("u_grid must be nonempty")
 
     def __call__(self, t, rho, past):
         t = min(t, self.grid.T)

@@ -200,12 +200,24 @@ class TestSolveHjbGrid:
         for n_space, n_time in ((11, 40), (21, 160), (41, 640)):
             spec = hjb.GridSpec(T=0.1, n_space=n_space, n_time=n_time)
             grid = hjb.solve_hjb_grid(model, cost, u_grid, spec)
-            h = grid.h
-            idx = tuple(int(round((c + 1.0) / h)) for c in r0)
-            values[n_space] = grid.values[0][idx]
+            stencil = hjb._stencil(n_space)
+            idx = tuple(int(round((c + 1.0) / stencil.h)) for c in r0)
+            values[n_space] = grid.values[0][
+                stencil.pos_of_flat[np.ravel_multi_index(idx, stencil.inside.shape)]]
         change1 = abs(values[21] - values[11])
         change2 = abs(values[41] - values[21])
         assert change2 < change1
+
+    @pytest.mark.parametrize("T, n_time, store_every", [(0.05, 20, 1), (0.1, 640, 4),
+                                                        (0.05, 20, 5)])
+    def test_stored_times_are_exact(self, T, n_time, store_every):
+        # Stored times were T - step dt - dt, whose rounding put t = 0 at +-3e-18.
+        cost = self._cost(np.eye(2))
+        spec = hjb.GridSpec(T=T, n_space=5, n_time=n_time, store_every=store_every)
+        grid = hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)], spec)
+        assert grid.time_points[0] == 0.0
+        assert np.array_equal(grid.time_points,
+                              np.linspace(0.0, T, n_time // store_every + 1))
 
 
 class TestExtractCostate:
@@ -307,8 +319,12 @@ class TestBatchedCostate:
             self.assert_matches_single_calls(grid, t, lookup_points(grid, (2, 5), seed=1))
 
     def test_outside_nodes_are_never_read(self, tmp_path):
+        # The solved grid holds inside nodes only; a cube built from it with
+        # 1e300 at every outside node must give the same lookups and CSV.
         grid = solved_grid(21)
-        poisoned = dataclasses.replace(grid, values=np.where(grid.inside, grid.values, 1e300))
+        cube = np.full((len(grid.time_points),) + grid.inside.shape, 1e300)
+        cube[:, grid.inside] = grid.values
+        poisoned = dataclasses.replace(grid, values=cube)
         r = lookup_points(grid, (200,), seed=2)
         t = np.random.default_rng(2).uniform(0.0, grid.T, size=200)
         for a, b in zip(hjb.extract_costate(grid, t, r), hjb.extract_costate(poisoned, t, r)):
@@ -317,9 +333,9 @@ class TestBatchedCostate:
             hjb.write_grid_csv(g, tmp_path / name, times=grid.time_points)
         assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "poisoned.csv").read_bytes()
 
-    def test_solved_grid_is_zero_outside(self):
-        grid = solved_grid(21)
-        assert np.all(grid.values[:, ~grid.inside] == 0.0)
+    def test_solved_grid_holds_inside_nodes_only(self):
+        grid = solved_grid(21)  # 20 steps, every 4th stored
+        assert grid.values.shape == (6, len(hjb._stencil(21).points_in))
 
     def test_rejects_batch_with_point_without_inside_corner(self):
         grid = analytic_grid(lambda pts: np.zeros(len(pts)), n=6)
@@ -342,16 +358,48 @@ class TestBatchedCostate:
 
 class TestValueGridShape:
     @staticmethod
-    def make(n=20, n_slices=2, time_points=(0.0, 1.0), inside_n=None):
+    def make(n=20, n_slices=2, time_points=(0.0, 1.0), inside_n=None, **geometry):
         axis = np.linspace(-1.0, 1.0, n)
         inside_n = n if inside_n is None else inside_n
-        return hjb.ValueGrid(time_points=np.array(time_points), axes=(axis, axis, axis),
-                             values=np.zeros((n_slices, n, n, n)), h=float(axis[1] - axis[0]),
-                             convention=hjb.SIGN_STANDARD,
-                             inside=np.ones((inside_n,) * 3, dtype=bool))
+        fields = dict(axes=(axis, axis, axis), h=float(axis[1] - axis[0]),
+                      convention=hjb.SIGN_STANDARD, inside=hjb._stencil(inside_n).inside)
+        fields.update(geometry)
+        return hjb.ValueGrid(time_points=np.array(time_points),
+                             values=np.zeros((n_slices, n, n, n)), **fields)
 
     def test_accepts_matching_shapes(self):
         assert self.make().n_space == 20
+
+    def test_rejects_compact_values_of_wrong_width(self):
+        stencil = hjb._stencil(20)
+        with pytest.raises(RejectedInputError, match="shapes"):
+            hjb.ValueGrid(time_points=np.array([0.0, 1.0]), axes=stencil.axes,
+                          values=np.zeros((2, len(stencil.points_in) + 1)), h=stencil.h,
+                          convention=hjb.SIGN_STANDARD, inside=stencil.inside)
+
+    @pytest.mark.parametrize("geometry", [
+        {"h": 0.2},
+        {"axes": (np.linspace(-2.0, 2.0, 20),) * 3},
+        {"axes": (np.linspace(-1.0, 1.0, 20),) * 2 + (np.linspace(-1.0, 1.0, 19),)},
+        {"h": np.nan},
+    ], ids=["h", "axes", "ragged-axes", "nan-h"])
+    def test_rejects_geometry_differing_from_stencil(self, geometry):
+        # Accepted before: with h = 0.2, p_x on S = x^2 at x = 0.1 read -0.9, not 0.2.
+        with pytest.raises(RejectedInputError, match="linspace"):
+            self.make(**geometry)
+
+    def test_rejects_mask_other_than_ball(self):
+        with pytest.raises(RejectedInputError, match="ball mask"):
+            self.make(inside=np.ones((20,) * 3, dtype=bool))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_fewer_than_five_nodes(self, n):
+        with pytest.raises(RejectedInputError, match="n >= 5"):
+            self.make(n=n, inside=np.ones((n,) * 3, dtype=bool))
+
+    def test_rejects_unknown_convention(self):
+        with pytest.raises(RejectedInputError, match="bogus"):
+            dataclasses.replace(solved_grid(21), convention="bogus")
 
     def test_rejects_slice_count_differing_from_time_points(self):
         # Accepted before, a lookup then read the slices at the wrong stride.
@@ -402,4 +450,15 @@ class TestGridCsv:
         for half, k in zip((rows[:n_in], rows[n_in:]), (0, -1)):
             assert np.all(half[:, 0] == grid.time_points[k])
             assert np.array_equal(half[:, 1:4], pts)
-            assert np.array_equal(half[:, 4], grid.values[k][grid.inside])
+            assert np.array_equal(half[:, 4], grid.values[k])
+
+    @pytest.mark.parametrize("bad", [np.nan, -3.0, 5.0])
+    def test_rejects_time_outside_range(self, tmp_path, bad):
+        # Accepted before: nan and -3.0 wrote the t = 0 slice, 5.0 the last one.
+        cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)),
+                            terminal_op=np.diag([0.0, 1.0]).astype(complex))
+        grid = hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)],
+                                  hjb.GridSpec(T=0.05, n_space=11, n_time=20))
+        with pytest.raises(RejectedInputError, match=f"t={bad} outside grid time range"):
+            hjb.write_grid_csv(grid, tmp_path / "grid.csv", times=[0.0, bad])
+        assert not (tmp_path / "grid.csv").exists()

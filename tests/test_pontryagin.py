@@ -202,6 +202,17 @@ class TestNonFiniteControl:
                                      plain_cost(), self.U_GRID)
 
 
+class TestGridPolicyControlGrid:
+    @pytest.mark.parametrize("u_grid, match", [([[np.nan]], "non-finite"), ([], "nonempty"),
+                                               ([[1.0, 2.0]], "components")])
+    def test_refuses_bad_grid_at_construction(self, u_grid, match):
+        # Accepted before: each failed only at the first step of an ensemble.
+        grid = hjb.solve_hjb_grid(CONTROLLED, plain_cost(), [[0.0]],
+                                  hjb.GridSpec(T=0.05, n_space=11, n_time=20))
+        with pytest.raises(RejectedInputError, match=match):
+            pmp.GridPolicy(grid, CONTROLLED, plain_cost(), u_grid)
+
+
 class TestGridPolicyBoundary:
     def test_sphere_states_need_no_clamp(self):
         # check_density accepts |r| up to 1 + 2 PSD_EIG_TOL, inside check_bloch's
