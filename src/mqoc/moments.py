@@ -211,19 +211,29 @@ class MomentState:
         object.__setattr__(self, "sigma", np.asarray(sigma, dtype=float))
 
 
+def _gain(sigma, C, M_cov):
+    gain = sigma @ C.T
+    return gain if M_cov is None else gain + M_cov
+
+
+def _covariance_update(sigma, A, ktilde, dt, FFt):
+    out = sigma + (A @ sigma + sigma @ A.T - ktilde @ ktilde.T) * dt
+    if FFt is not None:
+        out = out + FFt * dt
+    return (out + out.T) / 2
+
+
 def kalman_gain(sigma, C, M_cov):
     """Ktilde = Sigma C^T + M."""
     sigma = _mat(sigma, "sigma")
     C = _mat(C, "C")
     if sigma.shape[1] != C.shape[1]:
         raise DimensionMismatchError("sigma and C disagree on the state size")
-    gain = sigma @ C.T
     if M_cov is not None:
         M_cov = _mat(M_cov, "M_cov")
-        if M_cov.shape != gain.shape:
-            raise DimensionMismatchError(f"M_cov must be {gain.shape}")
-        gain = gain + M_cov
-    return gain
+        if M_cov.shape != (sigma.shape[0], C.shape[0]):
+            raise DimensionMismatchError(f"M_cov must be {(sigma.shape[0], C.shape[0])}")
+    return _gain(sigma, C, M_cov)
 
 
 def covariance_step(sigma, A, ktilde, include_diffusion=False, FFt=None, dt=None):
@@ -235,14 +245,11 @@ def covariance_step(sigma, A, ktilde, include_diffusion=False, FFt=None, dt=None
     """
     if dt is None:
         raise RejectedInputError("covariance_step requires dt")
+    if include_diffusion and FFt is None:
+        raise RejectedInputError("include_diffusion requires FFt")
     sigma = _mat(sigma, "sigma")
-    g = A @ sigma + sigma @ A.T - ktilde @ ktilde.T
-    out = sigma + g * dt
-    if include_diffusion:
-        if FFt is None:
-            raise RejectedInputError("include_diffusion requires FFt")
-        out = out + _mat(FFt, "FFt") * dt
-    return (out + out.T) / 2
+    FFt = _mat(FFt, "FFt") if include_diffusion else None
+    return _covariance_update(sigma, A, ktilde, dt, FFt)
 
 
 def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
@@ -250,7 +257,9 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
 
     Ktilde_k = `kalman_gain`(Sigma_k) and Sigma_{k+1} = `covariance_step`
     (Sigma_k, Ktilde_k) never read the record, so one path serves every
-    trajectory of a filter call.  The path is checked once, at the end: a
+    trajectory of a filter call.  The model's matrices were checked when it
+    was built and sigma0 is checked here, so the loop runs the two updates
+    without re-validating them.  The path is checked once, at the end: a
     non-finite Sigma raises NumericalBlowupError, and a symmetric part with
     an eigenvalue below -SIGMA_PSD_TOL raises RejectedInputError.
     """
@@ -260,11 +269,10 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
     sigmas = np.empty((n_steps + 1, model.n, model.n))
     gains = np.empty((n_steps, model.n, model.q))
     sigmas[0] = sigma0
-    FFt = np.real(model.F @ np.conj(model.F.T))
+    FFt = np.real(model.F @ np.conj(model.F.T)) if include_diffusion else None
     for k in range(n_steps):
-        gains[k] = kalman_gain(sigmas[k], model.C, model.M_cov)
-        sigmas[k + 1] = covariance_step(sigmas[k], model.A, gains[k],
-                                        include_diffusion=include_diffusion, FFt=FFt, dt=dt)
+        gains[k] = _gain(sigmas[k], model.C, model.M_cov)
+        sigmas[k + 1] = _covariance_update(sigmas[k], model.A, gains[k], dt, FFt)
     if not np.all(np.isfinite(sigmas)):
         raise NumericalBlowupError("non-finite covariance on the filter's path")
     sym = (sigmas + np.swapaxes(sigmas, 1, 2)) / 2

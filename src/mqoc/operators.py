@@ -20,11 +20,18 @@ V = rho L^dag for the measured L:
     sigma = V + V^dag - <L + L^dag> rho,      <L + L^dag> = 2 Re tr V.
 
 `lindblad_drift` and `fluctuation` validate their inputs, Hermiticity
-included, and call the kernel; the filter calls it directly on its batch.
+included, and call the kernel; the filter's Euler-Maruyama schemes call it
+directly on their batch.
+
+The filter's default step is positive by construction: `kraus_map` applies
+the Rouchon-Ralph map through a second right block per model,
+`kraus_block`, and `cayley` gives the unitary half steps around it.
 
 `project_physical` repairs integration drift by clipping negative
-eigenvalues.  For d = 2 it is closed form: with h the Hermitian part, t its
-trace and r its Bloch vector (h = (t I + r.sigma) / 2), the eigenvalues are
+eigenvalues.  It serves the filter's Euler-Maruyama scheme and set-up
+(making a start state exactly physical), not the default step.  For d = 2
+it is closed form: with h the Hermitian part, t its trace and r its Bloch
+vector (h = (t I + r.sigma) / 2), the eigenvalues are
 (t +- |r|) / 2; the result is h / t when none is negative and the pure
 projector (I + r.sigma / |r|) / 2 onto the top eigenvector when one is.
 Larger d goes through `numpy.linalg.eigh`.
@@ -126,6 +133,7 @@ class QuantumModel:
     L_extra: tuple = ()
     hbar: float = 1.0
     block: "OperatorBlock" = field(init=False, repr=False, compare=False)
+    kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h0 = check_hermitian(np.asarray(self.H0, dtype=complex), name="H0")
@@ -148,6 +156,7 @@ class QuantumModel:
         object.__setattr__(self, "Hc", hc)
         object.__setattr__(self, "L_extra", extra)
         object.__setattr__(self, "block", OperatorBlock.of_model(self))
+        object.__setattr__(self, "kraus", kraus_block(self))
 
     @property
     def dim(self):
@@ -244,6 +253,82 @@ def drift_and_fluctuation(block, u, rho):
             w += (l_rho @ ld).reshape(n, d, d)
         w = w.reshape(batch + (d, d))
     return w, sig.reshape(batch + (d, d)), mean.reshape(batch)
+
+
+def kraus_block(model):
+    """Right factors of the Rouchon-Ralph measurement map, side by side for one GEMM.
+
+    (d, (3 + J) d): [-(1/2) sum L^dag L | L^dag | (L^dag)^2 | K_1^dag | ... |
+    K_J^dag], the sum over every channel, L the measured one and K_j the
+    J extra ones.  It depends on neither dt nor the control, so each model
+    builds it once (`QuantumModel.kraus`).
+    """
+    ld = dagger(model.L)
+    loss = -0.5 * sum(dagger(c) @ c for c in model.channels())
+    return np.concatenate((loss, ld, ld @ ld) + tuple(dagger(K) for K in model.L_extra), axis=1)
+
+
+class KrausWork:
+    """Work arrays of `kraus_map` for a stack of n states.
+
+    A filter loop passes the same one to every step.  Arrays of this size
+    come back from the allocator as fresh pages each time, and at d = 21 that
+    cost more than the two GEMMs themselves.
+    """
+
+    def __init__(self, block, n):
+        d = block.shape[0]
+        self.p = np.empty((n * d, block.shape[1]), dtype=complex)
+        self.q = np.empty((n * d, 3 * d), dtype=complex)
+        self.x, self.m_rho, self.tmp = (np.empty((n, d, d), dtype=complex) for _ in range(3))
+
+
+def kraus_map(block, rho, dW, dt, work=None):
+    """Rouchon-Ralph measurement map of a stack of Hermitian states rho (n, d, d).
+
+    With dy = <L + L^dag> dt + dW at rho and the Kraus operator
+    M = I - (1/2) sum L^dag L dt + L dy + (1/2) L^2 (dy^2 - dt),
+
+        rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
+
+    positive semidefinite by construction.  One GEMM gives
+    [P0 | P1 | P2 | ...] = rho @ block (`kraus_block`), and X = rho M^dag =
+    rho + dt P0 + dy P1 + (dy^2 - dt) / 2 P2 per state.  M rho M^dag =
+    X^dag M^dag, because X^dag = M rho for Hermitian rho, is a second GEMM
+    against the first three blocks with the same coefficients, and
+    K rho K^dag = (rho K^dag)^dag K^dag is one more per extra channel.
+    `work` is a `KrausWork` for n states (default: a new one).  Returns
+    (rho', dy) with dy (n,); rho' is a new array.
+    """
+    d = block.shape[0]
+    n = rho.shape[0]
+    w = KrausWork(block, n) if work is None else work
+    p = np.matmul(rho.reshape(n * d, d), block, out=w.p).reshape(n, d, -1, d)
+    dy = 2.0 * np.real(np.einsum("nii->n", p[:, :, 1])) * dt + dW
+    a = dy[:, None, None]
+    b = 0.5 * (a * a - dt)
+    x = np.multiply(p[:, :, 0], dt, out=w.x)
+    x += rho
+    x += np.multiply(p[:, :, 1], a, out=w.tmp)
+    x += np.multiply(p[:, :, 2], b, out=w.tmp)
+    m_rho = np.conjugate(x.transpose(0, 2, 1), out=w.m_rho)
+    q = np.matmul(m_rho.reshape(n * d, d), block[:, : 3 * d], out=w.q).reshape(n, d, 3, d)
+    out = np.multiply(q[:, :, 0], dt)
+    out += m_rho
+    out += np.multiply(q[:, :, 1], a, out=w.tmp)
+    out += np.multiply(q[:, :, 2], b, out=w.tmp)
+    for j in range(3, block.shape[1] // d):
+        k_rho = dagger(p[:, :, j]).reshape(n * d, d)
+        out += dt * (k_rho @ block[:, j * d : (j + 1) * d]).reshape(n, d, d)
+    out /= np.real(np.einsum("nii->n", out))[:, None, None]
+    return out, dy
+
+
+def cayley(h, s):
+    """(I + i s h)^-1 (I - i s h): unitary for Hermitian h and real s, and
+    exp(-2 i s h) to second order in s."""
+    eye = np.eye(h.shape[-1])
+    return np.linalg.solve(eye + 1j * s * h, eye - 1j * s * h)
 
 
 def pauli_components(m):
@@ -352,6 +437,9 @@ def expectation(rho, X):
 
 def project_physical(m):
     """Repair integration drift: hermitize, clip negative eigenvalues, renormalize.
+
+    The filter's Euler-Maruyama scheme ("euler") calls it after every step;
+    the default Kraus step never needs it.
 
     Rejects inputs farther than PROJECTION_HERM_TOL from Hermitian; raises
     DegenerateStateError when clipping removes essentially all trace.

@@ -27,6 +27,18 @@ class TestSmeConfig:
     def test_step_count(self):
         assert bel.SmeConfig(dt=1e-3, T=1.0).n_steps == 1000
 
+    def test_default_scheme_is_kraus(self):
+        assert bel.SmeConfig(dt=1e-3, T=1.0).scheme == "kraus"
+
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(RejectedInputError, match="scheme"):
+            bel.SmeConfig(dt=1e-3, T=1.0, scheme="bogus")
+
+    def test_normalize_flag_is_gone(self):
+        # The scheme names the repair; the old flag is an unknown keyword.
+        with pytest.raises(TypeError, match="normalize_each_step"):
+            bel.SmeConfig(dt=1e-3, T=1.0, normalize_each_step=False)
+
     @pytest.mark.parametrize("dt, T", [(1e-3, np.inf), (np.inf, np.inf), (np.nan, 1.0),
                                        (1e-3, np.nan)])
     def test_rejects_non_finite_step_or_horizon(self, dt, T):
@@ -49,12 +61,12 @@ class TestStepSme:
 
     def test_mixed_state_kick(self):
         # w = 0 and sigma(I/2) = sigma_z, so the step is I/2 + dW sigma_z.
-        cfg = bel.SmeConfig(dt=1e-3, T=1.0)
+        cfg = bel.SmeConfig(dt=1e-3, T=1.0, scheme="euler")
         out = bel.step_sme(MIXED, [], 0.05, QUBIT_Z, cfg)
         assert np.allclose(out, np.diag([0.55, 0.45]), atol=1e-12)
 
     def test_blowup_reported(self):
-        cfg = bel.SmeConfig(dt=1e-3, T=1.0, normalize_each_step=False)
+        cfg = bel.SmeConfig(dt=1e-3, T=1.0, scheme="euler_raw")
         with pytest.raises(RejectedInputError):
             bel.step_sme(MIXED, [], np.inf, QUBIT_Z, cfg)
 
@@ -132,7 +144,7 @@ class TestTrajectoryInvariants:
         assert eigs.min() >= -1e-10
 
     def test_trace_drift_bound_without_projection(self):
-        cfg = bel.SmeConfig(dt=1e-3, T=1.0, seed=5, normalize_each_step=False)
+        cfg = bel.SmeConfig(dt=1e-3, T=1.0, seed=5, scheme="euler_raw")
         traj = bel.generate_record(QUBIT_Z, None, zero_cost(), cfg, MIXED)
         traces = np.real(np.einsum("tii->t", traj.states))
         assert np.max(np.abs(traces - 1.0)) <= 10 * cfg.dt * cfg.n_steps
@@ -168,7 +180,7 @@ class TestQndOracle:
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(self.KAPPA) * ops.SIGMA_Z)
         rho0 = 0.5 * (np.eye(2) + sum(c * s for c, s in zip(self.R0, ops.PAULI)))
         _, states, _, y, _ = bel.simulate_ensemble(
-            model, None, bel.SmeConfig(dt=dt, T=1.0), rho0, list(range(200)))
+            model, None, bel.SmeConfig(dt=dt, T=1.0, scheme="euler"), rho0, list(range(200)))
         z = np.real(states[..., 0, 0] - states[..., 1, 1])
         exact = np.tanh(np.arctanh(self.R0[2]) + 2.0 * np.sqrt(self.KAPPA) * y)
         return float(np.mean(np.max(np.abs(z - exact), axis=1)))
@@ -179,6 +191,133 @@ class TestQndOracle:
         coarse, fine = self.sup_error(1e-2), self.sup_error(1e-3)
         assert fine <= 0.04
         assert 0.35 <= np.log10(coarse / fine) <= 0.65
+
+
+class TestKrausQndOracle:
+    """The default split Kraus step on `TestQndOracle`'s exact filter."""
+
+    def sup_error(self, dt):
+        model = ops.QuantumModel(H0=np.zeros((2, 2)),
+                                 L=np.sqrt(TestQndOracle.KAPPA) * ops.SIGMA_Z)
+        r0 = TestQndOracle.R0
+        rho0 = 0.5 * (np.eye(2) + sum(c * s for c, s in zip(r0, ops.PAULI)))
+        _, states, _, y, _ = bel.simulate_ensemble(
+            model, None, bel.SmeConfig(dt=dt, T=1.0), rho0, list(range(200)))
+        z = np.real(states[..., 0, 0] - states[..., 1, 1])
+        exact = np.tanh(np.arctanh(r0[2]) + 2.0 * np.sqrt(TestQndOracle.KAPPA) * y)
+        return float(np.mean(np.max(np.abs(z - exact), axis=1)))
+
+    def test_error_bound_and_strong_order(self):
+        # Measured: 0.0022 at dt = 1e-2 and 0.00025 at dt = 1e-3, an order of 0.95.
+        coarse, fine = self.sup_error(1e-2), self.sup_error(1e-3)
+        assert fine <= 1e-3
+        assert 0.8 <= np.log10(coarse / fine) <= 1.2
+
+
+def oscillator(dim=21):
+    """Damped oscillator, L = sqrt(0.5) a, from a displaced thermal state."""
+    a = ops.annihilation(dim)
+    ad = ops.dagger(a)
+    model = ops.QuantumModel(H0=ad @ a, L=np.sqrt(0.5) * a)
+    alpha = 0.8 + 0.4j
+    w, v = np.linalg.eigh(-1j * (alpha * ad - np.conj(alpha) * a))
+    disp = (v * np.exp(1j * w)[None, :]) @ ops.dagger(v)
+    pn = np.array([0.5 ** k / 1.5 ** (k + 1) for k in range(dim)])
+    rho0 = ops.project_physical(disp @ np.diag(pn / pn.sum()) @ ops.dagger(disp))
+    quadratures = np.stack([(a + ad) / np.sqrt(2), 1j * (ad - a) / np.sqrt(2)])
+    return model, rho0, quadratures
+
+
+class TestKrausOscillator:
+    def quadrature_path(self, model, rho0, quadratures, scheme, dW, dt, T):
+        cfg = bel.SmeConfig(dt=dt, T=T, scheme=scheme)
+        states = [rho0]
+        for k, dw in enumerate(dW):
+            states.append(bel.step_sme(states[-1], [], dw, model, cfg, step_index=k))
+        return np.real(np.einsum("tij,qji->tq", np.array(states), quadratures))
+
+    def test_matches_fine_reference_at_d21(self):
+        # Coarse dt = 1e-3 against dt = 1e-4 on one Brownian path: measured
+        # 1.2e-4 to 2.1e-4 relative for the split Kraus step, 6e-4 to 6.5e-3
+        # for Euler-Maruyama plus projection.
+        model, rho0, quads = oscillator()
+        T, fine, ratio = 0.3, 1e-4, 10
+        for seed in range(3):
+            dW = np.random.default_rng(seed).normal(0.0, np.sqrt(fine), int(round(T / fine)))
+            ref = self.quadrature_path(model, rho0, quads, "kraus", dW, fine, T)[::ratio]
+            coarse_dW = dW.reshape(-1, ratio).sum(axis=1)
+            err = {scheme: np.max(np.abs(self.quadrature_path(
+                model, rho0, quads, scheme, coarse_dW, fine * ratio, T) - ref))
+                / np.max(np.abs(ref)) for scheme in ("kraus", "euler")}
+            assert err["kraus"] <= 5e-4
+            assert err["kraus"] < err["euler"]
+
+
+class TestKrausPhysicality:
+    MODELS = {
+        "qubit": (ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=ops.SIGMA_Z + 0.4j * ops.SIGMA_Y,
+                                   Hc=(ops.SIGMA_Y,),
+                                   L_extra=(0.5 * np.array([[0.0, 1.0], [0.0, 0.0]]),)),
+                  GROUND),
+        "oscillator": oscillator(12)[:2],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_never_projects(self, name, monkeypatch):
+        model, rho0 = self.MODELS[name]
+
+        def refuse(m):
+            raise AssertionError("project_physical called by the default scheme")
+
+        monkeypatch.setattr(ops, "project_physical", refuse)
+        policy = (lambda t, rho, past: [np.cos(9 * t)]) if model.n_controls else None
+        cfg = bel.SmeConfig(dt=1e-2, T=1.0)
+        _, states, _, _, _ = bel.simulate_ensemble(model, policy, cfg, rho0, range(20),
+                                                   keep_states=False)
+        final = states[:, -1]
+        assert np.max(np.abs(np.einsum("sii->s", final) - 1.0)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(final)) >= -1e-12
+        assert np.max(ops.herm_defect(final)) == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 5, 21])
+    def test_cayley_is_unitary(self, dim):
+        rng = np.random.default_rng(dim)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (g + ops.dagger(g)) / 2.0
+        for s in (1e-4, 1e-2, 1.0):
+            u = ops.cayley(h, s)
+            assert np.max(np.abs(u @ ops.dagger(u) - np.eye(dim))) <= 1e-14
+
+    def test_zero_hamiltonian_skip_is_exact(self):
+        # With H(u) = 0 the Cayley factor is exactly I, and the step is the
+        # Hermitian part of the Kraus map alone.
+        assert np.array_equal(ops.cayley(np.zeros((3, 3)), 0.7), np.eye(3))
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z + 0.3 * ops.SIGMA_X,
+                                 Hc=(ops.SIGMA_Y,))
+        cfg = bel.SmeConfig(dt=1e-2, T=1.0)
+        rho = 0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X - 0.4 * ops.SIGMA_Z)
+        out = bel.step_sme(rho, [0.0], 0.05, model, cfg)
+        kraus, _ = ops.kraus_map(model.kraus, rho[None], np.array([0.05]), cfg.dt)
+        assert np.array_equal(out, ((kraus + ops.dagger(kraus)) / 2.0)[0])
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_batch_equals_single_runs_bitwise(self, name):
+        model, rho0 = self.MODELS[name]
+
+        def policy(t, rho, past):  # record feedback: two distinct controls across the batch
+            return np.where(past.y[:, -1] > 0.0, 0.5, -1.0)[:, None]
+
+        policy.batched = True
+        policy = policy if model.n_controls else None
+        cfg = bel.SmeConfig(dt=1e-2, T=0.5)
+        seeds = [3, 4, 5, 6]
+        batch = bel.simulate_ensemble(model, policy, cfg, rho0, seeds)
+        for i, seed in enumerate(seeds):
+            solo = bel.simulate_ensemble(model, policy, cfg, rho0, [seed])
+            for got, want in zip(batch[1:], solo[1:]):
+                assert np.array_equal(got[i], want[0])
+        if policy is not None:
+            assert any(len(np.unique(u)) == 2 for u in np.swapaxes(batch[2], 0, 1))
 
 
 class TestTrajectoryCost:

@@ -120,7 +120,7 @@ class TestBlochDynamics:
         rng = np.random.default_rng(1)
         model = ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
                                  Hc=(ops.SIGMA_Y,))
-        cfg = bel.SmeConfig(dt=1e-3, T=1.0, normalize_each_step=False)
+        cfg = bel.SmeConfig(dt=1e-3, T=1.0, scheme="euler_raw")
         for _ in range(100):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 0.99) / np.linalg.norm(r)
