@@ -5,26 +5,17 @@ i.i.d. Normal(0, dt) from a counter-based generator, and the measurement
 record is reconstructed as dy = <L + L^dag> dt + dW.  Control policies only
 ever see the past record, so adaptedness holds by construction.
 
-`SmeConfig.scheme` selects the step:
-
-- "kraus" (default): a Strang split around the Rouchon-Ralph Kraus map
-  (Phys. Rev. A 91, 012118, 2015).  rho <- U rho U^dag with the Cayley
-  half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar), then
-  `operators.kraus_map`, then U again, then the Hermitian part.  The mean in
-  dy is taken at the state the Kraus map measures, after the first half
-  step, and the record gets that same dy.  Every state is positive
-  semidefinite with unit trace by construction, up to rounding; nothing is
-  projected.
-- "euler": Euler-Maruyama rho + w dt + sigma dW followed by
-  `operators.project_physical`, with the mean in dy taken before the step.
-  States are physical because they are repaired.
-- "euler_raw": the same Euler-Maruyama step without the repair.  Trace and
-  positivity drift at O(dt) per step and nothing is guaranteed.
+Each step is a Strang split around the Rouchon-Ralph Kraus map (Phys. Rev.
+A 91, 012118, 2015): rho <- U rho U^dag with the Cayley half step
+U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar), then
+`operators.kraus_map`, then U again, then the Hermitian part.  The mean in
+dy is taken at the state the Kraus map measures, after the first half step,
+and the record gets that same dy.  Every state is positive semidefinite
+with unit trace by construction, up to rounding; nothing is projected.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -33,22 +24,14 @@ from .errors import NumericalBlowupError, RejectedInputError
 from .io import write_csv
 
 STEP_COUNT_TOL = 1e-9
-SCHEMES = ("kraus", "euler", "euler_raw")
 
 
 @dataclass(frozen=True)
 class SmeConfig:
-    """Fixed-step discretization of the filtering equation.
-
-    `scheme` is one of SCHEMES (see the module docstring): "kraus", the
-    positive-by-construction split Kraus step (default); "euler",
-    Euler-Maruyama plus `project_physical`; "euler_raw", Euler-Maruyama
-    alone.  Anything else raises RejectedInputError.
-    """
+    """Fixed-step discretization of the filtering equation."""
 
     dt: float
     T: float
-    scheme: str = "kraus"
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +42,6 @@ class SmeConfig:
             raise RejectedInputError(f"T/dt = {ratio} does not round to an integer step count")
         if int(self.seed) < 0:
             raise RejectedInputError("seed must be a nonnegative integer")
-        if self.scheme not in SCHEMES:
-            raise RejectedInputError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
     @property
     def n_steps(self):
@@ -151,13 +132,6 @@ def noise_increments(seed, n_steps, dt):
     return rng.normal(0.0, np.sqrt(dt), size=n_steps)
 
 
-def _euler_step(model, dt, u, rho, dW):
-    """Euler-Maruyama step of a stack of states; returns (rho', dy) with the
-    mean in dy taken at rho."""
-    w, sig, mean = ops.drift_and_fluctuation(model.block, u, rho)
-    return rho + w * dt + sig * dW[:, None, None], mean * dt + dW
-
-
 def _conjugate(rho, halves):
     """U rho U^dag per group of `_KrausStep.half_steps`, as two right
     products (rho U^dag)^dag U^dag."""
@@ -177,7 +151,7 @@ def _conjugate(rho, halves):
 
 
 class _KrausStep:
-    """The "kraus" step of one call on a stack of n states.
+    """The filter step (module docstring) of one call on a stack of n states.
 
     Each distinct control row's Cayley half step is computed once per call,
     and the Kraus map reuses one set of work arrays from step to step.
@@ -219,29 +193,16 @@ class _KrausStep:
         return rho, dy
 
 
-def _stepper(model, cfg, n):
-    """cfg.scheme's step (u, rho, dW) -> (rho', dy) for stacks of n states, before any repair."""
-    if cfg.scheme == "kraus":
-        return _KrausStep(model, cfg.dt, n)
-    return partial(_euler_step, model, cfg.dt)
-
-
 def step_sme(rho, u, dW, model, cfg, step_index=None):
-    """One step of cfg.scheme for one state: the batch-of-1 `simulate_ensemble` step.
-
-    "kraus" returns a density matrix by construction, "euler" the projected
-    Euler-Maruyama state, "euler_raw" the raw rho + w dt + sigma dW.
-    """
+    """One filter step for one state: the batch-of-1 `simulate_ensemble` step."""
     if not np.isfinite(dW):
         raise RejectedInputError("dW must be finite")
     u, rho = ops.check_drift_inputs(model, u, rho)
     u = np.broadcast_to(u, (1, model.n_controls))
-    out = _stepper(model, cfg, 1)(u, rho[None], np.array([dW]))[0][0]
+    out = _KrausStep(model, cfg.dt, 1)(u, rho[None], np.array([dW]))[0][0]
     if not np.all(np.isfinite(out)):
         label = "step_sme" if step_index is None else f"step_sme at step {step_index}"
         raise NumericalBlowupError(f"non-finite state after {label}", step_index=step_index)
-    if cfg.scheme == "euler":
-        out = ops.project_physical(out)
     return out
 
 
@@ -250,28 +211,32 @@ def innovation_increment(dy, rho, L, dt):
     return dy - float(np.real(ops.expectation(rho, L + ops.dagger(L)))) * dt
 
 
-def _policy_controls(policy, t, rho_b, times, y_b, w_b, k, n_controls):
-    """Evaluate a policy for every trajectory in the batch at step k."""
+def _policy_controls(policy, model, t, rho_b, times, y_b, w_b, k):
+    """Evaluate a policy for every trajectory in the batch at step k.
+
+    Every output passes `ops.check_control`: a batched policy returns one
+    shared control (k,) or one row per trajectory (n_traj, k), a
+    per-trajectory policy one control (k,) per call.
+    """
     n_traj = rho_b.shape[0]
     if policy is None:
-        return np.zeros((n_traj, n_controls))
+        return np.zeros((n_traj, model.n_controls))
     if getattr(policy, "batched", False):
         past = RecordView(times[: k + 1], y_b[:, : k + 1], w_b[:, : k + 1])
-        u = np.asarray(policy(t, rho_b, past), dtype=float)
-        return np.broadcast_to(u, (n_traj, n_controls))
-    out = np.empty((n_traj, n_controls))
+        u = ops.check_control(model, policy(t, rho_b, past), (n_traj,))
+        return np.broadcast_to(u, (n_traj, model.n_controls))
+    out = np.empty((n_traj, model.n_controls))
     for i in range(n_traj):
         past = RecordView(times[: k + 1], y_b[i, : k + 1], w_b[i, : k + 1])
-        out[i] = np.atleast_1d(np.asarray(policy(t, rho_b[i], past), dtype=float))
+        out[i] = ops.check_control(model, policy(t, rho_b[i], past))
     return out
 
 
 def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     """Integrate one filtered trajectory per seed with shared vectorized steps.
 
-    Each step is cfg.scheme's (module docstring) and y advances by the
-    step's own dy.  The default "kraus" scheme never calls
-    `project_physical`: its states are density matrices by construction.
+    Each step is the split Kraus step (module docstring) and y advances by
+    the step's own dy.
 
     Returns (times, states, controls, record_y, innovations_W) where states is
     (n_traj, n_steps+1, d, d) if keep_states else the final slice only.
@@ -285,7 +250,6 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     n_traj = len(seeds)
     n = cfg.n_steps
     d = model.dim
-    k_ctrl = model.n_controls
 
     times = np.linspace(0.0, cfg.T, n + 1)
     # w_path[:, k + 1] holds the raw increment dW_k until step k adds
@@ -296,15 +260,15 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
 
     rho = np.broadcast_to(rho0, (n_traj, d, d)).copy()
     y = np.zeros((n_traj, n + 1))
-    controls = np.zeros((n_traj, n + 1, k_ctrl))
+    controls = np.zeros((n_traj, n + 1, model.n_controls))
     if keep_states:
         states = np.empty((n_traj, n + 1, d, d), dtype=complex)
         states[:, 0] = rho
 
-    step = _stepper(model, cfg, n_traj)
+    step = _KrausStep(model, cfg.dt, n_traj)
     for k in range(n):
         t = times[k]
-        u = _policy_controls(policy, t, rho, times, y, w_path, k, k_ctrl)
+        u = _policy_controls(policy, model, t, rho, times, y, w_path, k)
         controls[:, k] = u
         dW = w_path[:, k + 1].copy()
         rho, dy = step(u, rho, dW)
@@ -314,15 +278,13 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
             raise NumericalBlowupError(
                 f"non-finite state after step_sme at step {k} (seed {seeds[bad[0]]})",
                 step_index=k, t=float(times[k + 1]))
-        if cfg.scheme == "euler":
-            rho = ops.project_physical(rho)
 
         y[:, k + 1] = y[:, k] + dy
         w_path[:, k + 1] = w_path[:, k] + dW
         if keep_states:
             states[:, k + 1] = rho
 
-    u_final = _policy_controls(policy, times[-1], rho, times, y, w_path, n, k_ctrl)
+    u_final = _policy_controls(policy, model, times[-1], rho, times, y, w_path, n)
     controls[:, n] = u_final
     if not keep_states:
         states = rho[:, None]
@@ -372,11 +334,10 @@ def filter_observable_check(traj, X, model):
     The scalar recursion is the raw Euler-Maruyama recursion of the
     conditional expectation: it shares the trajectory's innovations and
     evaluates operator expectations along the stored states, but never
-    renormalizes.  The discrepancy therefore measures how far the stored
-    scheme is from raw Euler-Maruyama: rounding for "euler_raw", the
-    projection's repair for "euler", and the Kraus step's own (higher-order)
-    terms for "kraus".  Max over seeds 0-9 of the driven qubit in the tests
-    at dt = 1e-3, T = 1: 3.8e-15, 0.0067 and 0.0091.
+    renormalizes.  The discrepancy therefore measures the terms by which
+    the filter's split Kraus step differs from a raw Euler-Maruyama step
+    (its higher-order terms and its normalisation): 0.0091 at most over
+    seeds 0-9 for the driven qubit in the tests at dt = 1e-3, T = 1.
     """
     X = ops.check_hermitian(np.asarray(X, dtype=complex), 1e-10, "X")
     dt = traj.dt

@@ -20,21 +20,17 @@ V = rho L^dag for the measured L:
     sigma = V + V^dag - <L + L^dag> rho,      <L + L^dag> = 2 Re tr V.
 
 `lindblad_drift` and `fluctuation` validate their inputs, Hermiticity
-included, and call the kernel; the filter's Euler-Maruyama schemes call it
-directly on their batch.
+included, and call the kernel.  `BlochGenerator.of_model` calls it on the
+Pauli basis, and `belavkin.filter_observable_check` on validated stored
+states.
 
-The filter's default step is positive by construction: `kraus_map` applies
-the Rouchon-Ralph map through a second right block per model,
-`kraus_block`, and `cayley` gives the unitary half steps around it.
+The filter's step is positive by construction: `kraus_map` applies the
+Rouchon-Ralph map through a second right block per model, `kraus_block`,
+and `cayley` gives the unitary half steps around it.
 
-`project_physical` repairs integration drift by clipping negative
-eigenvalues.  It serves the filter's Euler-Maruyama scheme and set-up
-(making a start state exactly physical), not the default step.  For d = 2
-it is closed form: with h the Hermitian part, t its trace and r its Bloch
-vector (h = (t I + r.sigma) / 2), the eigenvalues are
-(t +- |r|) / 2; the result is h / t when none is negative and the pure
-projector (I + r.sigma / |r|) / 2 onto the top eigenvector when one is.
-Larger d goes through `numpy.linalg.eigh`.
+`project_physical` is set-up repair, not part of any step: it makes a
+start state exactly physical by clipping negative eigenvalues through
+`numpy.linalg.eigh` and renormalizing.
 """
 
 from dataclasses import dataclass, field
@@ -436,14 +432,11 @@ def expectation(rho, X):
 
 
 def project_physical(m):
-    """Repair integration drift: hermitize, clip negative eigenvalues, renormalize.
-
-    The filter's Euler-Maruyama scheme ("euler") calls it after every step;
-    the default Kraus step never needs it.
+    """Make a nearly physical matrix a density matrix: hermitize, clip
+    negative eigenvalues, renormalize.
 
     Rejects inputs farther than PROJECTION_HERM_TOL from Hermitian; raises
     DegenerateStateError when clipping removes essentially all trace.
-    Closed form for d = 2 (see the module docstring), eigh otherwise.
     """
     m = as_operator(m, "m")
     defect = np.max(herm_defect(m))
@@ -451,36 +444,13 @@ def project_physical(m):
         raise RejectedInputError(
             f"matrix too far from Hermitian to project (defect {defect:.3e})"
         )
-    h = (m + dagger(m)) / 2.0
-    if h.shape[-1] == 2:
-        return _project_qubit(h)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)
     if np.any(tr <= DEGENERATE_TRACE_FLOOR):
         raise DegenerateStateError("state trace vanished after clipping negative eigenvalues")
     w = w / tr[..., None]
     return (v * w[..., None, :]) @ dagger(v)
-
-
-def _project_qubit(h):
-    """project_physical of Hermitian (..., 2, 2) h: alpha h + beta I per state."""
-    a = h[..., 0, 0].real
-    c = h[..., 1, 1].real
-    b = h[..., 0, 1]
-    t = a + c
-    norm_r = np.sqrt((a - c) ** 2 + 4.0 * (b.real ** 2 + b.imag ** 2))
-    clipped = t < norm_r  # the low eigenvalue (t - |r|) / 2 is negative
-    tr = np.where(clipped, np.maximum(0.5 * (t + norm_r), 0.0), t)
-    if np.any(tr <= DEGENERATE_TRACE_FLOOR):
-        raise DegenerateStateError("state trace vanished after clipping negative eigenvalues")
-    # Clipped: (I + r.sigma / |r|) / 2 = I / 2 + (h - t I / 2) / |r|.
-    alpha = 1.0 / np.where(clipped, norm_r, t)
-    beta = np.where(clipped, 0.5 - 0.5 * t * alpha, 0.0)
-    out = alpha[..., None, None] * h
-    out[..., 0, 0] += beta
-    out[..., 1, 1] += beta
-    return out
 
 
 def annihilation(dim):

@@ -25,24 +25,6 @@ from .errors import NumericalBlowupError, RejectedInputError
 from .io import write_keyvalue
 
 
-@dataclass(frozen=True)
-class AdjointState:
-    """First-order adjoint pair (p, q) in the Bloch chart."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise RejectedInputError("adjoint state must be finite")
-        if p.shape != q.shape:
-            raise RejectedInputError("p and q must share a shape")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-
 def _sign(convention):
     if convention == hb.SIGN_STANDARD:
         return 1.0
@@ -103,15 +85,6 @@ def minimize_hamiltonian(t, rho, p, P, model, cost, u_grid, convention=hb.SIGN_S
          + _sign(convention) * np.einsum("...ui,...i->...u", gen.drift(grid, r[..., None, :]), p)
          + 0.5 * np.einsum("...i,...ij,...j->...", s, P, s)[..., None])
     return grid[np.argmin(h, axis=-1)], np.min(h, axis=-1)
-
-
-def costate_backward_step(adj, rho, u, dW, dt, grad_H_rho):
-    """One Euler-Maruyama step of dp = -grad_H dt + q dW, going backward."""
-    grad = np.asarray(grad_H_rho, dtype=float)
-    p_new = adj.p - grad * dt + adj.q * dW
-    if not np.all(np.isfinite(p_new)):
-        raise NumericalBlowupError("non-finite costate after backward step")
-    return AdjointState(p=p_new, q=adj.q)
 
 
 class GridPolicy:
@@ -198,9 +171,9 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
             traj.times[k + 1], traj.controls[k + 1], r_path[k + 1], p_prop, P_ref[k + 1],
             model, cost, grid.convention)
         # Undo the forward increment dp = -grad dt + q dW over [t_k, t_{k+1}].
-        adj = costate_backward_step(AdjointState(p=p_prop, q=q[k + 1]), traj.states[k + 1],
-                                    traj.controls[k + 1], -dW[k], -dt, grad)
-        p_prop = adj.p
+        p_prop = p_prop + grad * dt - q[k + 1] * dW[k]
+        if not np.all(np.isfinite(p_prop)):
+            raise NumericalBlowupError(f"non-finite costate at t={traj.times[k]:.6g}")
         residuals[k] = np.linalg.norm(p_prop - p_ref[k])
 
     return FbsdeReport(

@@ -120,17 +120,19 @@ class TestBlochDynamics:
         rng = np.random.default_rng(1)
         model = ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
                                  Hc=(ops.SIGMA_Y,))
-        cfg = bel.SmeConfig(dt=1e-3, T=1.0, scheme="euler_raw")
+        dt = 1e-3
         for _ in range(100):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 0.99) / np.linalg.norm(r)
             u = rng.normal(size=1)
-            dW = rng.normal(0, np.sqrt(cfg.dt))
+            dW = rng.normal(0, np.sqrt(dt))
             b, s = hjb.bloch_dynamics(model, u, r)
-            r_next = r + b * cfg.dt + s * dW
-            rho_next = bel.step_sme(hjb.density_from_bloch(r), u, dW, model, cfg)
+            r_next = r + b * dt + s * dW
+            rho = hjb.density_from_bloch(r)
+            rho_next = (rho + ops.lindblad_drift(model, u, rho) * dt
+                        + ops.fluctuation(model.L, rho) * dW)
             assert np.max(np.abs(hjb.bloch_from_density(rho_next) - r_next)) \
-                <= 1e-8 * (cfg.dt + abs(dW))
+                <= 1e-8 * (dt + abs(dW))
 
 
 class TestSolveHjbGrid:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -305,24 +307,6 @@ class TestBlochGeneratorProperties:
             assert np.max(np.abs(grad - fd)) <= 1e-8
 
 
-class TestCostateBackwardStep:
-    def test_frozen(self):
-        adj = pmp.AdjointState(p=np.array([0.1, 0.2, 0.3]), q=np.zeros(3))
-        out = pmp.costate_backward_step(adj, None, [0.0], 0.5, 0.01, np.zeros(3))
-        assert np.allclose(out.p, adj.p)
-
-    def test_deterministic_euler(self):
-        adj = pmp.AdjointState(p=np.array([0.1, 0.2, 0.3]), q=np.zeros(3))
-        grad = np.array([1.0, -1.0, 2.0])
-        out = pmp.costate_backward_step(adj, None, [0.0], 0.0, 0.01, grad)
-        assert np.allclose(out.p, adj.p - 0.01 * grad)
-
-    def test_noise_term_uses_q(self):
-        adj = pmp.AdjointState(p=np.zeros(3), q=np.array([1.0, 0.0, -1.0]))
-        out = pmp.costate_backward_step(adj, None, [0.0], 0.2, 0.01, np.zeros(3))
-        assert np.allclose(out.p, 0.2 * adj.q)
-
-
 def _qubit_scenario(n_space=21, n_time=200, seed=17, T=0.1):
     cost = plain_cost(weight=0.2, state_scale=0.5)
     u_grid = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
@@ -359,6 +343,51 @@ class TestFbsdeResidual:
         traj, grid, cost, u_grid = _qubit_scenario()
         rep = pmp.fbsde_residual(traj, grid, CONTROLLED, cost, u_grid)
         assert rep.mean_relative_residual <= 0.10
+
+    def test_backward_leg_is_the_costate_recursion(self):
+        # From the grid gradient at T, p_k = p_{k+1} + grad_r H dt - q_{k+1} dW_k
+        # with q = P s and grad_r H taken at step k + 1.  Three cases: the
+        # scenario (drift and noise through q), its path with zeroed
+        # innovations (drift alone), and a model without dynamics or running
+        # cost, where grad_r H = 0 and q = 0 freeze p at the terminal gradient.
+        traj, grid, cost, u_grid = _qubit_scenario(n_space=11, n_time=100, T=0.05)
+        frozen = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
+        frozen_cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)),
+                                   terminal_op=EXCITED)
+        frozen_grid = hjb.solve_hjb_grid(frozen, frozen_cost, [np.zeros(0)],
+                                         hjb.GridSpec(T=0.05, n_space=11, n_time=50))
+        frozen_traj = bel.generate_record(frozen, None, frozen_cost,
+                                          bel.SmeConfig(dt=0.001, T=0.05, seed=3),
+                                          hjb.density_from_bloch([0.3, 0.0, 0.2]))
+        cases = [(traj, grid, CONTROLLED, cost, u_grid),
+                 (dataclasses.replace(traj, innovations_W=0.0 * traj.innovations_W), grid,
+                  CONTROLLED, cost, u_grid),
+                 (frozen_traj, frozen_grid, frozen, frozen_cost, [np.zeros(0)])]
+        reports, finals = [], []
+        for path, g, model, c, ug in cases:
+            r = hjb.bloch_from_density(path.states)
+            p_ref, P_ref = hjb.extract_costate(g, path.times, r)
+            _, s = hjb.bloch_dynamics(model, path.controls, r)
+            dW = np.diff(path.innovations_W)
+            p = p_ref[-1]
+            residuals = np.zeros(path.n_steps + 1)
+            for k in range(path.n_steps - 1, -1, -1):
+                grad = pmp.hamiltonian_gradient_r(path.times[k + 1], path.controls[k + 1],
+                                                  r[k + 1], p, P_ref[k + 1], model, c,
+                                                  g.convention)
+                p = p + grad * path.dt - (P_ref[k + 1] @ s[k + 1]) * dW[k]
+                residuals[k] = np.linalg.norm(p - p_ref[k])
+            rep = pmp.fbsde_residual(path, g, model, c, ug)
+            assert rep.max_backward_residual == pytest.approx(np.max(residuals), rel=1e-12)
+            assert rep.mean_backward_residual == pytest.approx(np.mean(residuals[:-1]),
+                                                               rel=1e-12)
+            reports.append(rep)
+            finals.append((p, p_ref[-1]))
+        assert reports[0].max_backward_residual != pytest.approx(
+            reports[1].max_backward_residual, rel=1e-3)
+        p0, p_terminal = finals[2]
+        assert np.array_equal(p0, p_terminal)
+        assert np.allclose(p_terminal, [0.0, 0.0, -0.5], atol=1e-12)
 
     def test_report_roundtrip(self, tmp_path):
         traj, grid, cost, u_grid = _qubit_scenario(n_space=11, n_time=100, T=0.05)
