@@ -27,11 +27,41 @@ class TestSmeConfig:
     def test_step_count(self):
         assert bel.SmeConfig(dt=1e-3, T=1.0).n_steps == 1000
 
-    @pytest.mark.parametrize("name", ["normalize_each_step", "scheme"])
+    def test_default_scheme_is_kraus(self):
+        # The filter's one step is the Strang split of the module docstring,
+        # written out here on a driven qubit with a non-Hermitian measured
+        # channel and an extra unmeasured one.
+        L = ops.SIGMA_Z + 0.4j * ops.SIGMA_Y
+        K = 0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        model = ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=L, Hc=(ops.SIGMA_Y,), L_extra=(K,))
+        cfg = bel.SmeConfig(dt=1e-2, T=1.0)
+        assert not hasattr(cfg, "scheme")
+        rho = 0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X - 0.4 * ops.SIGMA_Z)
+        u, dW, dt = 0.7, 0.05, cfg.dt
+        eye = np.eye(2)
+        s = 1j * dt / (4.0 * model.hbar) * model.hamiltonian([u])
+        U = np.linalg.solve(eye + s, eye - s)
+        r = U @ rho @ ops.dagger(U)
+        dy = np.real(np.trace(r @ (L + ops.dagger(L)))) * dt + dW
+        Ld = ops.dagger(L)
+        M = eye - 0.5 * (Ld @ L + ops.dagger(K) @ K) * dt + L * dy + 0.5 * (L @ L) * (dy ** 2 - dt)
+        r = M @ r @ ops.dagger(M) + K @ r @ ops.dagger(K) * dt
+        r = U @ (r / np.trace(r)) @ ops.dagger(U)
+        want = (r + ops.dagger(r)) / 2.0
+        assert np.allclose(bel.step_sme(rho, [u], dW, model, cfg), want, atol=1e-14)
+
+    def test_rejects_unknown_scheme(self):
+        # With one step there is no scheme to choose: every former or unknown
+        # name is an unknown keyword.
+        for scheme in ("kraus", "euler", "euler_raw", "bogus"):
+            with pytest.raises(TypeError, match="scheme"):
+                bel.SmeConfig(dt=1e-3, T=1.0, scheme=scheme)
+
+    @pytest.mark.parametrize("name", ["normalize_each_step"])
     def test_removed_fields_are_unknown_keywords(self, name):
-        # The filter has one step, so neither a repair flag nor a scheme is settable.
+        # The filter has one step, so no repair flag is settable.
         with pytest.raises(TypeError, match=name):
-            bel.SmeConfig(dt=1e-3, T=1.0, **{name: "euler"})
+            bel.SmeConfig(dt=1e-3, T=1.0, **{name: False})
 
     @pytest.mark.parametrize("dt, T", [(1e-3, np.inf), (np.inf, np.inf), (np.nan, 1.0),
                                        (1e-3, np.nan)])

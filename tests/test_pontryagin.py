@@ -319,6 +319,62 @@ def _qubit_scenario(n_space=21, n_time=200, seed=17, T=0.1):
     return traj, grid, cost, u_grid
 
 
+def _costate_recursion_report(path, g, model, c, ug):
+    """Checks `fbsde_residual`'s backward leg against the recursion written out
+    here: from the grid gradient at T, p_k = p_{k+1} + grad_r H dt - q_{k+1} dW_k
+    with q = P s and grad_r H taken at step k + 1.  Returns (report, p_0, p_T)."""
+    r = hjb.bloch_from_density(path.states)
+    p_ref, P_ref = hjb.extract_costate(g, path.times, r)
+    _, s = hjb.bloch_dynamics(model, path.controls, r)
+    dW = np.diff(path.innovations_W)
+    p = p_ref[-1]
+    residuals = np.zeros(path.n_steps + 1)
+    for k in range(path.n_steps - 1, -1, -1):
+        grad = pmp.hamiltonian_gradient_r(path.times[k + 1], path.controls[k + 1], r[k + 1],
+                                          p, P_ref[k + 1], model, c, g.convention)
+        p = p + grad * path.dt - (P_ref[k + 1] @ s[k + 1]) * dW[k]
+        residuals[k] = np.linalg.norm(p - p_ref[k])
+    rep = pmp.fbsde_residual(path, g, model, c, ug)
+    assert rep.max_backward_residual == pytest.approx(np.max(residuals), rel=1e-12)
+    assert rep.mean_backward_residual == pytest.approx(np.mean(residuals[:-1]), rel=1e-12)
+    return rep, p, p_ref[-1]
+
+
+class TestCostateBackwardStep:
+    """The costate step inside `fbsde_residual`'s backward loop."""
+
+    def test_frozen(self):
+        # Without dynamics or running cost, grad_r H = 0 and q = 0, so p stays
+        # exactly at the terminal gradient of <rho, |1><1|>.
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
+        cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)), terminal_op=EXCITED)
+        grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)],
+                                  hjb.GridSpec(T=0.05, n_space=11, n_time=50))
+        traj = bel.generate_record(model, None, cost, bel.SmeConfig(dt=0.001, T=0.05, seed=3),
+                                   hjb.density_from_bloch([0.3, 0.0, 0.2]))
+        _, p0, p_terminal = _costate_recursion_report(traj, grid, model, cost, [np.zeros(0)])
+        assert np.array_equal(p0, p_terminal)
+        assert np.allclose(p_terminal, [0.0, 0.0, -0.5], atol=1e-12)
+
+    def test_deterministic_euler(self):
+        # Zeroed innovations leave the drift alone: p_k = p_{k+1} + grad_r H dt.
+        traj, grid, cost, u_grid = _qubit_scenario(n_space=11, n_time=100, T=0.05)
+        quiet = dataclasses.replace(traj, innovations_W=0.0 * traj.innovations_W)
+        _, p0, p_terminal = _costate_recursion_report(quiet, grid, CONTROLLED, cost, u_grid)
+        assert not np.allclose(p0, p_terminal, atol=1e-6)
+
+    def test_noise_term_uses_q(self):
+        # The recorded innovations enter through q dW, so the residuals differ
+        # from those of the same path with zeroed innovations.
+        traj, grid, cost, u_grid = _qubit_scenario(n_space=11, n_time=100, T=0.05)
+        noisy, _, _ = _costate_recursion_report(traj, grid, CONTROLLED, cost, u_grid)
+        quiet = pmp.fbsde_residual(
+            dataclasses.replace(traj, innovations_W=0.0 * traj.innovations_W), grid,
+            CONTROLLED, cost, u_grid)
+        assert noisy.max_backward_residual != pytest.approx(quiet.max_backward_residual,
+                                                            rel=1e-3)
+
+
 class TestFbsdeResidual:
     def test_zero_scenario_residuals_vanish(self):
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
@@ -343,51 +399,6 @@ class TestFbsdeResidual:
         traj, grid, cost, u_grid = _qubit_scenario()
         rep = pmp.fbsde_residual(traj, grid, CONTROLLED, cost, u_grid)
         assert rep.mean_relative_residual <= 0.10
-
-    def test_backward_leg_is_the_costate_recursion(self):
-        # From the grid gradient at T, p_k = p_{k+1} + grad_r H dt - q_{k+1} dW_k
-        # with q = P s and grad_r H taken at step k + 1.  Three cases: the
-        # scenario (drift and noise through q), its path with zeroed
-        # innovations (drift alone), and a model without dynamics or running
-        # cost, where grad_r H = 0 and q = 0 freeze p at the terminal gradient.
-        traj, grid, cost, u_grid = _qubit_scenario(n_space=11, n_time=100, T=0.05)
-        frozen = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
-        frozen_cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)),
-                                   terminal_op=EXCITED)
-        frozen_grid = hjb.solve_hjb_grid(frozen, frozen_cost, [np.zeros(0)],
-                                         hjb.GridSpec(T=0.05, n_space=11, n_time=50))
-        frozen_traj = bel.generate_record(frozen, None, frozen_cost,
-                                          bel.SmeConfig(dt=0.001, T=0.05, seed=3),
-                                          hjb.density_from_bloch([0.3, 0.0, 0.2]))
-        cases = [(traj, grid, CONTROLLED, cost, u_grid),
-                 (dataclasses.replace(traj, innovations_W=0.0 * traj.innovations_W), grid,
-                  CONTROLLED, cost, u_grid),
-                 (frozen_traj, frozen_grid, frozen, frozen_cost, [np.zeros(0)])]
-        reports, finals = [], []
-        for path, g, model, c, ug in cases:
-            r = hjb.bloch_from_density(path.states)
-            p_ref, P_ref = hjb.extract_costate(g, path.times, r)
-            _, s = hjb.bloch_dynamics(model, path.controls, r)
-            dW = np.diff(path.innovations_W)
-            p = p_ref[-1]
-            residuals = np.zeros(path.n_steps + 1)
-            for k in range(path.n_steps - 1, -1, -1):
-                grad = pmp.hamiltonian_gradient_r(path.times[k + 1], path.controls[k + 1],
-                                                  r[k + 1], p, P_ref[k + 1], model, c,
-                                                  g.convention)
-                p = p + grad * path.dt - (P_ref[k + 1] @ s[k + 1]) * dW[k]
-                residuals[k] = np.linalg.norm(p - p_ref[k])
-            rep = pmp.fbsde_residual(path, g, model, c, ug)
-            assert rep.max_backward_residual == pytest.approx(np.max(residuals), rel=1e-12)
-            assert rep.mean_backward_residual == pytest.approx(np.mean(residuals[:-1]),
-                                                               rel=1e-12)
-            reports.append(rep)
-            finals.append((p, p_ref[-1]))
-        assert reports[0].max_backward_residual != pytest.approx(
-            reports[1].max_backward_residual, rel=1e-3)
-        p0, p_terminal = finals[2]
-        assert np.array_equal(p0, p_terminal)
-        assert np.allclose(p_terminal, [0.0, 0.0, -0.5], atol=1e-12)
 
     def test_report_roundtrip(self, tmp_path):
         traj, grid, cost, u_grid = _qubit_scenario(n_space=11, n_time=100, T=0.05)
