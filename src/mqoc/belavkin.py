@@ -40,8 +40,7 @@ class SmeConfig:
         ratio = self.T / self.dt
         if abs(ratio - round(ratio)) > STEP_COUNT_TOL * max(1.0, ratio):
             raise RejectedInputError(f"T/dt = {ratio} does not round to an integer step count")
-        if int(self.seed) < 0:
-            raise RejectedInputError("seed must be a nonnegative integer")
+        _seed_list([self.seed])
 
     @property
     def n_steps(self):
@@ -126,68 +125,66 @@ class TrajectoryRecord:
 RecordView = namedtuple("RecordView", ["times", "y", "W"])
 
 
+def _seed_list(seeds):
+    """seeds as a list of ints; refuses all but a non-empty 1-D sequence of
+    integers in [0, 2**64), the Philox key range (`noise_increments`)."""
+    arr = np.asarray(seeds, dtype=object)
+    if arr.ndim != 1 or not arr.size or not all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s < 2**64
+            for s in arr):
+        raise RejectedInputError("a seed must be an integer in [0, 2**64), and seeds a "
+                                 "non-empty 1-D sequence of them")
+    return [int(s) for s in arr]
+
+
 def noise_increments(seed, n_steps, dt):
     """Innovation increments dW ~ Normal(0, dt) from a Philox stream keyed by seed."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return rng.normal(0.0, np.sqrt(dt), size=n_steps)
 
 
-def _conjugate(rho, halves):
-    """U rho U^dag per group of `_KrausStep.half_steps`, as two right
-    products (rho U^dag)^dag U^dag."""
-    d = rho.shape[-1]
-    if any(idx is not None for _, idx in halves):
-        rho = rho.copy()
-    for ud, idx in halves:
-        part = rho if idx is None else rho[idx]
-        m = len(part)
-        u_rho = ops.dagger((part.reshape(m * d, d) @ ud).reshape(m, d, d))
-        part = (u_rho.reshape(m * d, d) @ ud).reshape(m, d, d)
-        if idx is None:
-            rho = part
-        else:
-            rho[idx] = part
-    return rho
+def _conjugate(rho, ud):
+    """U rho U^dag as (rho U^dag)^dag U^dag for U^dag from `_KrausStep.half_step`.
+    A shared (d, d) U^dag is one (n d, d) GEMM per product, not n small ones."""
+    if ud is None:
+        return rho
+    if ud.ndim == 3:
+        return ops.dagger(rho @ ud) @ ud
+    n, d = rho.shape[:2]
+    u_rho = ops.dagger((rho.reshape(n * d, d) @ ud).reshape(n, d, d))
+    return (u_rho.reshape(n * d, d) @ ud).reshape(n, d, d)
 
 
 class _KrausStep:
     """The filter step (module docstring) of one call on a stack of n states.
 
-    Each distinct control row's Cayley half step is computed once per call,
-    and the Kraus map reuses one set of work arrays from step to step.
+    The last step's control rows and half step are reused while the rows
+    repeat, and the Kraus map reuses one set of work arrays from step to step.
     """
 
     def __init__(self, model, dt, n):
         self.model, self.dt = model, dt
-        self.unitaries = {}
+        self.rows = self.ud = None
         self.work = ops.KrausWork(model.kraus, n)
 
-    def half_steps(self, u):
-        """[(U^dag, index)] for every distinct row of u (n, k) with H(u) != 0;
-        index selects the row's states, None meaning all.  Where H(u) = 0, U
-        is exactly I and is skipped."""
+    def half_step(self, u):
+        """U^dag of the Cayley half step for controls u (n, k): (d, d) when every
+        row equals the first, else (n, d, d) from one batched solve.  None when
+        H(u) = 0 for every row, where U is exactly I and is skipped."""
         if (u == u[:1]).all():
-            groups = [(u[0], None)] if len(u) else []
-        else:
-            rows, inv = np.unique(u, axis=0, return_inverse=True)
-            groups = [(row, np.flatnonzero(inv == j)) for j, row in enumerate(rows)]
-        out = []
-        for row, idx in groups:
-            key = row.tobytes()
-            if key not in self.unitaries:
-                h = self.model.hamiltonian(row)
-                self.unitaries[key] = (ops.dagger(ops.cayley(h, self.dt / (4.0 * self.model.hbar)))
-                                       if h.any() else None)
-            if self.unitaries[key] is not None:
-                out.append((self.unitaries[key], idx))
-        return out
+            u = u[0]
+        if self.rows is None or not np.array_equal(u, self.rows):
+            h = self.model.hamiltonian(u)
+            self.rows = u.copy()
+            self.ud = (ops.dagger(ops.cayley(h, self.dt / (4.0 * self.model.hbar)))
+                       if h.any() else None)
+        return self.ud
 
     def __call__(self, u, rho, dW):
         """Returns (rho', dy) with the mean in dy taken at the measured state."""
-        halves = self.half_steps(u)
-        rho, dy = ops.kraus_map(self.model.kraus, _conjugate(rho, halves), dW, self.dt,
-                                self.work)
-        rho = _conjugate(rho, halves)
+        ud = self.half_step(u)
+        rho, dy = ops.kraus_map(self.model.kraus, _conjugate(rho, ud), dW, self.dt, self.work)
+        rho = _conjugate(rho, ud)
         rho = rho + ops.dagger(rho)
         rho *= 0.5
         return rho, dy
@@ -246,7 +243,7 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     rho0 = ops.check_density(rho0)
     if rho0.shape[-1] != model.dim:
         raise RejectedInputError("rho0 dimension does not match model")
-    seeds = [int(s) for s in np.atleast_1d(seeds)]
+    seeds = _seed_list(seeds)
     n_traj = len(seeds)
     n = cfg.n_steps
     d = model.dim

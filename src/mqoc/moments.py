@@ -236,19 +236,15 @@ def kalman_gain(sigma, C, M_cov):
     return _gain(sigma, C, M_cov)
 
 
-def covariance_step(sigma, A, ktilde, include_diffusion=False, FFt=None, dt=None):
+def covariance_step(sigma, A, ktilde, dt, FFt=None):
     """Euler step of the covariance: Sigma + (A Sigma + Sigma A^T - Ktilde Ktilde^T) dt.
 
     The optional FF^T dt injection restores the classical Kalman-Bucy noise
     term; without it the gain drains the covariance toward zero.  The result
     is symmetrized exactly.
     """
-    if dt is None:
-        raise RejectedInputError("covariance_step requires dt")
-    if include_diffusion and FFt is None:
-        raise RejectedInputError("include_diffusion requires FFt")
     sigma = _mat(sigma, "sigma")
-    FFt = _mat(FFt, "FFt") if include_diffusion else None
+    FFt = None if FFt is None else _mat(FFt, "FFt")
     return _covariance_update(sigma, A, ktilde, dt, FFt)
 
 

@@ -163,9 +163,11 @@ class QuantumModel:
         return len(self.Hc)
 
     def hamiltonian(self, u):
+        """H(u): (d, d) for one control u (k,), (n, d, d) for rows u (n, k)."""
+        u = check_control(self, u, np.shape(u)[:-1])
         h = self.H0
-        for ui, hci in zip(check_control(self, u), self.Hc):
-            h = h + ui * hci
+        for i, hci in enumerate(self.Hc):
+            h = h + u[..., i, None, None] * hci
         return h
 
     def channels(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,34 @@ class TestSmeConfig:
     def test_rejects_non_finite_step_or_horizon(self, dt, T):
         with pytest.raises(RejectedInputError, match="dt"):
             bel.SmeConfig(dt=dt, T=T)
+
+
+class TestSeeds:
+    CFG = bel.SmeConfig(dt=0.1, T=0.2)
+
+    @pytest.mark.parametrize("make", [
+        lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, []),
+        lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [-1]),
+        lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [2**64]),
+        lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [1.7]),
+        lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [[1, 2], [3, 4]]),
+        lambda cfg: bel.SmeConfig(dt=cfg.dt, T=cfg.T, seed=1.7),
+    ], ids=["empty", "negative", "2**64", "float", "2-D", "config_float"])
+    def test_rejected_before_any_step(self, make, monkeypatch):
+        def step(*args):
+            raise AssertionError("the filter step ran")
+
+        monkeypatch.setattr(bel._KrausStep, "__call__", step)
+        with pytest.raises(RejectedInputError, match="seed"):
+            make(self.CFG)
+
+    def test_accepts_range_and_numpy_integers(self):
+        top = np.uint64(2**64 - 1)
+        want = bel.simulate_ensemble(QUBIT_Z, None, self.CFG, MIXED, [0])[4][0]
+        for seeds in (range(2), np.array([0, 1]), [np.int32(0), top]):
+            w = bel.simulate_ensemble(QUBIT_Z, None, self.CFG, MIXED, seeds)[4]
+            assert np.array_equal(w[0], want)
+        assert bel.SmeConfig(dt=0.1, T=0.2, seed=top).seed == top
 
 
 class TestStepSme:
@@ -339,24 +369,49 @@ class TestKrausPhysicality:
         kraus, _ = ops.kraus_map(model.kraus, rho[None], np.array([0.05]), cfg.dt)
         assert np.array_equal(out, ((kraus + ops.dagger(kraus)) / 2.0)[0])
 
-    @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_batch_equals_single_runs_bitwise(self, name):
+    @pytest.mark.parametrize("name, feedback", [
+        ("oscillator", "record"), ("qubit", "record"), ("qubit", "state")],
+        ids=["oscillator", "qubit", "qubit_state_feedback"])
+    def test_batch_equals_single_runs_bitwise(self, name, feedback):
         model, rho0 = self.MODELS[name]
-
-        def policy(t, rho, past):  # record feedback: two distinct controls across the batch
-            return np.where(past.y[:, -1] > 0.0, 0.5, -1.0)[:, None]
-
-        policy.batched = True
-        policy = policy if model.n_controls else None
-        cfg = bel.SmeConfig(dt=1e-2, T=0.5)
         seeds = [3, 4, 5, 6]
+        # Record feedback gives two distinct controls across the batch, state
+        # feedback u = -0.5 <sigma_x> one per trajectory.
+        policy, n_distinct = {
+            "record": (lambda t, rho, past: np.where(past.y[:, -1] > 0.0, 0.5, -1.0)[:, None], 2),
+            "state": (lambda t, rho, past: -0.5 * ops.pauli_components(rho)[:, :1], len(seeds)),
+        }[feedback]
+        policy = batched(policy) if model.n_controls else None
+        cfg = bel.SmeConfig(dt=1e-2, T=0.5)
         batch = bel.simulate_ensemble(model, policy, cfg, rho0, seeds)
         for i, seed in enumerate(seeds):
             solo = bel.simulate_ensemble(model, policy, cfg, rho0, [seed])
             for got, want in zip(batch[1:], solo[1:]):
                 assert np.array_equal(got[i], want[0])
         if policy is not None:
-            assert any(len(np.unique(u)) == 2 for u in np.swapaxes(batch[2], 0, 1))
+            assert max(len(np.unique(u)) for u in np.swapaxes(batch[2], 0, 1)) == n_distinct
+
+    def test_feedback_memory_flat_in_step_count(self):
+        # Continuous feedback gives every trajectory a new control at every
+        # step; the filter may keep no per-control state beyond the last step.
+        # What grows is the y, W and control records: 24 B per trajectory-step.
+        model = ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=ops.SIGMA_Z, Hc=(ops.SIGMA_Y,))
+        rho0 = 0.5 * (np.eye(2) + 0.6 * ops.SIGMA_X + 0.3 * ops.SIGMA_Z)
+        policy = batched(lambda t, rho, past: -0.5 * rho[:, 0, 1:].real)
+        n_traj = 20
+
+        def peak(n_steps):
+            cfg = bel.SmeConfig(dt=1e-3, T=n_steps * 1e-3)
+            tracemalloc.start()
+            try:
+                bel.simulate_ensemble(model, policy, cfg, rho0, range(n_traj), keep_states=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)
+        growth = (peak(800) - peak(200)) / (n_traj * 600)
+        assert growth <= 64
 
 
 class TestTrajectoryCost:

@@ -261,8 +261,7 @@ class TestCovarianceStep:
         dt = 0.01
         for _ in range(200):
             kt = mom.kalman_gain(sigma, C, None)
-            sigma = mom.covariance_step(sigma, A, kt, include_diffusion=True,
-                                        FFt=0.5 * np.eye(2), dt=dt)
+            sigma = mom.covariance_step(sigma, A, kt, FFt=0.5 * np.eye(2), dt=dt)
         assert np.min(np.linalg.eigvalsh(sigma)) >= 0.0
 
 

@@ -184,6 +184,19 @@ class TestQuantumModel:
         h = model.hamiltonian([0.5])
         assert np.allclose(h, ops.SIGMA_Z + 0.5 * ops.SIGMA_X)
 
+    def test_hamiltonian_rows_equal_row_by_row(self):
+        model = ops.QuantumModel(H0=ops.SIGMA_Z, L=np.zeros((2, 2)),
+                                 Hc=(ops.SIGMA_X, ops.SIGMA_Y))
+        u = np.random.default_rng(0).normal(size=(5, 2))
+        h = model.hamiltonian(u)
+        assert h.shape == (5, 2, 2)
+        for row, hi in zip(u, h):
+            assert np.array_equal(hi, model.hamiltonian(row))
+        with pytest.raises(DimensionMismatchError):
+            model.hamiltonian(np.zeros((5, 3)))
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            model.hamiltonian([[0.1, 0.2], [np.nan, 0.0]])
+
 
 class TestNonFiniteRejected:
     def test_check_hermitian(self):
