@@ -8,14 +8,17 @@ ever see the past record, so adaptedness holds by construction.
 Each step is a Strang split around the Rouchon-Ralph Kraus map (Phys. Rev.
 A 91, 012118, 2015): rho <- U rho U^dag with the Cayley half step
 U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar), then
-`operators.kraus_map`, then U again, then the Hermitian part.  The mean in
-dy is taken at the state the Kraus map measures, after the first half step,
-and the record gets that same dy.  Every state is positive semidefinite
-with unit trace by construction, up to rounding; nothing is projected.
+`operators.kraus_map`, then U again, then the Hermitian part; a diagonal
+H(u), as H0 = omega a^dag a, gives a closed-form diagonal U (`_half_step`).
+The mean in dy is taken at the state the Kraus map measures, after the
+first half step, and the record gets that same dy.  Every state is positive
+semidefinite with unit trace by construction, up to rounding; nothing is
+projected.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -144,15 +147,29 @@ def noise_increments(seed, n_steps, dt):
 
 
 def _conjugate(rho, ud):
-    """U rho U^dag as (rho U^dag)^dag U^dag for U^dag from `_KrausStep.half_step`.
+    """U rho U^dag as (rho U^dag)^dag U^dag for U^dag (d, d) or (n, d, d).
     A shared (d, d) U^dag is one (n d, d) GEMM per product, not n small ones."""
-    if ud is None:
-        return rho
     if ud.ndim == 3:
         return ops.dagger(rho @ ud) @ ud
     n, d = rho.shape[:2]
     u_rho = ops.dagger((rho.reshape(n * d, d) @ ud).reshape(n, d, d))
     return (u_rho.reshape(n * d, d) @ ud).reshape(n, d, d)
+
+
+def _half_step(h, s):
+    """rho -> U rho U^dag for U = `ops.cayley`(h, s) and h (d, d) or (n, d, d),
+    or None when h = 0, where U is exactly I.  A diagonal h gives a diagonal U,
+    u_j = (1 - i s h_jj) / (1 + i s h_jj), and U rho U^dag is rho times the
+    phase matrix u_j conj(u_k): no solve and no GEMM.  Any other h takes the
+    dense solve and `_conjugate`."""
+    if not h.any():
+        return None
+    diag = np.diagonal(h, axis1=-2, axis2=-1)
+    if np.count_nonzero(h) == np.count_nonzero(diag):
+        u = (1.0 - 1j * s * diag) / (1.0 + 1j * s * diag)
+        phase = u[..., :, None] * np.conj(u[..., None, :])
+        return lambda rho: rho * phase
+    return partial(_conjugate, ud=ops.dagger(ops.cayley(h, s)))
 
 
 class _KrausStep:
@@ -164,27 +181,25 @@ class _KrausStep:
 
     def __init__(self, model, dt, n):
         self.model, self.dt = model, dt
-        self.rows = self.ud = None
+        self.rows = self.conjugate = None
         self.work = ops.KrausWork(model.kraus, n)
 
     def half_step(self, u):
-        """U^dag of the Cayley half step for controls u (n, k): (d, d) when every
-        row equals the first, else (n, d, d) from one batched solve.  None when
-        H(u) = 0 for every row, where U is exactly I and is skipped."""
+        """`_half_step` for controls u (n, k): shared when every row equals the
+        first, else one per state; None when H(u) = 0 for every row."""
         if (u == u[:1]).all():
             u = u[0]
         if self.rows is None or not np.array_equal(u, self.rows):
             h = self.model.hamiltonian(u)
             self.rows = u.copy()
-            self.ud = (ops.dagger(ops.cayley(h, self.dt / (4.0 * self.model.hbar)))
-                       if h.any() else None)
-        return self.ud
+            self.conjugate = _half_step(h, self.dt / (4.0 * self.model.hbar))
+        return self.conjugate
 
     def __call__(self, u, rho, dW):
         """Returns (rho', dy) with the mean in dy taken at the measured state."""
-        ud = self.half_step(u)
-        rho, dy = ops.kraus_map(self.model.kraus, _conjugate(rho, ud), dW, self.dt, self.work)
-        rho = _conjugate(rho, ud)
+        conjugate = self.half_step(u) or (lambda r: r)
+        rho, dy = ops.kraus_map(self.model.kraus, conjugate(rho), dW, self.dt, self.work)
+        rho = conjugate(rho)
         rho = rho + ops.dagger(rho)
         rho *= 0.5
         return rho, dy

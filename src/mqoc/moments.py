@@ -10,7 +10,7 @@ is one channel L = Gamma_l . (x; p).
 The filter runs in real quadrature coordinates: the conditional mean
 follows dXhat = (A Xhat + B u) dt + Ktilde dYtilde with Ktilde = Sigma C^T + M,
 and Sigma follows a Riccati recursion that never reads the record.  So
-`covariance_path` computes Sigma and Ktilde once per call, and
+`covariance_path` caches Sigma and Ktilde per model and inputs, and
 `run_moment_filter` advances a whole batch of means against them.  Model
 files are the package's key-value text (`save_linear_model`).
 """
@@ -136,8 +136,8 @@ class LinearModel:
     n states, d controls, q measured outputs.  M_cov is the constant part of
     the filter gain (a covariance of noise increments, treated as a free
     model parameter), and F F^T the optional diffusion of the covariance.
-    Sigma and Ktilde never read the record: `covariance_path` computes them
-    once per filter call.  The optional construction block records the
+    Sigma and Ktilde never read the record, so `covariance_path` caches them
+    per model and inputs.  The optional construction block records the
     Hamiltonian parameters the A/B matrices came from (`CONSTRUCTION_KEYS`);
     `save_linear_model` writes the model as key-value text.
     """
@@ -253,15 +253,24 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
 
     Ktilde_k = `kalman_gain`(Sigma_k) and Sigma_{k+1} = `covariance_step`
     (Sigma_k, Ktilde_k) never read the record, so one path serves every
-    trajectory of a filter call.  The model's matrices were checked when it
-    was built and sigma0 is checked here, so the loop runs the two updates
-    without re-validating them.  The path is checked once, at the end: a
-    non-finite Sigma raises NumericalBlowupError, and a symmetric part with
-    an eigenvalue below -SIGMA_PSD_TOL raises RejectedInputError.
+    trajectory.  It is cached per model and inputs: the model keeps its last
+    path, keyed by n_steps, include_diffusion and the content of A, C, M_cov,
+    F (with diffusion), sigma0 and dt, and returns it read-only.  The model's
+    matrices were checked when it was built and sigma0 is checked here, so
+    the loop runs the two updates without re-validating them.  A new path
+    is checked at the end and cached only if it passes: a non-finite Sigma
+    raises NumericalBlowupError, and a symmetric part with an eigenvalue
+    below -SIGMA_PSD_TOL raises RejectedInputError.
     """
     sigma0 = _mat(sigma0, "sigma0")
     if sigma0.shape != (model.n, model.n):
         raise DimensionMismatchError(f"sigma0 must be {(model.n, model.n)}, got {sigma0.shape}")
+    inputs = (model.A, model.C, model.M_cov, sigma0, np.asarray(dt))
+    inputs += (model.F,) if include_diffusion else ()
+    key = (n_steps, include_diffusion) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in inputs)
+    cached = getattr(model, "_covariance_path", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
     sigmas = np.empty((n_steps + 1, model.n, model.n))
     gains = np.empty((n_steps, model.n, model.q))
     sigmas[0] = sigma0
@@ -274,6 +283,8 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
     sym = (sigmas + np.swapaxes(sigmas, 1, 2)) / 2
     if np.min(np.linalg.eigvalsh(sym)) < -SIGMA_PSD_TOL:
         raise RejectedInputError("symmetric part of sigma must be PSD along the covariance path")
+    sigmas.flags.writeable = gains.flags.writeable = False
+    object.__setattr__(model, "_covariance_path", (key, (sigmas, gains)))
     return sigmas, gains
 
 
@@ -294,9 +305,9 @@ def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None
 
     innovations (..., n_steps, q) and controls (..., n_steps, d) hold one
     row per step, None meaning zero; their leading axes broadcast to the
-    batch shape.  The covariance path is shared (`covariance_path`), so
-    xhat_path has shape (*batch, n_steps + 1, n) and sigma_path
-    (n_steps + 1, n, n).
+    batch shape.  The covariance path is shared and cached per model and
+    inputs (`covariance_path`), so xhat_path has shape
+    (*batch, n_steps + 1, n) and sigma_path, read-only, (n_steps + 1, n, n).
     """
     if any(np.iscomplexobj(getattr(model, name)) for name in ("A", "B", "C", "M_cov")):
         raise RejectedInputError("moment filtering runs in the real quadrature representation")
@@ -307,15 +318,18 @@ def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None
     xs = np.empty(batch + (n_steps + 1, model.n))
     xs[..., 0, :] = state.xhat
     # Means are column vectors: a stacked matmul does one matrix-vector
-    # product per record, so a batch gives the bits of its records one by one.
+    # product per record and step, so a batch gives the bits of its records
+    # one by one, and B u and Ktilde dy take one stacked matmul for all steps.
     x = np.broadcast_to(state.xhat[:, None], batch + (model.n, 1)).copy()
+    bu = None if u is None else model.B @ u
+    kdy = None if dy is None else gains @ dy
     for k in range(n_steps):
         drift = model.A @ x
-        if u is not None:
-            drift = drift + model.B @ u[..., k, :, :]
+        if bu is not None:
+            drift = drift + bu[..., k, :, :]
         x = x + drift * dt
-        if dy is not None:
-            x = x + gains[k] @ dy[..., k, :, :]
+        if kdy is not None:
+            x = x + kdy[..., k, :, :]
         xs[..., k + 1, :] = x[..., 0]
     if not np.all(np.isfinite(xs)):
         raise NumericalBlowupError("non-finite mean in run_moment_filter")

@@ -413,6 +413,91 @@ class TestKrausPhysicality:
         growth = (peak(800) - peak(200)) / (n_traj * 600)
         assert growth <= 64
 
+    def test_diagonal_feedback_memory_flat_in_step_count(self, monkeypatch):
+        # Hc = sigma_z with state feedback: a new diagonal H(u) per state at
+        # every step, whose phases may not accumulate either.
+        model = ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=ops.SIGMA_Z + 0.3 * ops.SIGMA_X,
+                                 Hc=(ops.SIGMA_Z,))
+        rho0 = 0.5 * (np.eye(2) + 0.6 * ops.SIGMA_X + 0.3 * ops.SIGMA_Z)
+        policy = batched(lambda t, rho, past: -0.5 * rho[:, 0, 1:].real)
+        monkeypatch.setattr(ops, "cayley", refuse_cayley)
+        n_traj = 20
+
+        def peak(n_steps):
+            cfg = bel.SmeConfig(dt=1e-3, T=n_steps * 1e-3)
+            tracemalloc.start()
+            try:
+                bel.simulate_ensemble(model, policy, cfg, rho0, range(n_traj), keep_states=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)
+        growth = (peak(800) - peak(200)) / (n_traj * 600)
+        assert growth <= 64
+
+
+def refuse_cayley(h, s):
+    raise AssertionError("dense Cayley solve for a diagonal H(u)")
+
+
+def dense_split_step(model, u, rho, dW, dt):
+    """The split Kraus step with U from the dense `ops.cayley` solve."""
+    U = ops.cayley(model.hamiltonian(u), dt / (4.0 * model.hbar))
+    r, dy = ops.kraus_map(model.kraus, U @ rho @ ops.dagger(U), dW, dt)
+    r = U @ r @ ops.dagger(U)
+    return (r + ops.dagger(r)) / 2.0, dy
+
+
+class TestDiagonalHalfStep:
+    QUBIT_Z_CONTROL = ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=ops.SIGMA_Z + 0.4 * ops.SIGMA_X,
+                                       Hc=(ops.SIGMA_Z,))
+
+    @staticmethod
+    def states(dim, n, seed):
+        x = np.random.default_rng(seed).normal(size=(2, n, dim, dim))
+        rho = (x[0] + 1j * x[1]) @ ops.dagger(x[0] + 1j * x[1])
+        return rho / np.einsum("nii->n", rho)[:, None, None]
+
+    @pytest.mark.parametrize("case", ["oscillator_shared", "qubit_per_state"])
+    def test_matches_dense_cayley(self, case, monkeypatch):
+        if case == "oscillator_shared":
+            model, rho0, _ = oscillator()
+            u = np.zeros((4, 0))
+            rho = np.concatenate([rho0[None], self.states(21, 3, 1)])
+        else:
+            model = self.QUBIT_Z_CONTROL
+            u = np.array([[0.7], [-0.2], [1.3], [0.0]])
+            rho = self.states(2, 4, 2)
+        dW, dt = np.array([0.03, -0.05, 0.01, 0.0]), 1e-2
+        want, want_dy = dense_split_step(model, u, rho, dW, dt)
+        monkeypatch.setattr(ops, "cayley", refuse_cayley)
+        got, dy = bel._KrausStep(model, dt, len(rho))(u, rho, dW)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(dy - want_dy)) <= 1e-15
+
+    def test_off_diagonal_hamiltonian_takes_dense_solve(self, monkeypatch):
+        model = ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=ops.SIGMA_Z, Hc=(ops.SIGMA_Y,))
+        u, rho, dW, dt = np.array([[0.7], [-0.2]]), self.states(2, 2, 3), np.zeros(2), 1e-2
+        want, _ = dense_split_step(model, u, rho, dW, dt)
+        calls = []
+        cayley = ops.cayley
+
+        def counted(h, s):
+            calls.append(h.shape)
+            return cayley(h, s)
+
+        monkeypatch.setattr(ops, "cayley", counted)
+        got, _ = bel._KrausStep(model, dt, 2)(u, rho, dW)
+        assert calls == [(2, 2, 2)]
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_zero_hamiltonian_is_skipped(self):
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z, Hc=(ops.SIGMA_Z,))
+        step = bel._KrausStep(model, 1e-2, 3)
+        assert step.half_step(np.zeros((3, 1))) is None
+        assert step.half_step(np.array([[0.0], [0.5], [0.0]])) is not None
+
 
 class TestTrajectoryCost:
     def _traj(self, T=1.0, dt=1e-2, seed=1):

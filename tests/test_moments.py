@@ -384,6 +384,83 @@ class TestRunMomentFilter:
             mom.run_moment_filter(state, model, 1e-2, 5, innovations=np.full((5, 2), 1e308))
 
 
+class TestCovariancePathCache:
+    ARGS = {"sigma0": np.eye(2), "dt": 1e-2, "n_steps": 25, "include_diffusion": True}
+
+    @staticmethod
+    def count_updates(monkeypatch):
+        calls = []
+        update = mom._covariance_update
+
+        def counted(*args):
+            calls.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(mom, "_covariance_update", counted)
+        return calls
+
+    def test_repeat_call_takes_no_riccati_step(self, monkeypatch):
+        model = filter_inputs(9, (1, 2), 1e-2)[0]
+        calls = self.count_updates(monkeypatch)
+        first = mom.covariance_path(model, **self.ARGS)
+        assert len(calls) == 25
+        # The key is the content of the inputs, not their identity.
+        second = mom.covariance_path(model, **dict(self.ARGS, sigma0=np.eye(2)))
+        assert len(calls) == 25
+        assert all(a is b for a, b in zip(first, second))
+        # F is read only with diffusion.
+        no_diffusion = dict(self.ARGS, include_diffusion=False)
+        mom.covariance_path(model, **no_diffusion)
+        model.F[0, 0] += 0.5
+        mom.covariance_path(model, **no_diffusion)
+        assert len(calls) == 50
+
+    @pytest.mark.parametrize("change", [
+        "A_in_place", "F_in_place", "sigma0", "dt", "n_steps", "include_diffusion"])
+    def test_changed_input_recomputes(self, monkeypatch, change):
+        model = filter_inputs(9, (1, 2), 1e-2)[0]
+        args = dict(self.ARGS)
+        mom.covariance_path(model, **args)
+        if change == "A_in_place":
+            model.A[0, 1] += 0.1
+        elif change == "F_in_place":
+            model.F[1, 1] *= 2.0
+        elif change == "sigma0":
+            args["sigma0"] = 2.0 * np.eye(2)
+        elif change == "dt":
+            args["dt"] = 2e-2
+        elif change == "n_steps":
+            args["n_steps"] = 24
+        else:
+            args["include_diffusion"] = False
+        calls = self.count_updates(monkeypatch)
+        got = mom.covariance_path(model, **args)
+        assert len(calls) == args["n_steps"]
+        fresh = mom.LinearModel(A=model.A.copy(), B=model.B, C=model.C, F=model.F.copy(),
+                                M_cov=model.M_cov)
+        for g, w in zip(got, mom.covariance_path(fresh, **args)):
+            assert np.array_equal(g, w)
+
+    def test_returned_paths_are_read_only(self):
+        model, state, dys, _ = filter_inputs(9, (25, 2), 1e-2)
+        sigmas, gains = mom.covariance_path(model, state.sigma, 1e-2, 25)
+        _, sigma_path = mom.run_moment_filter(state, model, 1e-2, 25, innovations=dys)
+        for arr in (sigmas, gains, sigma_path):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("A, C, dt, n_steps, error", [
+        (np.zeros((2, 2)), np.eye(2), 3.0, 4, RejectedInputError),
+        (10.0 * np.eye(2), np.zeros((1, 2)), 1.0, 300, NumericalBlowupError),
+    ], ids=["leaves_psd", "non_finite"])
+    def test_failing_path_raises_on_every_call(self, A, C, dt, n_steps, error):
+        model = mom.LinearModel(A=A, B=np.zeros((2, 1)), C=C)
+        for _ in range(3):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+                mom.covariance_path(model, 0.5 * np.eye(2), dt, n_steps)
+
+
 class TestBelavkinAgreement:
     def test_first_moments_track_fock_filter(self):
         # Ground truth: dense filter on a cutoff-20 Fock space, fed to the
