@@ -133,8 +133,7 @@ def _seed_list(seeds):
     integers in [0, 2**64), the Philox key range (`noise_increments`)."""
     arr = np.asarray(seeds, dtype=object)
     if arr.ndim != 1 or not arr.size or not all(
-            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s < 2**64
-            for s in arr):
+            ops.is_count(s) and 0 <= s < 2**64 for s in arr):
         raise RejectedInputError("a seed must be an integer in [0, 2**64), and seeds a "
                                  "non-empty 1-D sequence of them")
     return [int(s) for s in arr]
@@ -142,6 +141,7 @@ def _seed_list(seeds):
 
 def noise_increments(seed, n_steps, dt):
     """Innovation increments dW ~ Normal(0, dt) from a Philox stream keyed by seed."""
+    ops.check_steps(dt, n_steps)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return rng.normal(0.0, np.sqrt(dt), size=n_steps)
 
@@ -328,17 +328,6 @@ def trajectory_cost(traj, cost):
     return total + cost.terminal_value(traj.states[-1])
 
 
-def adjoint_generator(model, u, X):
-    """Heisenberg-picture generator: (i/hbar)[H, X] + sum_L (L^dag X L - (1/2){L^dag L, X})."""
-    h = model.hamiltonian(u)
-    out = (1j / model.hbar) * (h @ X - X @ h)
-    for L in model.channels():
-        Ld = ops.dagger(L)
-        LdL = Ld @ L
-        out = out + Ld @ X @ L - 0.5 * (LdL @ X + X @ LdL)
-    return out
-
-
 def filter_observable_check(traj, X, model):
     """Propagate the scalar SDE for the conditional expectation of X and
     return max_t |pi_t(X) - tr(rho_t X)| against the stored states.
@@ -354,10 +343,11 @@ def filter_observable_check(traj, X, model):
     X = ops.check_hermitian(np.asarray(X, dtype=complex), 1e-10, "X")
     dt = traj.dt
     dW = np.diff(traj.innovations_W)
-    # Along the stored states: tr(rho adjoint_generator(X)) = tr(X w), and
+    # Along the stored states, with G* the Heisenberg-picture generator:
+    # tr(rho G*(X)) = tr(X w), and
     # <X L + L^dag X> = tr(X (L rho + rho L^dag)) = tr(X sigma) + <L + L^dag> <X>.
     u, rho = ops.check_drift_inputs(model, traj.controls[:-1], traj.states[:-1])
-    w, sig, lsum_vals = ops.drift_and_fluctuation(model.block, u, rho)
+    w, sig, lsum_vals = ops.drift_and_fluctuation(model, u, rho)
     refs = np.real(np.einsum("tij,ji->t", traj.states, X))
     gen_vals = np.real(np.einsum("tij,ji->t", w, X))
     xl_vals = np.real(np.einsum("tij,ji->t", sig, X)) + lsum_vals * refs[:-1]

@@ -90,6 +90,8 @@ class GridSpec:
     store_every: int = 1
 
     def __post_init__(self):
+        if not all(map(ops.is_count, (self.n_space, self.n_time, self.store_every))):
+            raise RejectedInputError("n_space, n_time and store_every must be integers")
         if not 0 < self.T < np.inf or self.n_space < 5 or self.n_time < 1:
             raise RejectedInputError("GridSpec needs finite T > 0, n_space >= 5, n_time >= 1")
         if self.hamiltonian_sign not in (SIGN_STANDARD, SIGN_PAPER):
@@ -353,6 +355,8 @@ def write_grid_csv(grid, path, times=None):
 
     tp = grid.time_points
     times = np.asarray([tp[0]] if times is None else times, dtype=float)
+    if not times.size:
+        raise RejectedInputError("write_grid_csv needs at least one time")
     _check_times(grid, times)
     idx = [int(np.argmin(np.abs(tp - t))) for t in times]
     pts = _stencil(grid.n_space).points_in

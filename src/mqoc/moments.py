@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators as ops
 from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
 from .io import read_keyvalue, write_keyvalue
 
@@ -203,6 +204,10 @@ class MomentState:
     sigma: np.ndarray
 
     def __post_init__(self):
+        for name in ("xhat", "sigma"):
+            v = np.asarray(getattr(self, name))
+            if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
+                raise RejectedInputError(f"{name} must be real and finite")
         xhat = np.asarray(self.xhat, dtype=float).reshape(-1)
         sigma = _mat(self.sigma, "sigma")
         if sigma.shape != (len(xhat), len(xhat)):
@@ -260,8 +265,10 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
     the loop runs the two updates without re-validating them.  A new path
     is checked at the end and cached only if it passes: a non-finite Sigma
     raises NumericalBlowupError, and a symmetric part with an eigenvalue
-    below -SIGMA_PSD_TOL raises RejectedInputError.
+    below -SIGMA_PSD_TOL raises RejectedInputError, as do a dt that is not
+    finite and positive and an n_steps that is not a non-negative integer.
     """
+    ops.check_steps(dt, n_steps)
     sigma0 = _mat(sigma0, "sigma0")
     if sigma0.shape != (model.n, model.n):
         raise DimensionMismatchError(f"sigma0 must be {(model.n, model.n)}, got {sigma0.shape}")

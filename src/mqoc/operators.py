@@ -3,30 +3,21 @@
 All functions accept stacked inputs: a state argument may have shape
 (..., d, d) with leading batch axes, and operators broadcast against it.
 
-Drift and fluctuation come from one batched kernel, `drift_and_fluctuation`.
-Its precondition is that every state is Hermitian: then A rho = (rho A^dag)^dag,
-so every product the maths needs is a right product rho @ A.  Each model
-carries one `OperatorBlock`, its right factors side by side,
+`drift_and_fluctuation` writes the Schroedinger-picture generator once,
+straight from its formulas, for H(u) = H0 + sum_i u_i Hc[i] and every
+dissipative channel L of the model (the measured one first):
 
-    right = [G0^dag | (i/hbar) Hc[0] | ... | L^dag | L_extra[0]^dag | ...],
-    G0^dag = (i/hbar) H0 - (1/2) sum_L L^dag L,
+    w = -(i/hbar)[H(u), rho] + sum_L (L rho L^dag - (1/2){L^dag L, rho}),
+    sigma = L rho + rho L^dag - <L + L^dag> rho,   <L + L^dag> = 2 Re tr(L rho),
 
-so a stack of n states costs one GEMM (n d, d) @ (d, J d) plus one
-(n d, d) @ (d, d) product (L rho) L^dag per dissipative channel.  With
-Y = rho G(u)^dag, G(u)^dag = G0^dag + sum_i u_i (i/hbar) Hc[i], and
-V = rho L^dag for the measured L:
-
-    w = Y + Y^dag + sum_L (L rho) L^dag,      L rho = (rho L^dag)^dag,
-    sigma = V + V^dag - <L + L^dag> rho,      <L + L^dag> = 2 Re tr V.
-
-`lindblad_drift` and `fluctuation` validate their inputs, Hermiticity
-included, and call the kernel.  `BlochGenerator.of_model` calls it on the
+sigma for the measured channel only.  `lindblad_drift` and `fluctuation`
+validate their inputs and call it.  `BlochGenerator.of_model` calls it on the
 Pauli basis, and `belavkin.filter_observable_check` on validated stored
 states.
 
 The filter's step is positive by construction: `kraus_map` applies the
-Rouchon-Ralph map through a second right block per model, `kraus_block`,
-and `cayley` gives the unitary half steps around it.
+Rouchon-Ralph map through the one operator block a model precomputes,
+`kraus_block`, and `cayley` gives the unitary half steps around it.
 
 `project_physical` is set-up repair, not part of any step: it makes a
 start state exactly physical by clipping negative eigenvalues through
@@ -128,7 +119,6 @@ class QuantumModel:
     Hc: tuple = ()
     L_extra: tuple = ()
     hbar: float = 1.0
-    block: "OperatorBlock" = field(init=False, repr=False, compare=False)
     kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -151,7 +141,6 @@ class QuantumModel:
         object.__setattr__(self, "L", lop)
         object.__setattr__(self, "Hc", hc)
         object.__setattr__(self, "L_extra", extra)
-        object.__setattr__(self, "block", OperatorBlock.of_model(self))
         object.__setattr__(self, "kraus", kraus_block(self))
 
     @property
@@ -190,67 +179,26 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorBlock:
-    """Right factors of the drift and fluctuation, side by side for one GEMM.
+def drift_and_fluctuation(model, u, rho):
+    """Drift w, fluctuation sigma and <L + L^dag> of a stack of states (module docstring).
 
-    `right` is (d, J d): `n_gen` generator blocks (G0^dag, then (i/hbar) Hc[i]
-    per control; none for a fluctuation-only block), then L^dag per channel,
-    the measured channel first.  `daggers` holds the L^dag of every channel
-    whose dissipator enters the drift.
+    rho is (..., d, d), not checked here.  u is (k,) for one control shared
+    by all states or (..., k) per state.  Returns (w, sigma, mean).
     """
-
-    right: np.ndarray
-    n_gen: int
-    daggers: tuple
-
-    @classmethod
-    def of_model(cls, model):
-        daggers = tuple(dagger(L) for L in model.channels())
-        g0 = (1j / model.hbar) * model.H0 - 0.5 * sum(
-            ld @ L for ld, L in zip(daggers, model.channels()))
-        cols = (g0,) + tuple((1j / model.hbar) * h for h in model.Hc) + daggers
-        return cls(np.concatenate(cols, axis=1), 1 + model.n_controls, daggers)
-
-    @classmethod
-    def of_channel(cls, L):
-        """Fluctuation only, for the measured channel L."""
-        return cls(dagger(L), 0, ())
-
-    @property
-    def dim(self):
-        return self.right.shape[0]
+    h = model.hamiltonian(u)
+    w = (-1j / model.hbar) * (h @ rho - rho @ h)
+    for L in model.channels():
+        ld = dagger(L)
+        ldl = ld @ L
+        w = w + L @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
+    return (w,) + _fluctuation(model.L, rho)
 
 
-def drift_and_fluctuation(block, u, rho):
-    """Drift w, fluctuation sigma and <L + L^dag> of a stack of Hermitian states.
-
-    rho is (..., d, d) and must be Hermitian (not checked here; see the module
-    docstring).  u is (k,) for one control shared by all states or (..., k)
-    per state.  Returns (w, sigma, mean) with w None for a block without
-    generator.
-    """
-    d = block.dim
-    batch = rho.shape[:-2]
-    rho = rho.reshape(-1, d, d)
-    n = rho.shape[0]
-    prod = (rho.reshape(n * d, d) @ block.right).reshape(n, d, -1, d)
-    v = prod[:, :, block.n_gen]
-    mean = 2.0 * np.real(np.einsum("nii->n", v))
-    sig = v + dagger(v) - mean[:, None, None] * rho
-    w = None
-    if block.n_gen:
-        y = prod[:, :, 0]
-        if block.n_gen > 1:
-            c = np.broadcast_to(u, batch + (block.n_gen - 1,)).reshape(n, -1)
-            for i in range(block.n_gen - 1):
-                y = y + c[:, i, None, None] * prod[:, :, 1 + i]
-        w = y + dagger(y)
-        for j, ld in enumerate(block.daggers):
-            l_rho = dagger(prod[:, :, block.n_gen + j]).reshape(n * d, d)
-            w += (l_rho @ ld).reshape(n, d, d)
-        w = w.reshape(batch + (d, d))
-    return w, sig.reshape(batch + (d, d)), mean.reshape(batch)
+def _fluctuation(L, rho):
+    """(sigma, <L + L^dag>) of the channel L at the states rho."""
+    l_rho = L @ rho
+    mean = 2.0 * np.real(trace(l_rho))
+    return l_rho + rho @ dagger(L) - mean[..., None, None] * rho, mean
 
 
 def kraus_block(model):
@@ -356,7 +304,7 @@ class BlochGenerator:
         k = model.n_controls
         u = np.concatenate([np.zeros((1, k)), np.eye(k)])
         w, sig, mean = drift_and_fluctuation(
-            model.block, np.repeat(u[:, None], 4, axis=1),
+            model, np.repeat(u[:, None], 4, axis=1),
             np.broadcast_to(PAULI_BASIS / 2.0, (1 + k, 4, 2, 2)))
         wb = pauli_components(w)  # (1 + k, basis, component)
         A = np.swapaxes(wb[:, 1:], 1, 2).copy()
@@ -377,6 +325,18 @@ class BlochGenerator:
     def diffusion(self, r):
         """s(r) for r (..., 3)."""
         return self.s0 + r @ self.S1.T - (r @ self.ell)[..., None] * r
+
+
+def is_count(n):
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def check_steps(dt, n_steps):
+    """Refuse all but a finite step dt > 0 and an integer step count n_steps >= 0."""
+    if not (0 < dt < np.inf and is_count(n_steps) and n_steps >= 0):
+        raise RejectedInputError(
+            f"need finite dt > 0 and integer n_steps >= 0, got dt={dt}, n_steps={n_steps}")
 
 
 def check_control(model, u, batch=()):
@@ -412,7 +372,7 @@ def lindblad_drift(model, u, rho):
     u may hold one control per state, shape (..., k).
     """
     u, rho = check_drift_inputs(model, u, rho)
-    return drift_and_fluctuation(model.block, u, rho)[0]
+    return drift_and_fluctuation(model, u, rho)[0]
 
 
 def fluctuation(L, rho):
@@ -422,7 +382,7 @@ def fluctuation(L, rho):
         raise RejectedInputError(f"L must be a single matrix, got shape {L.shape}")
     rho = check_hermitian(rho, name="rho")
     _same_dim(L, rho, "L and rho")
-    return drift_and_fluctuation(OperatorBlock.of_channel(L), None, rho)[1]
+    return _fluctuation(L, rho)[0]
 
 
 def expectation(rho, X):

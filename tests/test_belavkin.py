@@ -6,6 +6,7 @@ import pytest
 from mqoc import belavkin as bel
 from mqoc import operators as ops
 from mqoc.errors import DimensionMismatchError, RejectedInputError
+from reference import adjoint_generator
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -98,6 +99,18 @@ class TestSeeds:
             w = bel.simulate_ensemble(QUBIT_Z, None, self.CFG, MIXED, seeds)[4]
             assert np.array_equal(w[0], want)
         assert bel.SmeConfig(dt=0.1, T=0.2, seed=top).seed == top
+
+
+class TestNoiseIncrements:
+    @pytest.mark.parametrize("n_steps, dt", [(5, -0.01), (5, 0.0), (5, np.nan), (-1, 0.01),
+                                             (2.5, 0.01)],
+                             ids=["negative_dt", "zero_dt", "nan_dt", "negative_steps",
+                                  "float_steps"])
+    def test_rejects_bad_step(self, n_steps, dt):
+        # Before: dt < 0 gave NaN increments with only a RuntimeWarning, and
+        # n_steps < 0 raised a bare numpy ValueError.
+        with pytest.raises(RejectedInputError, match="n_steps"):
+            bel.noise_increments(1, n_steps, dt)
 
 
 class TestStepSme:
@@ -568,7 +581,7 @@ class TestFilterObservableCheck:
             m = np.real(np.trace(traj.states[0] @ X))
             for k in range(traj.n_steps):
                 rho = traj.states[k]
-                gen = np.real(np.trace(rho @ bel.adjoint_generator(model, traj.controls[k], X)))
+                gen = np.real(np.trace(rho @ adjoint_generator(model, traj.controls[k], X)))
                 xl = np.real(np.trace(rho @ (X @ L + ops.dagger(L) @ X)))
                 lsum = np.real(np.trace(rho @ (L + ops.dagger(L))))
                 dW = traj.innovations_W[k + 1] - traj.innovations_W[k]

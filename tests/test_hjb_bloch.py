@@ -426,6 +426,16 @@ class TestGridSpec:
             hjb.GridSpec(T=T)
 
 
+    @pytest.mark.parametrize("sizes", [{"n_time": 10.0}, {"n_space": 5.5},
+                                       {"store_every": 1.0}, {"n_time": True}],
+                             ids=["float_n_time", "float_n_space", "float_store_every",
+                                  "bool_n_time"])
+    def test_rejects_non_integer_sizes(self, sizes):
+        # Before: accepted, and solve_hjb_grid then failed with a bare TypeError.
+        with pytest.raises(RejectedInputError, match="integers"):
+            hjb.GridSpec(T=0.1, **sizes)
+
+
 class TestGridCsv:
     def test_export_default_slice(self, tmp_path):
         cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)),
@@ -453,6 +463,16 @@ class TestGridCsv:
             assert np.all(half[:, 0] == grid.time_points[k])
             assert np.array_equal(half[:, 1:4], pts)
             assert np.array_equal(half[:, 4], grid.values[k])
+
+    def test_rejects_empty_times(self, tmp_path):
+        # Before: a bare ValueError from np.concatenate.
+        cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)),
+                            terminal_op=np.diag([0.0, 1.0]).astype(complex))
+        grid = hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)],
+                                  hjb.GridSpec(T=0.05, n_space=11, n_time=20))
+        with pytest.raises(RejectedInputError, match="at least one time"):
+            hjb.write_grid_csv(grid, tmp_path / "grid.csv", times=[])
+        assert not (tmp_path / "grid.csv").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, -3.0, 5.0])
     def test_rejects_time_outside_range(self, tmp_path, bad):

@@ -8,6 +8,7 @@ from mqoc import belavkin as bel
 from mqoc import moments as mom
 from mqoc import operators as ops
 from mqoc.errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
+from reference import adjoint_generator
 
 
 def oscillator_R(omega, hbar=1.0):
@@ -53,7 +54,7 @@ def fock_drift(R, gamma, hbar=1.0, dim=8, low=3):
     basis = np.stack([x[keep].ravel() for x in X], axis=1)
     A = np.empty((2 * m, 2 * m), dtype=complex)
     for k in range(2 * m):
-        gen = bel.adjoint_generator(model, np.zeros(0), X[k])[keep].ravel()
+        gen = adjoint_generator(model, np.zeros(0), X[k])[keep].ravel()
         A[k], *_ = np.linalg.lstsq(basis, gen, rcond=None)
         assert np.max(np.abs(basis @ A[k] - gen)) < 1e-10, "generator not linear in X"
     return A
@@ -382,6 +383,41 @@ class TestRunMomentFilter:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalBlowupError, match="mean"):
             mom.run_moment_filter(state, model, 1e-2, 5, innovations=np.full((5, 2), 1e308))
+
+    @pytest.mark.parametrize("dt, n_steps", [(-0.01, 5), (0.0, 5), (0.01, -1), (0.01, 2.5),
+                                             (0.01, True)],
+                             ids=["negative_dt", "zero_dt", "negative_steps", "float_steps",
+                                  "bool_steps"])
+    def test_rejects_bad_step(self, dt, n_steps):
+        # Before: both dt returned a path, -1 raised a bare numpy ValueError and
+        # 2.5 a bare TypeError.
+        model = mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2))
+        state = mom.MomentState(xhat=[0.0, 0.0], sigma=0.5 * np.eye(2))
+        with pytest.raises(RejectedInputError, match="n_steps"):
+            mom.covariance_path(model, state.sigma, dt, n_steps)
+        with pytest.raises(RejectedInputError, match="n_steps"):
+            mom.run_moment_filter(state, model, dt, n_steps)
+        assert getattr(model, "_covariance_path", None) is None
+
+    def test_step_rejects_bad_dt(self):
+        model = mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2))
+        state = mom.MomentState(xhat=[0.0, 0.0], sigma=0.5 * np.eye(2))
+        with pytest.raises(RejectedInputError, match="dt > 0"):
+            mom.moment_filter_step(state, [0.0], [0.0, 0.0], model, 0.0)
+
+
+class TestMomentState:
+    @pytest.mark.parametrize("xhat, sigma", [
+        ([0.1j, 0.0], np.eye(2)),
+        ([0.0, 0.0], np.eye(2) + 0.1j * np.eye(2)[::-1]),
+        ([np.nan, 0.0], np.eye(2)),
+        ([0.0, 0.0], np.diag([1.0, np.inf])),
+    ], ids=["complex_xhat", "complex_sigma", "nan_xhat", "inf_sigma"])
+    def test_rejects_complex_or_non_finite(self, xhat, sigma):
+        # Before: a complex entry lost its imaginary part with a ComplexWarning,
+        # and a non-finite one was kept.
+        with pytest.raises(RejectedInputError, match="real and finite"):
+            mom.MomentState(xhat=xhat, sigma=sigma)
 
 
 class TestCovariancePathCache:

@@ -285,7 +285,7 @@ class TestBlochGeneratorProperties:
         r = random_ball_points(rng, 5, 1.0)
         u = rng.normal(size=(5, n_controls))
         b, s = hjb.bloch_dynamics(model, u, r)
-        w, sig, _ = ops.drift_and_fluctuation(model.block, u, hjb.density_from_bloch(r))
+        w, sig, _ = ops.drift_and_fluctuation(model, u, hjb.density_from_bloch(r))
         assert np.max(np.abs(b - hjb.bloch_from_density(w))) <= 1e-12
         assert np.max(np.abs(s - hjb.bloch_from_density(sig))) <= 1e-12
 
