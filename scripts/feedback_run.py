@@ -48,7 +48,6 @@ def main():
     def policy(t, rho, past):
         return -0.3 * np.real(np.einsum("nij,qji->nq", rho, px))
 
-    policy.batched = True
     dt = 1e-3
     cfg = bel.SmeConfig(dt=dt, T=args.steps * dt)
     start = time.perf_counter()

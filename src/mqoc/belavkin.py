@@ -142,6 +142,7 @@ def _seed_list(seeds):
 def noise_increments(seed, n_steps, dt):
     """Innovation increments dW ~ Normal(0, dt) from a Philox stream keyed by seed."""
     ops.check_steps(dt, n_steps)
+    (seed,) = _seed_list([seed])
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return rng.normal(0.0, np.sqrt(dt), size=n_steps)
 
@@ -223,25 +224,13 @@ def innovation_increment(dy, rho, L, dt):
     return dy - float(np.real(ops.expectation(rho, L + ops.dagger(L)))) * dt
 
 
-def _policy_controls(policy, model, t, rho_b, times, y_b, w_b, k):
-    """Evaluate a policy for every trajectory in the batch at step k.
-
-    Every output passes `ops.check_control`: a batched policy returns one
-    shared control (k,) or one row per trajectory (n_traj, k), a
-    per-trajectory policy one control (k,) per call.
-    """
-    n_traj = rho_b.shape[0]
+def _policy_controls(policy, model, rho, times, y, w, k):
+    """The checked controls of the batch rho (n_traj, d, d) at step k, shared or
+    one row per trajectory; the policy contract is `simulate_ensemble`'s."""
     if policy is None:
-        return np.zeros((n_traj, model.n_controls))
-    if getattr(policy, "batched", False):
-        past = RecordView(times[: k + 1], y_b[:, : k + 1], w_b[:, : k + 1])
-        u = ops.check_control(model, policy(t, rho_b, past), (n_traj,))
-        return np.broadcast_to(u, (n_traj, model.n_controls))
-    out = np.empty((n_traj, model.n_controls))
-    for i in range(n_traj):
-        past = RecordView(times[: k + 1], y_b[i, : k + 1], w_b[i, : k + 1])
-        out[i] = ops.check_control(model, policy(t, rho_b[i], past))
-    return out
+        return np.zeros(model.n_controls)
+    past = RecordView(times[: k + 1], y[:, : k + 1], w[:, : k + 1])
+    return ops.check_control(model, policy(times[k], rho, past), (len(rho),))
 
 
 def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
@@ -249,6 +238,12 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
 
     Each step is the split Kraus step (module docstring) and y advances by
     the step's own dy.
+
+    policy is None (every control 0) or policy(t, rho, past), called on the
+    whole batch at each step k = 0..n_steps: rho is the (n_traj, d, d) stack
+    of states and past a `RecordView` of times (k+1,), y and W (n_traj, k+1).
+    It returns one shared control (n_controls,) or one per trajectory
+    (n_traj, n_controls).
 
     Returns (times, states, controls, record_y, innovations_W) where states is
     (n_traj, n_steps+1, d, d) if keep_states else the final slice only.
@@ -279,11 +274,9 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
 
     step = _KrausStep(model, cfg.dt, n_traj)
     for k in range(n):
-        t = times[k]
-        u = _policy_controls(policy, model, t, rho, times, y, w_path, k)
-        controls[:, k] = u
+        controls[:, k] = _policy_controls(policy, model, rho, times, y, w_path, k)
         dW = w_path[:, k + 1].copy()
-        rho, dy = step(u, rho, dW)
+        rho, dy = step(controls[:, k], rho, dW)
         total = rho.sum()
         if not (np.isfinite(total.real) and np.isfinite(total.imag)):
             bad = np.where(~np.isfinite(rho.reshape(n_traj, -1)).all(axis=1))[0]
@@ -296,8 +289,7 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
         if keep_states:
             states[:, k + 1] = rho
 
-    u_final = _policy_controls(policy, model, times[-1], rho, times, y, w_path, n)
-    controls[:, n] = u_final
+    controls[:, n] = _policy_controls(policy, model, rho, times, y, w_path, n)
     if not keep_states:
         states = rho[:, None]
     return times, states, controls, y, w_path

@@ -34,7 +34,6 @@ BLOCH_NORM_TOL = 1e-9
 STABILITY_EPS = 1e-12
 
 SIGN_STANDARD = "standard"
-SIGN_PAPER = "paper"
 
 
 def check_bloch(r):
@@ -77,16 +76,11 @@ def bloch_dynamics(model, u, r):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Spatial/temporal resolution of the value grid and the sign convention.
-
-    hamiltonian_sign selects how the drift enters the minimized Hamiltonian:
-    'standard' uses +<b, grad S>, 'paper' flips the drift sign.
-    """
+    """Spatial/temporal resolution of the value grid."""
 
     T: float
     n_space: int = 21
     n_time: int = 200
-    hamiltonian_sign: str = SIGN_STANDARD
     store_every: int = 1
 
     def __post_init__(self):
@@ -94,8 +88,6 @@ class GridSpec:
             raise RejectedInputError("n_space, n_time and store_every must be integers")
         if not 0 < self.T < np.inf or self.n_space < 5 or self.n_time < 1:
             raise RejectedInputError("GridSpec needs finite T > 0, n_space >= 5, n_time >= 1")
-        if self.hamiltonian_sign not in (SIGN_STANDARD, SIGN_PAPER):
-            raise RejectedInputError(f"unknown hamiltonian_sign {self.hamiltonian_sign!r}")
         if self.store_every < 1 or self.n_time % self.store_every:
             raise RejectedInputError("store_every must divide n_time")
 
@@ -114,7 +106,8 @@ class ValueGrid:
     A cube (len(time_points), n, n, n) is also accepted, and only its inside
     nodes are kept.  The geometry belongs to `_stencil(n)`, with n = len(axes[0])
     and n >= 5: axes must be linspace(-1, 1, n) three times, h its spacing and
-    inside its ball mask (n, n, n), or the grid is refused.
+    inside its ball mask (n, n, n), or the grid is refused, as is any
+    convention but SIGN_STANDARD (the HJB that `solve_hjb_grid` integrates).
     """
 
     time_points: np.ndarray
@@ -129,7 +122,7 @@ class ValueGrid:
         if tp.ndim != 1 or len(tp) < 2 or not np.all(np.isfinite(tp)) or np.any(np.diff(tp) <= 0):
             raise RejectedInputError(
                 "time_points must be at least two finite, strictly increasing times")
-        if self.convention not in (SIGN_STANDARD, SIGN_PAPER):
+        if self.convention != SIGN_STANDARD:
             raise RejectedInputError(f"unknown convention {self.convention!r}")
         n = len(self.axes[0])
         if n < 5:
@@ -232,8 +225,8 @@ def expectation_fields(operators, r):
     return 0.5 * (traces[:, :1] + traces[:, 1:] @ r.T)
 
 
-def _sweep_weights(stencil, drift, s, sign):
-    """Tap weights of the diffusion term (19, N_in) and of the signed drift (n_u, 3, N_in).
+def _sweep_weights(stencil, drift, s):
+    """Tap weights of the diffusion term (19, N_in) and of the drift (n_u, 3, N_in).
 
     With V = v[taps], the diffusion term 1/2 s^T Hess(v) s is
     sum_t w_diff[t] V[t] and control u's drift term is
@@ -241,7 +234,7 @@ def _sweep_weights(stencil, drift, s, sign):
     """
     q = np.concatenate([0.5 * s.T ** 2, [s[:, a] * s[:, b] for a, b in _PAIRS]])
     w_diff = _PATTERN[3:].T @ (q * stencil.scale[3:])
-    w_drift = sign * np.transpose(drift, (0, 2, 1)) * stencil.scale[:3]
+    w_drift = np.transpose(drift, (0, 2, 1)) * stencil.scale[:3]
     return w_diff, w_drift
 
 
@@ -254,7 +247,8 @@ def _explicit_step(v, stencil, running, w_diff, w_drift, dt):
 
 
 def solve_hjb_grid(model, cost, u_grid, spec):
-    """Backward explicit scheme for the minimized Hamiltonian over u_grid."""
+    """Backward explicit scheme for the cost-to-go S on the ball: S(T) = <M> and
+    -dS/dt = min over u_grid of <C(t, u)> + <b, grad S> + (1/2) s^T Hess(S) s."""
     gen = model.bloch
     u_grid = [ops.check_control(model, u) for u in u_grid]
     if not u_grid:
@@ -268,8 +262,7 @@ def solve_hjb_grid(model, cost, u_grid, spec):
         raise StabilityError(
             f"explicit scheme unstable: dt={spec.dt:.3e} exceeds h^2/(6 max|s|^2) = "
             f"{dt_max:.3e}; increase n_time to at least {int(np.ceil(spec.T / dt_max))}")
-    sign = 1.0 if spec.hamiltonian_sign == SIGN_STANDARD else -1.0
-    w_diff, w_drift = _sweep_weights(stencil, gen.drift(np.array(u_grid)[:, None], pts), s, sign)
+    w_diff, w_drift = _sweep_weights(stencil, gen.drift(np.array(u_grid)[:, None], pts), s)
 
     n_stored = spec.n_time // spec.store_every + 1
     stored = np.empty((n_stored, len(pts)))
@@ -288,7 +281,7 @@ def solve_hjb_grid(model, cost, u_grid, spec):
         axes=stencil.axes,
         values=stored,
         h=stencil.h,
-        convention=spec.hamiltonian_sign,
+        convention=SIGN_STANDARD,
         inside=stencil.inside,
     )
 

@@ -7,12 +7,11 @@ b(r, u) = A(u) r + c and diffusion s(r) = s0 + S1 r - (l.r) r (see
 `hjb_bloch`), the Hamiltonian and its exact gradient in r (p and P held
 fixed) are
 
-    H = <C(t, u)>(r) + sign <b, p> + (1/2) s^T P s,
-    grad_r H = tr(C sigma) / 2 + sign A(u)^T p + J^T (P + P^T) s / 2,
+    H = <C(t, u)>(r) + <b, p> + (1/2) s^T P s,
+    grad_r H = tr(C sigma) / 2 + A(u)^T p + J^T (P + P^T) s / 2,
 
 with <C>(r) = (tr C + r . tr(C sigma)) / 2 and J = ds/dr = S1 - (l.r) I - r l^T.
-The sign convention flag matches the grid solver: 'standard' puts +<b, p>
-in the Hamiltonian, 'paper' flips it.
+H is the minimand of the HJB that `hjb_bloch.solve_hjb_grid` integrates.
 """
 
 from dataclasses import asdict, dataclass
@@ -23,14 +22,6 @@ from . import hjb_bloch as hb
 from . import operators as ops
 from .errors import NumericalBlowupError, RejectedInputError
 from .io import write_keyvalue
-
-
-def _sign(convention):
-    if convention == hb.SIGN_STANDARD:
-        return 1.0
-    if convention == hb.SIGN_PAPER:
-        return -1.0
-    raise RejectedInputError(f"unknown convention {convention!r}")
 
 
 def _check_costate(p, P, batch=()):
@@ -46,26 +37,25 @@ def _check_costate(p, P, batch=()):
     return p, P
 
 
-def generalized_hamiltonian(t, u, rho, p, P, model, cost, convention=hb.SIGN_STANDARD):
-    """C + sign.<drift, p> + (1/2) s^T P s at u: the minimum over the one-point grid [u]."""
-    return minimize_hamiltonian(t, rho, p, P, model, cost, [u], convention)[1]
+def generalized_hamiltonian(t, u, rho, p, P, model, cost):
+    """C + <drift, p> + (1/2) s^T P s at u: the minimum over the one-point grid [u]."""
+    return minimize_hamiltonian(t, rho, p, P, model, cost, [u])[1]
 
 
-def hamiltonian_gradient_r(t, u, r, p, P, model, cost, convention=hb.SIGN_STANDARD):
+def hamiltonian_gradient_r(t, u, r, p, P, model, cost):
     """Exact gradient of the Hamiltonian in r, with p and P held fixed (module docstring)."""
-    sign = _sign(convention)
     gen = model.bloch
     r = hb.check_bloch(r)
     p, P = _check_costate(p, P, r.shape[:-1])
     u = ops.check_control(model, u)
     grad_c = 0.5 * ops.pauli_components(cost.running(t, u))
     jac = gen.S1 - (r @ gen.ell)[..., None, None] * np.eye(3) - r[..., :, None] * gen.ell
-    return (grad_c + sign * p @ gen.drift_matrix(u)
+    return (grad_c + p @ gen.drift_matrix(u)
             + np.einsum("...ji,...jk,...k->...i", jac, 0.5 * (P + np.swapaxes(P, -1, -2)),
                         gen.diffusion(r)))
 
 
-def minimize_hamiltonian(t, rho, p, P, model, cost, u_grid, convention=hb.SIGN_STANDARD):
+def minimize_hamiltonian(t, rho, p, P, model, cost, u_grid):
     """Exhaustive minimum over the control grid for one state or a stack of states.
 
     rho is (2, 2) with p (3,) and P (3, 3), or (n, 2, 2) with p (n, 3) and
@@ -82,7 +72,7 @@ def minimize_hamiltonian(t, rho, p, P, model, cost, u_grid, convention=hb.SIGN_S
     s = gen.diffusion(r)
     running = hb.expectation_fields([cost.running(t, u) for u in grid], r.reshape(-1, 3))
     h = (running.T.reshape(r.shape[:-1] + (len(grid),))
-         + _sign(convention) * np.einsum("...ui,...i->...u", gen.drift(grid, r[..., None, :]), p)
+         + np.einsum("...ui,...i->...u", gen.drift(grid, r[..., None, :]), p)
          + 0.5 * np.einsum("...i,...ij,...j->...", s, P, s)[..., None])
     return grid[np.argmin(h, axis=-1)], np.min(h, axis=-1)
 
@@ -93,8 +83,6 @@ class GridPolicy:
     Called with one state rho (2, 2) it returns one control (k,); with a
     stack (n, 2, 2) it returns (n, k) from one costate lookup for the stack.
     """
-
-    batched = True
 
     def __init__(self, grid, model, cost, u_grid):
         self.grid = grid
@@ -107,8 +95,7 @@ class GridPolicy:
     def __call__(self, t, rho, past):
         t = min(t, self.grid.T)
         p, P = hb.extract_costate(self.grid, t, hb.bloch_from_density(rho))
-        u, _ = minimize_hamiltonian(t, rho, p, P, self.model, self.cost, self.u_grid,
-                                    self.grid.convention)
+        u, _ = minimize_hamiltonian(t, rho, p, P, self.model, self.cost, self.u_grid)
         return u
 
 
@@ -122,7 +109,6 @@ class FbsdeReport:
     mean_costate_norm: float
     grid_h: float
     dt: float
-    convention: str
 
     @property
     def mean_relative_residual(self):
@@ -169,7 +155,7 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
     for k in range(n - 1, -1, -1):
         grad = hamiltonian_gradient_r(
             traj.times[k + 1], traj.controls[k + 1], r_path[k + 1], p_prop, P_ref[k + 1],
-            model, cost, grid.convention)
+            model, cost)
         # Undo the forward increment dp = -grad dt + q dW over [t_k, t_{k+1}].
         p_prop = p_prop + grad * dt - q[k + 1] * dW[k]
         if not np.all(np.isfinite(p_prop)):
@@ -183,5 +169,4 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
         mean_costate_norm=float(np.mean(np.linalg.norm(p_ref, axis=1))),
         grid_h=grid.h,
         dt=dt,
-        convention=grid.convention,
     )

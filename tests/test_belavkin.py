@@ -112,6 +112,13 @@ class TestNoiseIncrements:
         with pytest.raises(RejectedInputError, match="n_steps"):
             bel.noise_increments(1, n_steps, dt)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1, 2**64])
+    def test_rejects_bad_seed(self, seed):
+        # Before: 1.5 gave seed 1's increments, True and "3" were accepted,
+        # and -1 and 2**64 raised a bare OverflowError.
+        with pytest.raises(RejectedInputError, match="seed"):
+            bel.noise_increments(seed, 5, 0.01)
+
 
 class TestStepSme:
     def test_frozen_model(self):
@@ -208,22 +215,30 @@ class TestGenerateRecord:
         assert [n for (_, n, _) in seen] == [1, 2, 3, 4, 5]
 
 
-def batched(policy):
-    policy.batched = True
-    return policy
-
-
 class TestPolicyControls:
     MODEL = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z, Hc=(ops.SIGMA_X,))
     CFG = bel.SmeConfig(dt=0.1, T=0.3)
 
     @pytest.mark.parametrize("policy", [
         lambda t, rho, past: [0.1, 0.2],
-        batched(lambda t, rho, past: np.zeros((len(rho), 2))),
+        lambda t, rho, past: np.zeros((len(rho), 2)),
     ], ids=["per_trajectory", "batched"])
     def test_wrong_control_count_is_a_dimension_mismatch(self, policy):
         with pytest.raises(DimensionMismatchError, match="2 components"):
             bel.simulate_ensemble(self.MODEL, policy, self.CFG, MIXED, [0, 1])
+
+    def test_plain_function_is_called_once_per_step_on_the_batch(self):
+        # Any callable is a policy of the whole batch: n_steps + 1 calls, each
+        # with the (n_traj, d, d) states and y and W of shape (n_traj, k+1).
+        calls = []
+
+        def policy(t, rho, past):
+            calls.append((rho.shape, past.y.shape, past.W.shape))
+            return [0.0]
+
+        bel.simulate_ensemble(self.MODEL, policy, self.CFG, MIXED, [0, 1, 2])
+        assert calls == [((3, 2, 2), (3, k + 1), (3, k + 1))
+                         for k in range(self.CFG.n_steps + 1)]
 
     def test_non_finite_control_refused_before_the_step(self, monkeypatch):
         def step(*args):
@@ -394,7 +409,8 @@ class TestKrausPhysicality:
             "record": (lambda t, rho, past: np.where(past.y[:, -1] > 0.0, 0.5, -1.0)[:, None], 2),
             "state": (lambda t, rho, past: -0.5 * ops.pauli_components(rho)[:, :1], len(seeds)),
         }[feedback]
-        policy = batched(policy) if model.n_controls else None
+        if not model.n_controls:
+            policy = None
         cfg = bel.SmeConfig(dt=1e-2, T=0.5)
         batch = bel.simulate_ensemble(model, policy, cfg, rho0, seeds)
         for i, seed in enumerate(seeds):
@@ -410,7 +426,10 @@ class TestKrausPhysicality:
         # What grows is the y, W and control records: 24 B per trajectory-step.
         model = ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=ops.SIGMA_Z, Hc=(ops.SIGMA_Y,))
         rho0 = 0.5 * (np.eye(2) + 0.6 * ops.SIGMA_X + 0.3 * ops.SIGMA_Z)
-        policy = batched(lambda t, rho, past: -0.5 * rho[:, 0, 1:].real)
+
+        def policy(t, rho, past):
+            return -0.5 * rho[:, 0, 1:].real
+
         n_traj = 20
 
         def peak(n_steps):
@@ -432,7 +451,10 @@ class TestKrausPhysicality:
         model = ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=ops.SIGMA_Z + 0.3 * ops.SIGMA_X,
                                  Hc=(ops.SIGMA_Z,))
         rho0 = 0.5 * (np.eye(2) + 0.6 * ops.SIGMA_X + 0.3 * ops.SIGMA_Z)
-        policy = batched(lambda t, rho, past: -0.5 * rho[:, 0, 1:].real)
+
+        def policy(t, rho, past):
+            return -0.5 * rho[:, 0, 1:].real
+
         monkeypatch.setattr(ops, "cayley", refuse_cayley)
         n_traj = 20
 

@@ -4,6 +4,8 @@ import functools
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
@@ -172,10 +174,9 @@ class TestSolveHjbGrid:
         # well below the value scale.
         assert np.all(large.values <= small.values + 1e-5)
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_one_step_exact_on_quadratic(self, sign):
+    def test_one_step_exact_on_quadratic(self):
         # Central differences are exact on a quadratic q, so wherever all 19
-        # taps are inside, one step is q + dt (sign b.grad q + s.Hess q.s / 2).
+        # taps are inside, one step is q + dt (b.grad q + s.Hess q.s / 2).
         model = ops.QuantumModel(H0=0.4 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
                                  Hc=(ops.SIGMA_Y,))
         q, grad, A = random_quadratic(3)
@@ -183,13 +184,40 @@ class TestSolveHjbGrid:
         r = stencil.points_in
         b, s = hjb.bloch_dynamics(model, [0.7], r)
         dt = 1e-2
-        w_diff, w_drift = hjb._sweep_weights(stencil, [b], s, sign)
+        w_diff, w_drift = hjb._sweep_weights(stencil, [b], s)
         stepped = hjb._explicit_step(q(r), stencil, np.zeros((1, len(r))), w_diff, w_drift, dt)
-        exact = q(r) + dt * (sign * np.sum(b * grad(r), axis=1)
+        exact = q(r) + dt * (np.sum(b * grad(r), axis=1)
                              + 0.5 * np.einsum("ni,ij,nj->n", s, A, s))
         full = full_stencil(stencil)
         assert np.count_nonzero(full) > len(r) // 2
         assert np.max(np.abs(stepped - exact)[full]) < 1e-12
+
+    def test_matches_exact_value_function(self):
+        # One control, zero running cost, terminal cost M: the cost-to-go is
+        # S(t, r) = a + g.r with -da/dt = c.g and -dg/dt = A0^T g, so
+        # [a; g](0) = expm(T [[0, c^T], [0, A0^T]]) [tr M / 2; tr(M sigma) / 2].
+        # A non-unital channel gives c != 0, and H0 tilts the flow off the z axis.
+        sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+        model = ops.QuantumModel(H0=0.4 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
+                                 L_extra=(np.sqrt(2.0) * sigma_minus,))
+        M = np.diag([1.0, 0.0]).astype(complex)
+        cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)), terminal_op=M)
+        T = 0.5
+        grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)],
+                                  hjb.GridSpec(T=T, n_space=21, n_time=800))
+        gen = model.bloch
+        flow = np.zeros((4, 4))
+        flow[0, 1:] = gen.c
+        flow[1:, 1:] = gen.A[0].T
+        a, *g = expm(T * flow) @ np.concatenate([[np.trace(M).real], ops.pauli_components(M)]) / 2
+        stencil = hjb._stencil(21)
+        # Every difference rule is exact on an affine S except at the nodes
+        # that lack an inside neighbour on both sides of an axis, which drop
+        # that axis's drift term; the error they make spreads inward.
+        central = np.all(stencil.scale[:3] == 0.5 / stencil.h, axis=0)
+        assert np.count_nonzero(central) == 3191
+        err = np.abs(grid.values[0] - (a + stencil.points_in @ np.array(g)))
+        assert np.max(err[central]) <= 0.01
 
     def test_grid_refinement_contracts(self):
         # The control minimum bends S away from linearity, so resolution matters.
@@ -400,8 +428,9 @@ class TestValueGridShape:
             self.make(n=n, inside=np.ones((n,) * 3, dtype=bool))
 
     def test_rejects_unknown_convention(self):
-        with pytest.raises(RejectedInputError, match="bogus"):
-            dataclasses.replace(solved_grid(21), convention="bogus")
+        for convention in ("bogus", "paper"):
+            with pytest.raises(RejectedInputError, match=convention):
+                dataclasses.replace(solved_grid(21), convention=convention)
 
     def test_rejects_slice_count_differing_from_time_points(self):
         # Accepted before, a lookup then read the slices at the wrong stride.

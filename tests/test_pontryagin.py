@@ -37,15 +37,11 @@ class TestGeneralizedHamiltonian:
         rho = hjb.density_from_bloch(r)
         p = np.array([0.3, -0.2, 0.5])
         b, _ = hjb.bloch_dynamics(model, [], r)
-        h_paper = pmp.generalized_hamiltonian(0.0, [], rho, p, np.zeros((3, 3)),
-                                              model, cost, convention="paper")
-        assert h_paper == pytest.approx(-float(b @ p), abs=1e-12)
-        h_std = pmp.generalized_hamiltonian(0.0, [], rho, p, np.zeros((3, 3)),
-                                            model, cost, convention="standard")
-        assert h_std == pytest.approx(float(b @ p), abs=1e-12)
+        h = pmp.generalized_hamiltonian(0.0, [], rho, p, np.zeros((3, 3)), model, cost)
+        assert h == pytest.approx(float(b @ p), abs=1e-12)
 
     def test_gradient_in_p_is_signed_drift(self):
-        # Finite differences in p recover +drift (standard) and -drift (paper).
+        # Finite differences in p recover the drift.
         rng = np.random.default_rng(3)
         cost = plain_cost(weight=0.1)
         eps = 1e-6
@@ -58,18 +54,15 @@ class TestGeneralizedHamiltonian:
             P = (P + P.T) / 2
             u = rng.normal(size=1)
             b, _ = hjb.bloch_dynamics(CONTROLLED, u, r)
-            for conv, sign in (("standard", 1.0), ("paper", -1.0)):
-                grad = np.zeros(3)
-                for i in range(3):
-                    dp = np.zeros(3)
-                    dp[i] = eps
-                    grad[i] = (
-                        pmp.generalized_hamiltonian(0.0, u, rho, p + dp, P,
-                                                    CONTROLLED, cost, conv)
-                        - pmp.generalized_hamiltonian(0.0, u, rho, p - dp, P,
-                                                      CONTROLLED, cost, conv)
-                    ) / (2 * eps)
-                assert np.max(np.abs(grad - sign * b)) < 1e-6
+            grad = np.zeros(3)
+            for i in range(3):
+                dp = np.zeros(3)
+                dp[i] = eps
+                grad[i] = (
+                    pmp.generalized_hamiltonian(0.0, u, rho, p + dp, P, CONTROLLED, cost)
+                    - pmp.generalized_hamiltonian(0.0, u, rho, p - dp, P, CONTROLLED, cost)
+                ) / (2 * eps)
+            assert np.max(np.abs(grad - b)) < 1e-6
 
 
 class TestMinimizeHamiltonian:
@@ -272,10 +265,8 @@ def random_ball_points(rng, n, radius):
 
 class TestBlochGeneratorProperties:
     @given(n_controls=st.integers(0, 2), n_extra=st.integers(0, 1),
-           hbar=st.sampled_from([1.0, 0.5, 2.0]), convention=st.sampled_from(["standard", "paper"]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_kernel_and_central_difference(self, n_controls, n_extra, hbar, convention,
-                                                   seed):
+           hbar=st.sampled_from([1.0, 0.5, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_kernel_and_central_difference(self, n_controls, n_extra, hbar, seed):
         rng = np.random.default_rng(seed)
         # Non-normal channels: random complex L, so L^dag L != L L^dag.
         model = ops.QuantumModel(
@@ -298,12 +289,12 @@ class TestBlochGeneratorProperties:
         for x, ux in zip(random_ball_points(rng, 3, 0.99 - 2 * step), u):
             def H(y):
                 return pmp.generalized_hamiltonian(0.0, ux, hjb.density_from_bloch(y), p, P,
-                                                   model, cost, convention)
+                                                   model, cost)
             # H is quartic in r, so the five-point central difference is exact
             # up to rounding.
             fd = np.array([(H(x - 2 * e) - 8 * H(x - e) + 8 * H(x + e) - H(x + 2 * e))
                            / (12 * step) for e in step * np.eye(3)])
-            grad = pmp.hamiltonian_gradient_r(0.0, ux, x, p, P, model, cost, convention)
+            grad = pmp.hamiltonian_gradient_r(0.0, ux, x, p, P, model, cost)
             assert np.max(np.abs(grad - fd)) <= 1e-8
 
 
@@ -331,7 +322,7 @@ def _costate_recursion_report(path, g, model, c, ug):
     residuals = np.zeros(path.n_steps + 1)
     for k in range(path.n_steps - 1, -1, -1):
         grad = pmp.hamiltonian_gradient_r(path.times[k + 1], path.controls[k + 1], r[k + 1],
-                                          p, P_ref[k + 1], model, c, g.convention)
+                                          p, P_ref[k + 1], model, c)
         p = p + grad * path.dt - (P_ref[k + 1] @ s[k + 1]) * dW[k]
         residuals[k] = np.linalg.norm(p - p_ref[k])
     rep = pmp.fbsde_residual(path, g, model, c, ug)
@@ -407,5 +398,5 @@ class TestFbsdeResidual:
         rep.write(path)
         text = path.read_text()
         for key in ("terminal_residual", "max_backward_residual",
-                    "mean_backward_residual", "grid_h", "dt", "convention"):
+                    "mean_backward_residual", "grid_h", "dt"):
             assert key in text
