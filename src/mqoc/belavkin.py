@@ -207,21 +207,24 @@ class _KrausStep:
 
 
 def step_sme(rho, u, dW, model, cfg, step_index=None):
-    """One filter step for one state: the batch-of-1 `simulate_ensemble` step."""
+    """One filter step for one state: the batch-of-1 `simulate_ensemble` step.
+
+    The model keeps the `_KrausStep` of its last dt, so repeated calls reuse
+    its work arrays and, while the control repeats, its half step.
+    """
     if not np.isfinite(dW):
         raise RejectedInputError("dW must be finite")
     u, rho = ops.check_drift_inputs(model, u, rho)
     u = np.broadcast_to(u, (1, model.n_controls))
-    out = _KrausStep(model, cfg.dt, 1)(u, rho[None], np.array([dW]))[0][0]
+    step = getattr(model, "_sme_step", None)
+    if step is None or step.dt != cfg.dt:
+        step = _KrausStep(model, cfg.dt, 1)
+        object.__setattr__(model, "_sme_step", step)
+    out = step(u, rho[None], np.array([dW]))[0][0]
     if not np.all(np.isfinite(out)):
         label = "step_sme" if step_index is None else f"step_sme at step {step_index}"
         raise NumericalBlowupError(f"non-finite state after {label}", step_index=step_index)
     return out
-
-
-def innovation_increment(dy, rho, L, dt):
-    """dW = dy - tr(rho (L + L^dag)) dt."""
-    return dy - float(np.real(ops.expectation(rho, L + ops.dagger(L)))) * dt
 
 
 def _policy_controls(policy, model, rho, times, y, w, k):

@@ -81,15 +81,12 @@ class GridSpec:
     T: float
     n_space: int = 21
     n_time: int = 200
-    store_every: int = 1
 
     def __post_init__(self):
-        if not all(map(ops.is_count, (self.n_space, self.n_time, self.store_every))):
-            raise RejectedInputError("n_space, n_time and store_every must be integers")
+        if not all(map(ops.is_count, (self.n_space, self.n_time))):
+            raise RejectedInputError("n_space and n_time must be integers")
         if not 0 < self.T < np.inf or self.n_space < 5 or self.n_time < 1:
             raise RejectedInputError("GridSpec needs finite T > 0, n_space >= 5, n_time >= 1")
-        if self.store_every < 1 or self.n_time % self.store_every:
-            raise RejectedInputError("store_every must divide n_time")
 
     @property
     def dt(self):
@@ -264,20 +261,17 @@ def solve_hjb_grid(model, cost, u_grid, spec):
             f"{dt_max:.3e}; increase n_time to at least {int(np.ceil(spec.T / dt_max))}")
     w_diff, w_drift = _sweep_weights(stencil, gen.drift(np.array(u_grid)[:, None], pts), s)
 
-    n_stored = spec.n_time // spec.store_every + 1
-    stored = np.empty((n_stored, len(pts)))
+    stored = np.empty((spec.n_time + 1, len(pts)))
     stored[-1] = v = expectation_fields([cost.terminal_op], pts)[0]
 
     for step in range(spec.n_time):
         t_next = spec.T - step * spec.dt
         running = expectation_fields([cost.running(t_next, u) for u in u_grid], pts)
         v = _explicit_step(v, stencil, running, w_diff, w_drift, spec.dt)
-        k = spec.n_time - step - 1
-        if k % spec.store_every == 0:
-            stored[k // spec.store_every] = v
+        stored[spec.n_time - step - 1] = v
 
     return ValueGrid(
-        time_points=np.linspace(0.0, spec.T, n_stored),
+        time_points=np.linspace(0.0, spec.T, spec.n_time + 1),
         axes=stencil.axes,
         values=stored,
         h=stencil.h,

@@ -10,9 +10,11 @@ is one channel L = Gamma_l . (x; p).
 The filter runs in real quadrature coordinates: the conditional mean
 follows dXhat = (A Xhat + B u) dt + Ktilde dYtilde with Ktilde = Sigma C^T + M,
 and Sigma follows a Riccati recursion that never reads the record.  So
-`covariance_path` caches Sigma and Ktilde per model and inputs, and
-`run_moment_filter` advances a whole batch of means against them.  Model
-files are the package's key-value text (`save_linear_model`).
+`covariance_path` caches Sigma and Ktilde per model and inputs.  Against
+them, `MomentFilter` advances a batch of means one Euler step at a time,
+x <- x + (A x + B u) dt + Ktilde_k dy, and `run_moment_filter` runs the
+same step over whole records.  Model files are the package's key-value
+text (`save_linear_model`).
 """
 
 from dataclasses import dataclass
@@ -216,11 +218,6 @@ class MomentState:
         object.__setattr__(self, "sigma", np.asarray(sigma, dtype=float))
 
 
-def _gain(sigma, C, M_cov):
-    gain = sigma @ C.T
-    return gain if M_cov is None else gain + M_cov
-
-
 def _covariance_update(sigma, A, ktilde, dt, FFt):
     out = sigma + (A @ sigma + sigma @ A.T - ktilde @ ktilde.T) * dt
     if FFt is not None:
@@ -228,39 +225,16 @@ def _covariance_update(sigma, A, ktilde, dt, FFt):
     return (out + out.T) / 2
 
 
-def kalman_gain(sigma, C, M_cov):
-    """Ktilde = Sigma C^T + M."""
-    sigma = _mat(sigma, "sigma")
-    C = _mat(C, "C")
-    if sigma.shape[1] != C.shape[1]:
-        raise DimensionMismatchError("sigma and C disagree on the state size")
-    if M_cov is not None:
-        M_cov = _mat(M_cov, "M_cov")
-        if M_cov.shape != (sigma.shape[0], C.shape[0]):
-            raise DimensionMismatchError(f"M_cov must be {(sigma.shape[0], C.shape[0])}")
-    return _gain(sigma, C, M_cov)
-
-
-def covariance_step(sigma, A, ktilde, dt, FFt=None):
-    """Euler step of the covariance: Sigma + (A Sigma + Sigma A^T - Ktilde Ktilde^T) dt.
-
-    The optional FF^T dt injection restores the classical Kalman-Bucy noise
-    term; without it the gain drains the covariance toward zero.  The result
-    is symmetrized exactly.
-    """
-    sigma = _mat(sigma, "sigma")
-    FFt = None if FFt is None else _mat(FFt, "FFt")
-    return _covariance_update(sigma, A, ktilde, dt, FFt)
-
-
 def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
     """Sigma_0..Sigma_n (n_steps + 1, n, n) and Ktilde_0..Ktilde_{n-1} (n_steps, n, q).
 
-    Ktilde_k = `kalman_gain`(Sigma_k) and Sigma_{k+1} = `covariance_step`
-    (Sigma_k, Ktilde_k) never read the record, so one path serves every
-    trajectory.  It is cached per model and inputs: the model keeps its last
-    path, keyed by n_steps, include_diffusion and the content of A, C, M_cov,
-    F (with diffusion), sigma0 and dt, and returns it read-only.  The model's
+    Ktilde_k = Sigma_k C^T + M and the Euler step of the Riccati recursion,
+    Sigma_{k+1} = Sigma_k + (A Sigma_k + Sigma_k A^T - Ktilde_k Ktilde_k^T
+    + FF^T) dt with FF^T only if include_diffusion, then symmetrized exactly,
+    never read the record, so one path serves every trajectory.  It is
+    cached per model and inputs: the model keeps its last path, keyed by
+    n_steps, include_diffusion and the content of A, C, M_cov, F (with
+    diffusion), sigma0 and dt, and returns it read-only.  The model's
     matrices were checked when it was built and sigma0 is checked here, so
     the loop runs the two updates without re-validating them.  A new path
     is checked at the end and cached only if it passes: a non-finite Sigma
@@ -283,7 +257,7 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
     sigmas[0] = sigma0
     FFt = np.real(model.F @ np.conj(model.F.T)) if include_diffusion else None
     for k in range(n_steps):
-        gains[k] = _gain(sigmas[k], model.C, model.M_cov)
+        gains[k] = sigmas[k] @ model.C.T + model.M_cov
         sigmas[k + 1] = _covariance_update(sigmas[k], model.A, gains[k], dt, FFt)
     if not np.all(np.isfinite(sigmas)):
         raise NumericalBlowupError("non-finite covariance on the filter's path")
@@ -295,15 +269,65 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
     return sigmas, gains
 
 
-def _per_step(rows, n_steps, width, name):
-    """Per-step inputs (..., n_steps, width) as column vectors, or None."""
+def _columns(rows, tail, name):
+    """Inputs (..., *tail) as column vectors (..., *tail, 1), or None."""
     if rows is None:
         return None
     rows = np.asarray(rows, dtype=float)
-    if rows.shape[-2:] != (n_steps, width):
+    if rows.shape[-len(tail):] != tail:
         raise DimensionMismatchError(
-            f"{name} must have shape (..., {n_steps}, {width}), got {rows.shape}")
+            f"{name} must have shape (..., {', '.join(map(str, tail))}), got {rows.shape}")
     return rows[..., None]
+
+
+def _batch(*shapes):
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DimensionMismatchError(f"batch shapes {shapes} do not broadcast") from None
+
+
+class MomentFilter:
+    """The moment filter (module docstring) advanced one step at a time.
+
+    The Sigma/Ktilde path of `covariance_path` is fetched once, for n_steps
+    steps.  The means start at state.xhat and are kept as column vectors
+    (*batch, n, 1), the batch shape being whatever the inputs broadcast to.
+    """
+
+    def __init__(self, state, model, dt, n_steps, include_diffusion=False):
+        if any(np.iscomplexobj(getattr(model, name)) for name in ("A", "B", "C", "M_cov")):
+            raise RejectedInputError("moment filtering runs in the real quadrature representation")
+        self.sigmas, self.gains = covariance_path(model, state.sigma, dt, n_steps,
+                                                  include_diffusion)
+        self.model, self.dt, self.k = model, dt, 0
+        self.x = state.xhat[:, None].copy()
+
+    def _advance(self, bu, kdy):
+        """x <- x + (A x + B u) dt + Ktilde_k dy, given B u and Ktilde_k dy (None: zero)."""
+        drift = self.model.A @ self.x
+        if bu is not None:
+            drift = drift + bu
+        self.x = self.x + drift * self.dt
+        if kdy is not None:
+            self.x = self.x + kdy
+        self.k += 1
+
+    def step(self, dy=None, u=None):
+        """Advance by the innovation dy (..., q) and control u (..., d), None
+        meaning zero; returns the new means (*batch, n).  Sigma_k is sigmas[k].
+        A step past n_steps raises RejectedInputError; inputs that are
+        misshapen, or do not broadcast with the batch, DimensionMismatchError."""
+        if self.k == len(self.gains):
+            raise RejectedInputError(f"the filter has taken all its {self.k} steps")
+        dy = _columns(dy, (self.model.q,), "dy")
+        u = _columns(u, (self.model.d,), "u")
+        _batch(self.x.shape[:-2], *(v.shape[:-2] for v in (dy, u) if v is not None))
+        self._advance(None if u is None else self.model.B @ u,
+                      None if dy is None else self.gains[self.k] @ dy)
+        if not np.all(np.isfinite(self.x)):
+            raise NumericalBlowupError(f"non-finite mean at step {self.k} of MomentFilter")
+        return self.x[..., 0]
 
 
 def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None,
@@ -316,39 +340,25 @@ def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None
     inputs (`covariance_path`), so xhat_path has shape
     (*batch, n_steps + 1, n) and sigma_path, read-only, (n_steps + 1, n, n).
     """
-    if any(np.iscomplexobj(getattr(model, name)) for name in ("A", "B", "C", "M_cov")):
-        raise RejectedInputError("moment filtering runs in the real quadrature representation")
-    dy = _per_step(innovations, n_steps, model.q, "innovations")
-    u = _per_step(controls, n_steps, model.d, "controls")
-    sigmas, gains = covariance_path(model, state.sigma, dt, n_steps, include_diffusion)
-    batch = np.broadcast_shapes(*(v.shape[:-3] for v in (dy, u) if v is not None))
+    dy = _columns(innovations, (n_steps, model.q), "innovations")
+    u = _columns(controls, (n_steps, model.d), "controls")
+    filt = MomentFilter(state, model, dt, n_steps, include_diffusion)
+    batch = _batch(*(v.shape[:-3] for v in (dy, u) if v is not None))
     xs = np.empty(batch + (n_steps + 1, model.n))
     xs[..., 0, :] = state.xhat
-    # Means are column vectors: a stacked matmul does one matrix-vector
-    # product per record and step, so a batch gives the bits of its records
-    # one by one, and B u and Ktilde dy take one stacked matmul for all steps.
-    x = np.broadcast_to(state.xhat[:, None], batch + (model.n, 1)).copy()
+    # A stacked matmul does one matrix-vector product per record and step,
+    # so a batch gives the bits of its records one by one, and B u and
+    # Ktilde dy take one stacked matmul for all steps.
+    filt.x = np.broadcast_to(filt.x, batch + (model.n, 1)).copy()
     bu = None if u is None else model.B @ u
-    kdy = None if dy is None else gains @ dy
+    kdy = None if dy is None else filt.gains @ dy
     for k in range(n_steps):
-        drift = model.A @ x
-        if bu is not None:
-            drift = drift + bu[..., k, :, :]
-        x = x + drift * dt
-        if kdy is not None:
-            x = x + kdy[..., k, :, :]
-        xs[..., k + 1, :] = x[..., 0]
+        filt._advance(None if bu is None else bu[..., k, :, :],
+                      None if kdy is None else kdy[..., k, :, :])
+        xs[..., k + 1, :] = filt.x[..., 0]
     if not np.all(np.isfinite(xs)):
         raise NumericalBlowupError("non-finite mean in run_moment_filter")
-    return xs, sigmas
-
-
-def moment_filter_step(state, u, dYtilde, model, dt, include_diffusion=False):
-    """One Euler step of the mean and covariance: `run_moment_filter` with n_steps = 1."""
-    xs, sigmas = run_moment_filter(state, model, dt, 1, controls=np.reshape(u, (1, -1)),
-                                   innovations=np.reshape(dYtilde, (1, -1)),
-                                   include_diffusion=include_diffusion)
-    return MomentState(xhat=xs[1], sigma=sigmas[1])
+    return xs, filt.sigmas
 
 
 def save_linear_model(model, path):

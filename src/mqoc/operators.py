@@ -171,14 +171,6 @@ class QuantumModel:
         return BlochGenerator.of_model(self)
 
 
-def commutator(a, b):
-    """[a, b] = ab - ba."""
-    a = as_operator(a, "a")
-    b = as_operator(b, "b")
-    _same_dim(a, b)
-    return a @ b - b @ a
-
-
 def drift_and_fluctuation(model, u, rho):
     """Drift w, fluctuation sigma and <L + L^dag> of a stack of states (module docstring).
 

@@ -151,18 +151,30 @@ class TestStepSme:
         with pytest.raises(RejectedInputError):
             bel.step_sme(MIXED, [], np.inf, QUBIT_Z, cfg)
 
+    def test_repeat_calls_reuse_one_step_bit_identically(self, monkeypatch):
+        # The model keeps the step of its last dt: a step is built only when
+        # dt changes, and the states are those of a fresh model per call.
+        def qubit():
+            return ops.QuantumModel(H0=0.4 * ops.SIGMA_X, L=ops.SIGMA_Z + 0.4j * ops.SIGMA_Y,
+                                    Hc=(ops.SIGMA_Y,))
 
-class TestInnovationIncrement:
-    def test_zero_when_record_matches_expectation(self):
-        dy = 2.0 * 0.01  # <L+L^dag> = 2 for the ground state under sigma_z
-        assert bel.innovation_increment(dy, GROUND, ops.SIGMA_Z, 0.01) == pytest.approx(0.0)
+        calls = [(dt, u) for dt in (1e-3, 1e-2, 1e-3) for u in (0.3, 0.3, -0.5)]
+        fresh = [MIXED]
+        for dt, u in calls:
+            fresh.append(bel.step_sme(fresh[-1], [u], 0.05, qubit(), bel.SmeConfig(dt=dt, T=dt)))
+        built = []
+        init = bel._KrausStep.__init__
 
-    def test_zero_coupling(self):
-        assert bel.innovation_increment(0.3, MIXED, np.zeros((2, 2)), 0.01) == pytest.approx(0.3)
+        def counted(self, model, dt, n):
+            built.append(dt)
+            init(self, model, dt, n)
 
-    def test_ground_state_value(self):
-        out = bel.innovation_increment(0.05, GROUND, ops.SIGMA_Z, 0.01)
-        assert out == pytest.approx(0.03)
+        monkeypatch.setattr(bel._KrausStep, "__init__", counted)
+        model, rho = qubit(), MIXED
+        for (dt, u), want in zip(calls, fresh[1:]):
+            rho = bel.step_sme(rho, [u], 0.05, model, bel.SmeConfig(dt=dt, T=dt))
+            assert np.array_equal(rho, want)
+        assert built == [1e-3, 1e-2, 1e-3]
 
 
 class TestGenerateRecord:

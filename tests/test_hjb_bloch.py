@@ -50,7 +50,7 @@ def analytic_grid(fn, n=21, T=1.0):
 
 @functools.cache
 def solved_grid(n):
-    """A controlled qubit's value grid on n^3 nodes over T = 0.01, every 4th step stored.
+    """A controlled qubit's value grid on n^3 nodes over T = 0.01.
 
     n_time grows as 1/h^2, so dt stays inside the explicit stability limit.
     """
@@ -58,7 +58,7 @@ def solved_grid(n):
                              Hc=(ops.SIGMA_Y,))
     excited = np.diag([0.0, 1.0]).astype(complex)
     cost = bel.quadratic_control_cost(0.5 * excited, excited, 0.2)
-    spec = hjb.GridSpec(T=0.01, n_space=n, n_time=(n - 1) ** 2 // 20, store_every=4)
+    spec = hjb.GridSpec(T=0.01, n_space=n, n_time=(n - 1) ** 2 // 20)
     return hjb.solve_hjb_grid(model, cost, [[-1.0], [0.0], [1.0]], spec)
 
 
@@ -238,16 +238,15 @@ class TestSolveHjbGrid:
         change2 = abs(values[41] - values[21])
         assert change2 < change1
 
-    @pytest.mark.parametrize("T, n_time, store_every", [(0.05, 20, 1), (0.1, 640, 4),
-                                                        (0.05, 20, 5)])
-    def test_stored_times_are_exact(self, T, n_time, store_every):
+    @pytest.mark.parametrize("T, n_time", [(0.05, 20), (0.1, 640)])
+    def test_stored_times_are_exact(self, T, n_time):
         # Stored times were T - step dt - dt, whose rounding put t = 0 at +-3e-18.
         cost = self._cost(np.eye(2))
-        spec = hjb.GridSpec(T=T, n_space=5, n_time=n_time, store_every=store_every)
+        spec = hjb.GridSpec(T=T, n_space=5, n_time=n_time)
         grid = hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)], spec)
         assert grid.time_points[0] == 0.0
         assert np.array_equal(grid.time_points,
-                              np.linspace(0.0, T, n_time // store_every + 1))
+                              np.linspace(0.0, T, n_time + 1))
 
 
 class TestExtractCostate:
@@ -364,8 +363,8 @@ class TestBatchedCostate:
         assert (tmp_path / "clean.csv").read_bytes() == (tmp_path / "poisoned.csv").read_bytes()
 
     def test_solved_grid_holds_inside_nodes_only(self):
-        grid = solved_grid(21)  # 20 steps, every 4th stored
-        assert grid.values.shape == (6, len(hjb._stencil(21).points_in))
+        grid = solved_grid(21)  # 20 steps
+        assert grid.values.shape == (21, len(hjb._stencil(21).points_in))
 
     def test_rejects_batch_with_point_without_inside_corner(self):
         grid = analytic_grid(lambda pts: np.zeros(len(pts)), n=6)
@@ -455,10 +454,8 @@ class TestGridSpec:
             hjb.GridSpec(T=T)
 
 
-    @pytest.mark.parametrize("sizes", [{"n_time": 10.0}, {"n_space": 5.5},
-                                       {"store_every": 1.0}, {"n_time": True}],
-                             ids=["float_n_time", "float_n_space", "float_store_every",
-                                  "bool_n_time"])
+    @pytest.mark.parametrize("sizes", [{"n_time": 10.0}, {"n_space": 5.5}, {"n_time": True}],
+                             ids=["float_n_time", "float_n_space", "bool_n_time"])
     def test_rejects_non_integer_sizes(self, sizes):
         # Before: accepted, and solve_hjb_grid then failed with a bare TypeError.
         with pytest.raises(RejectedInputError, match="integers"):
@@ -480,7 +477,7 @@ class TestGridCsv:
     def test_rows_are_inside_nodes_in_c_order(self, tmp_path):
         cost = bel.CostSpec(running_op=lambda t, u: 0.3 * ops.SIGMA_X,
                             terminal_op=np.diag([0.0, 1.0]).astype(complex))
-        spec = hjb.GridSpec(T=0.05, n_space=11, n_time=20, store_every=5)
+        spec = hjb.GridSpec(T=0.05, n_space=11, n_time=20)
         grid = hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)], spec)
         path = tmp_path / "grid.csv"
         hjb.write_grid_csv(grid, path, times=[0.0, 0.05])

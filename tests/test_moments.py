@@ -207,63 +207,73 @@ class TestBuildAB:
         assert verdicts == {True, False}
 
 
+def sigma_path(sigma0, A, C, M_cov=None, F=None, dt=0.1, n_steps=1, include_diffusion=False):
+    """`covariance_path` of a model with B = 0 from sigma0."""
+    n = len(sigma0)
+    model = mom.LinearModel(A=A, B=np.zeros((n, 1)), C=C, M_cov=M_cov, F=F)
+    return mom.covariance_path(model, sigma0, dt, n_steps, include_diffusion)
+
+
 class TestKalmanGain:
+    """Ktilde_0 = Sigma_0 C^T + M, the first gain of `covariance_path`."""
+
     def test_zero(self):
-        assert np.allclose(mom.kalman_gain(np.zeros((2, 2)), np.eye(2), None), 0)
+        assert np.allclose(sigma_path(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))[1][0], 0)
 
     def test_identity(self):
-        assert np.allclose(mom.kalman_gain(np.eye(2), np.eye(2), None), np.eye(2))
+        assert np.allclose(sigma_path(np.eye(2), np.zeros((2, 2)), np.eye(2))[1][0], np.eye(2))
 
     def test_offset(self):
-        out = mom.kalman_gain(np.eye(2), np.eye(2), 0.1 * np.eye(2))
+        out = sigma_path(np.eye(2), np.zeros((2, 2)), np.eye(2), M_cov=0.1 * np.eye(2))[1][0]
         assert np.allclose(out, 1.1 * np.eye(2))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            mom.kalman_gain(np.eye(2), np.eye(3), None)
+        model = mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="sigma0"):
+            mom.covariance_path(model, np.eye(3), 0.1, 1)
 
 
 class TestCovarianceStep:
+    """The Riccati step Sigma_0 -> Sigma_1 of `covariance_path`, and its whole path."""
+
     def test_static(self):
         sigma = np.diag([0.5, 0.25])
-        out = mom.covariance_step(sigma, np.zeros((2, 2)), np.zeros((2, 1)), dt=0.1)
-        assert np.allclose(out, sigma)
+        sigmas, _ = sigma_path(sigma, np.zeros((2, 2)), np.zeros((1, 2)))
+        assert np.allclose(sigmas[1], sigma)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = rng.normal(size=(3, 3))
-            sigma = g @ g.T
-            A = rng.normal(size=(3, 3))
-            kt = rng.normal(size=(3, 1))
-            out = mom.covariance_step(sigma, A, kt, dt=0.05)
-            assert np.array_equal(out, out.T)
+            # A skew part in Sigma_0, so only the symmetrization makes Sigma_1 symmetric.
+            sigma0 = g @ g.T + np.eye(3) + 0.1 * (g - g.T)
+            sigmas, _ = sigma_path(sigma0, rng.normal(size=(3, 3)), rng.normal(size=(1, 3)),
+                                   M_cov=rng.normal(size=(3, 1)), dt=1e-3)
+            assert np.array_equal(sigmas[1], sigmas[1].T)
 
     def test_fixed_point_unchanged(self):
         # Oracle: find Sigma* with G(Sigma*) = 0 by damped iteration, then the
-        # step must leave it in place.
+        # path must stay in place.
         A = np.array([[-0.5, 0.2], [-0.2, -0.5]])
         C = np.array([[1.0, 0.0]])
         sigma = np.eye(2)
         for _ in range(20000):
-            kt = mom.kalman_gain(sigma, C, None)
+            kt = sigma @ C.T
             g = A @ sigma + sigma @ A.T - kt @ kt.T
             sigma = sigma + 0.05 * g
             sigma = (sigma + sigma.T) / 2
-        kt = mom.kalman_gain(sigma, C, None)
+        kt = sigma @ C.T
         assert np.max(np.abs(A @ sigma + sigma @ A.T - kt @ kt.T)) < 1e-12
-        out = mom.covariance_step(sigma, A, kt, dt=0.01)
-        assert np.allclose(out, sigma, atol=1e-13)
+        sigmas, _ = sigma_path(sigma, A, C, dt=0.01, n_steps=10)
+        assert np.allclose(sigmas, sigma, atol=1e-13)
 
     def test_preserves_psd_below_threshold(self):
         A = np.array([[-1.0, 0.0], [0.0, -1.0]])
         C = np.array([[1.0, 0.0]])
-        sigma = 0.5 * np.eye(2)
-        dt = 0.01
-        for _ in range(200):
-            kt = mom.kalman_gain(sigma, C, None)
-            sigma = mom.covariance_step(sigma, A, kt, FFt=0.5 * np.eye(2), dt=dt)
-        assert np.min(np.linalg.eigvalsh(sigma)) >= 0.0
+        # F F^T = 0.5 I.
+        sigmas, _ = sigma_path(0.5 * np.eye(2), A, C, F=np.sqrt(0.5) * np.eye(2), dt=0.01,
+                               n_steps=200, include_diffusion=True)
+        assert np.min(np.linalg.eigvalsh(sigmas)) >= 0.0
 
 
 def damped_oscillator_model(omega=1.0, kappa=0.5):
@@ -281,16 +291,41 @@ class TestMomentFilterStep:
         model = mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
                                 C=np.zeros((1, 2)))
         state = mom.MomentState(xhat=[0.3, -0.1], sigma=0.5 * np.eye(2))
-        out = mom.moment_filter_step(state, [0.0], [0.0], model, 0.1)
-        assert np.allclose(out.xhat, state.xhat)
-        assert np.allclose(out.sigma, state.sigma)
+        filt = mom.MomentFilter(state, model, 0.1, 1)
+        assert np.allclose(filt.step([0.0], [0.0]), state.xhat)
+        assert np.allclose(filt.sigmas[1], state.sigma)
 
     def test_control_shift(self):
         model = mom.LinearModel(A=np.zeros((2, 2)), B=np.eye(2),
                                 C=np.zeros((1, 2)))
         state = mom.MomentState(xhat=[0.0, 0.0], sigma=np.zeros((2, 2)))
-        out = mom.moment_filter_step(state, [1.0, 0.0], [0.0], model, 0.1)
-        assert np.allclose(out.xhat, [0.1, 0.0])
+        out = mom.MomentFilter(state, model, 0.1, 1).step(dy=[0.0], u=[1.0, 0.0])
+        assert np.allclose(out, [0.1, 0.0])
+
+    def test_step_past_the_path_is_rejected(self):
+        model, state, dys, _ = filter_inputs(10, (2, 2), 1e-2)
+        filt = mom.MomentFilter(state, model, 1e-2, 2)
+        filt.step(dys[0])
+        filt.step(dys[1])
+        with pytest.raises(RejectedInputError, match="all its 2 steps"):
+            filt.step(dys[1])
+
+    @pytest.mark.parametrize("first, dy, u", [
+        (None, np.zeros(3), None),
+        (None, np.zeros((3, 1)), None),
+        (None, None, np.zeros(1)),
+        (None, np.zeros((4, 2)), np.zeros((3, 2))),
+        (np.zeros((3, 2)), None, np.zeros((2, 2))),
+    ], ids=["dy_width", "dy_column", "u_width", "batches_disagree", "batch_changes"])
+    def test_misshapen_input_is_a_dimension_mismatch(self, first, dy, u):
+        # Without the checks: bare numpy ValueErrors from matmul or broadcasting.
+        model, state, _, _ = filter_inputs(11, (1, 2), 1e-2)
+        filt = mom.MomentFilter(state, model, 1e-2, 3)
+        filt.step(first)
+        x = filt.x
+        with pytest.raises(DimensionMismatchError, match="dy|u|batch"):
+            filt.step(dy, u)
+        assert filt.x is x and filt.k == 1
 
     def test_filter_is_affine(self):
         model = damped_oscillator_model()
@@ -346,14 +381,17 @@ class TestRunMomentFilter:
 
     def test_steps_reproduce_run(self):
         dt, n = 1e-2, 30
-        model, state, dys, us = filter_inputs(6, (n, 2), dt)
-        xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us,
-                                           innovations=dys, include_diffusion=True)
-        cur = state
-        for k in range(n):
-            cur = mom.moment_filter_step(cur, us[k], dys[k], model, dt, include_diffusion=True)
-            assert np.array_equal(cur.xhat, xs[k + 1])
-            assert np.array_equal(cur.sigma, sigmas[k + 1])
+        for controls in (False, True):
+            for diffusion in (False, True):
+                model, state, dys, us = filter_inputs(6, (2, 3, n, 2), dt)
+                us = us[0] if controls else None  # (3, n, 2), broadcast over the batch
+                xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us,
+                                                   innovations=dys, include_diffusion=diffusion)
+                filt = mom.MomentFilter(state, model, dt, n, include_diffusion=diffusion)
+                assert filt.sigmas is sigmas
+                for k in range(n):
+                    x = filt.step(dys[..., k, :], None if us is None else us[:, k])
+                    assert np.array_equal(x, xs[..., k + 1, :])
 
     def test_rejects_misshapen_inputs(self):
         dt, n = 1e-2, 10
@@ -362,6 +400,14 @@ class TestRunMomentFilter:
             mom.run_moment_filter(state, model, dt, n, innovations=dys[1:])
         with pytest.raises(DimensionMismatchError, match="controls"):
             mom.run_moment_filter(state, model, dt, n, controls=np.hstack([us, us]))
+
+    def test_rejects_batches_that_do_not_broadcast(self):
+        # Before: a bare ValueError from np.broadcast_shapes.
+        dt, n = 1e-2, 10
+        model, state, dys, us = filter_inputs(7, (2, n, 2), dt)
+        with pytest.raises(DimensionMismatchError, match="broadcast"):
+            mom.run_moment_filter(state, model, dt, n, controls=np.concatenate([us, us[:1]]),
+                                  innovations=dys)
 
     def test_rejects_covariance_path_leaving_psd(self):
         # A = 0, C = I, no M: Sigma = I/2 steps to (1/2 - dt/4) I, negative at dt = 3.
@@ -403,7 +449,7 @@ class TestRunMomentFilter:
         model = mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.eye(2))
         state = mom.MomentState(xhat=[0.0, 0.0], sigma=0.5 * np.eye(2))
         with pytest.raises(RejectedInputError, match="dt > 0"):
-            mom.moment_filter_step(state, [0.0], [0.0, 0.0], model, 0.0)
+            mom.MomentFilter(state, model, 0.0, 1)
 
 
 class TestMomentState:
