@@ -50,6 +50,14 @@ class SmeConfig:
         return int(round(self.T / self.dt))
 
 
+def _check_psd(m, name):
+    """m as a complex operator, refused unless Hermitian PSD within 1e-10."""
+    m = ops.check_hermitian(np.asarray(m, dtype=complex), 1e-10, name)
+    if np.min(np.linalg.eigvalsh(m)) < -1e-10:
+        raise RejectedInputError(f"{name} is not positive semidefinite")
+    return m
+
+
 @dataclass(frozen=True)
 class CostSpec:
     """Linear cost: running density <rho, C(t,u)> plus terminal <rho(T), M>."""
@@ -58,10 +66,7 @@ class CostSpec:
     terminal_op: np.ndarray
 
     def __post_init__(self):
-        m = ops.check_hermitian(np.asarray(self.terminal_op, dtype=complex), 1e-10, "terminal_op")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-            raise RejectedInputError("terminal_op must be positive semidefinite")
-        object.__setattr__(self, "terminal_op", m)
+        object.__setattr__(self, "terminal_op", _check_psd(self.terminal_op, "terminal_op"))
 
     def running(self, t, u):
         return np.asarray(self.running_op(t, u), dtype=complex)
@@ -74,20 +79,24 @@ class CostSpec:
 
     def check_at(self, t, u):
         """Spot-check Hermiticity/PSD of the running operator at one (t, u)."""
-        c = self.running(t, u)
-        ops.check_hermitian(c, 1e-10, "running_op(t,u)")
-        if np.min(np.linalg.eigvalsh(c)) < -1e-10:
-            raise RejectedInputError(f"running_op({t}, {u}) is not positive semidefinite")
+        _check_psd(self.running(t, u), f"running_op({t}, {u})")
 
 
 def quadratic_control_cost(state_op, terminal_op, control_weight=0.0):
-    """CostSpec with C(t, u) = state_op + (1/2) u^T W u * I (W = control_weight)."""
-    state_op = np.asarray(state_op, dtype=complex)
+    """CostSpec with C(t, u) = state_op + (1/2) u^T W u * I (W = control_weight).
+
+    state_op must be Hermitian PSD, and W finite PSD: entries >= 0, or a PSD matrix.
+    """
+    state_op = _check_psd(state_op, "state_op")
+    w = np.asarray(control_weight, dtype=float)
+    if w.ndim == 2:
+        _check_psd(w, "control_weight")
+    elif w.ndim > 2 or not np.all(np.isfinite(w) & (w >= 0)):
+        raise RejectedInputError("control_weight must be finite and >= 0, or a PSD matrix")
     eye = np.eye(state_op.shape[-1], dtype=complex)
 
     def running_op(t, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        w = np.asarray(control_weight, dtype=float)
         if w.ndim < 2:
             penalty = 0.5 * float(np.sum(w * u * u))
         else:
@@ -206,7 +215,7 @@ class _KrausStep:
         return rho, dy
 
 
-def step_sme(rho, u, dW, model, cfg, step_index=None):
+def step_sme(rho, u, dW, model, cfg):
     """One filter step for one state: the batch-of-1 `simulate_ensemble` step.
 
     The model keeps the `_KrausStep` of its last dt, so repeated calls reuse
@@ -222,8 +231,7 @@ def step_sme(rho, u, dW, model, cfg, step_index=None):
         object.__setattr__(model, "_sme_step", step)
     out = step(u, rho[None], np.array([dW]))[0][0]
     if not np.all(np.isfinite(out)):
-        label = "step_sme" if step_index is None else f"step_sme at step {step_index}"
-        raise NumericalBlowupError(f"non-finite state after {label}", step_index=step_index)
+        raise NumericalBlowupError("non-finite state after step_sme")
     return out
 
 

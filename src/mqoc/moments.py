@@ -9,7 +9,8 @@ is one channel L = Gamma_l . (x; p).
 
 The filter runs in real quadrature coordinates: the conditional mean
 follows dXhat = (A Xhat + B u) dt + Ktilde dYtilde with Ktilde = Sigma C^T + M,
-and Sigma follows a Riccati recursion that never reads the record.  So
+and Sigma a Riccati recursion that never reads the record.  Its diffusion
+F F^T comes from the dissipator and always enters (F=None: none).  So
 `covariance_path` caches Sigma and Ktilde per model and inputs.  Against
 them, `MomentFilter` advances a batch of means one Euler step at a time,
 x <- x + (A x + B u) dt + Ktilde_k dy, and `run_moment_filter` runs the
@@ -56,21 +57,14 @@ def check_construction(R_param, K_ham, Gamma):
     if R.shape[0] != R.shape[1] or n % 2:
         raise RejectedInputError("R_param must be square with even dimension 2m")
     m = n // 2
-    r11, r12 = R[:m, :m], R[:m, m:]
-    r21, r22 = R[m:, :m], R[m:, m:]
-    if np.max(np.abs(r11 + r11.T - np.conj(r22 + r22.T))) > HERM_CONSTRAINT_TOL:
-        return "R11 + R11^T = (R22 + R22^T)*"
-    if np.max(np.abs(r12.T - r12)) > HERM_CONSTRAINT_TOL:
-        return "R12^T = R12"
-    if np.max(np.abs(r21.T - r21)) > HERM_CONSTRAINT_TOL:
-        return "R21^T = R21"
-    # H = X^T R X / 2 is Hermitian iff its symmetric part obeys
-    # sym(R) = P sym(R)* P, P swapping a and a^dag, and the c-number
-    # tr(R^T S) / 4 left by its antisymmetric part ([X_i, X_j] = S_ij) is real.
+    # H = X^T R X / 2 is Hermitian iff sym = R + R^T obeys sym = P sym* P (P
+    # swaps a and a^dag; its (1,1) and (1,2) blocks suffice) and the c-number
+    # tr(R^T S) / 4 of R's antisymmetric part ([X_i, X_j] = S_ij) is real.
     sym = R + R.T
-    swap = np.r_[m:n, :m]
-    if np.max(np.abs(sym - np.conj(sym[np.ix_(swap, swap)]))) > HERM_CONSTRAINT_TOL:
-        return "sym(R) = P sym(R)* P"
+    if np.max(np.abs(sym[:m, :m] - np.conj(sym[m:, m:]))) > HERM_CONSTRAINT_TOL:
+        return "R11 + R11^T = (R22 + R22^T)*"
+    if np.max(np.abs(sym[:m, m:] - np.conj(sym[m:, :m]))) > HERM_CONSTRAINT_TOL:
+        return "R12 + R21^T is Hermitian"
     if abs(np.imag(np.sum(R * symplectic(m)))) > HERM_CONSTRAINT_TOL:
         return "Im tr(R^T S) = 0"
     if K.shape[0] != n:
@@ -107,8 +101,7 @@ def build_AB(R_param, K_ham, Gamma=None, hbar=1.0):
         raise RejectedInputError(f"Hermiticity constraint violated: {violated}")
     R = np.asarray(R_param, dtype=complex)
     K = np.asarray(K_ham, dtype=complex)
-    n = R.shape[0]
-    m = n // 2
+    m = R.shape[0] // 2
     S = symplectic(m)
     A = (-1j / (2 * hbar)) * (S @ (R + R.T))
     if Gamma is not None:
@@ -138,7 +131,7 @@ class LinearModel:
 
     n states, d controls, q measured outputs.  M_cov is the constant part of
     the filter gain (a covariance of noise increments, treated as a free
-    model parameter), and F F^T the optional diffusion of the covariance.
+    model parameter), and F F^T the diffusion, always in the Riccati (F=None: zeros).
     Sigma and Ktilde never read the record, so `covariance_path` caches them
     per model and inputs.  The optional construction block records the
     Hamiltonian parameters the A/B matrices came from (`CONSTRUCTION_KEYS`);
@@ -174,11 +167,8 @@ class LinearModel:
             unknown = sorted(set(self.construction) - set(CONSTRUCTION_KEYS))
             if unknown:
                 raise RejectedInputError(f"unknown construction keys {unknown}")
-            violated = check_construction(
-                self.construction.get("R_param"), self.construction.get("K_ham"),
-                self.construction.get("Gamma"))
-            if violated is not None:
-                raise RejectedInputError(f"Hermiticity constraint violated: {violated}")
+            # Refused as `build_AB` refuses it: by the first violated constraint.
+            build_AB(*(self.construction.get(k) for k in ("R_param", "K_ham", "Gamma")))
         for name, val in (("A", A), ("B", B), ("C", C), ("F", F), ("M_cov", M)):
             object.__setattr__(self, name, val)
 
@@ -219,22 +209,20 @@ class MomentState:
 
 
 def _covariance_update(sigma, A, ktilde, dt, FFt):
-    out = sigma + (A @ sigma + sigma @ A.T - ktilde @ ktilde.T) * dt
-    if FFt is not None:
-        out = out + FFt * dt
+    out = sigma + (A @ sigma + sigma @ A.T - ktilde @ ktilde.T) * dt + FFt * dt
     return (out + out.T) / 2
 
 
-def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
+def covariance_path(model, sigma0, dt, n_steps):
     """Sigma_0..Sigma_n (n_steps + 1, n, n) and Ktilde_0..Ktilde_{n-1} (n_steps, n, q).
 
     Ktilde_k = Sigma_k C^T + M and the Euler step of the Riccati recursion,
     Sigma_{k+1} = Sigma_k + (A Sigma_k + Sigma_k A^T - Ktilde_k Ktilde_k^T
-    + FF^T) dt with FF^T only if include_diffusion, then symmetrized exactly,
-    never read the record, so one path serves every trajectory.  It is
-    cached per model and inputs: the model keeps its last path, keyed by
-    n_steps, include_diffusion and the content of A, C, M_cov, F (with
-    diffusion), sigma0 and dt, and returns it read-only.  The model's
+    + FF^T) dt, then symmetrized exactly, never read the record, so one path
+    serves every trajectory.  FF^T always enters; a model built with F=None
+    has F = 0 and no diffusion.  The path is cached per model and inputs:
+    the model keeps its last path, keyed by n_steps and the content of A, C,
+    M_cov, F, sigma0 and dt, and returns it read-only.  The model's
     matrices were checked when it was built and sigma0 is checked here, so
     the loop runs the two updates without re-validating them.  A new path
     is checked at the end and cached only if it passes: a non-finite Sigma
@@ -246,16 +234,15 @@ def covariance_path(model, sigma0, dt, n_steps, include_diffusion=False):
     sigma0 = _mat(sigma0, "sigma0")
     if sigma0.shape != (model.n, model.n):
         raise DimensionMismatchError(f"sigma0 must be {(model.n, model.n)}, got {sigma0.shape}")
-    inputs = (model.A, model.C, model.M_cov, sigma0, np.asarray(dt))
-    inputs += (model.F,) if include_diffusion else ()
-    key = (n_steps, include_diffusion) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in inputs)
+    inputs = (model.A, model.C, model.M_cov, model.F, sigma0, np.asarray(dt))
+    key = (n_steps,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in inputs)
     cached = getattr(model, "_covariance_path", None)
     if cached is not None and cached[0] == key:
         return cached[1]
     sigmas = np.empty((n_steps + 1, model.n, model.n))
     gains = np.empty((n_steps, model.n, model.q))
     sigmas[0] = sigma0
-    FFt = np.real(model.F @ np.conj(model.F.T)) if include_diffusion else None
+    FFt = np.real(model.F @ np.conj(model.F.T))
     for k in range(n_steps):
         gains[k] = sigmas[k] @ model.C.T + model.M_cov
         sigmas[k + 1] = _covariance_update(sigmas[k], model.A, gains[k], dt, FFt)
@@ -295,11 +282,10 @@ class MomentFilter:
     (*batch, n, 1), the batch shape being whatever the inputs broadcast to.
     """
 
-    def __init__(self, state, model, dt, n_steps, include_diffusion=False):
+    def __init__(self, state, model, dt, n_steps):
         if any(np.iscomplexobj(getattr(model, name)) for name in ("A", "B", "C", "M_cov")):
             raise RejectedInputError("moment filtering runs in the real quadrature representation")
-        self.sigmas, self.gains = covariance_path(model, state.sigma, dt, n_steps,
-                                                  include_diffusion)
+        self.sigmas, self.gains = covariance_path(model, state.sigma, dt, n_steps)
         self.model, self.dt, self.k = model, dt, 0
         self.x = state.xhat[:, None].copy()
 
@@ -331,7 +317,7 @@ class MomentFilter:
 
 
 def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None,
-                      include_diffusion=False):
+                      include_diffusion=True):
     """Filter a batch of records from one initial state; returns (xhat_path, sigma_path).
 
     innovations (..., n_steps, q) and controls (..., n_steps, d) hold one
@@ -339,10 +325,13 @@ def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None
     batch shape.  The covariance path is shared and cached per model and
     inputs (`covariance_path`), so xhat_path has shape
     (*batch, n_steps + 1, n) and sigma_path, read-only, (n_steps + 1, n, n).
+    include_diffusion stays for callers that pass True; F F^T always enters.
     """
+    if include_diffusion is not True:
+        raise RejectedInputError(f"include_diffusion={include_diffusion!r}: F F^T always enters")
     dy = _columns(innovations, (n_steps, model.q), "innovations")
     u = _columns(controls, (n_steps, model.d), "controls")
-    filt = MomentFilter(state, model, dt, n_steps, include_diffusion)
+    filt = MomentFilter(state, model, dt, n_steps)
     batch = _batch(*(v.shape[:-3] for v in (dy, u) if v is not None))
     xs = np.empty(batch + (n_steps + 1, model.n))
     xs[..., 0, :] = state.xhat

@@ -127,6 +127,7 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
     The terminal residual compares the grid gradient at (T, r_T) against the
     exact Bloch gradient of the terminal cost; the backward leg starts from
     the grid gradient at T and uses the trajectory's own innovations.
+    u_grid is never read; it stays only because the benchmark passes it.
     """
     if traj.states.shape[-1] != 2:
         raise RejectedInputError("fbsde_residual requires a qubit trajectory")

@@ -151,6 +151,11 @@ class TestStepSme:
         with pytest.raises(RejectedInputError):
             bel.step_sme(MIXED, [], np.inf, QUBIT_Z, cfg)
 
+    def test_step_index_is_an_unknown_keyword(self):
+        # It only labelled the error message, and no caller passed it.
+        with pytest.raises(TypeError, match="step_index"):
+            bel.step_sme(MIXED, [], 0.0, QUBIT_Z, bel.SmeConfig(dt=1e-3, T=1.0), step_index=3)
+
     def test_repeat_calls_reuse_one_step_bit_identically(self, monkeypatch):
         # The model keeps the step of its last dt: a step is built only when
         # dt changes, and the states are those of a fresh model per call.
@@ -575,6 +580,39 @@ class TestTrajectoryCost:
         high = bel.CostSpec(running_op=lambda t, u: np.eye(2) + 0.5 * ops.SIGMA_X,
                             terminal_op=np.zeros((2, 2)))
         assert bel.trajectory_cost(traj, low) <= bel.trajectory_cost(traj, high)
+
+
+class TestQuadraticControlCost:
+    EXCITED = np.diag([0.0, 1.0])
+
+    @pytest.mark.parametrize("weight", [0.0, 0.2, [0.1, 0.0], [[1.0, 0.5], [0.5, 1.0]]],
+                             ids=["zero", "scalar", "vector", "matrix"])
+    def test_accepts_psd_weight(self, weight):
+        cost = bel.quadratic_control_cost(0.5 * self.EXCITED, self.EXCITED, weight)
+        u = np.array([1.0, -2.0])
+        w = np.asarray(weight, dtype=float)
+        penalty = 0.5 * (u @ w @ u if w.ndim == 2 else np.sum(w * u * u))
+        assert np.allclose(cost.running(0.0, u), 0.5 * self.EXCITED + penalty * np.eye(2))
+
+    # Before: each was accepted at construction, and a weight of -1.0 gave
+    # solve_hjb_grid a negative cost-to-go.
+    @pytest.mark.parametrize("weight", [
+        -1.0, np.nan, np.inf, [0.1, -0.1], [[1.0, 2.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+        np.ones((1, 2)), np.ones((1, 1, 1)),
+    ], ids=["negative", "nan", "inf", "negative_entry", "non_symmetric", "indefinite",
+            "non_square", "three_axes"])
+    def test_rejects_weight_that_is_not_psd(self, weight):
+        with pytest.raises(RejectedInputError, match="control_weight"):
+            bel.quadratic_control_cost(0.5 * self.EXCITED, self.EXCITED, weight)
+
+    @pytest.mark.parametrize("state_op, match", [
+        (-2.0 * ops.SIGMA_X, "state_op is not positive semidefinite"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "state_op is not Hermitian"),
+        (np.diag([np.nan, 1.0]), "state_op has non-finite"),
+    ], ids=["not_psd", "not_hermitian", "nan"])
+    def test_rejects_state_op_that_is_not_hermitian_psd(self, state_op, match):
+        with pytest.raises(RejectedInputError, match=match):
+            bel.quadratic_control_cost(state_op, self.EXCITED, 0.1)
 
 
 class TestFilterObservableCheck:

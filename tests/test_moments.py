@@ -179,25 +179,35 @@ class TestBuildAB:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_construction_check_matches_fock_hermiticity(self, m):
-        # Random complex R that satisfy the block constraints: as drawn, after
-        # projection onto a Hermitian H, and with a real or imaginary
-        # antisymmetric a-a^dag term (an imaginary one leaves H - H^dag = const).
+        # Random complex R: with symmetric off-diagonal blocks as drawn, then
+        # projected onto a Hermitian H, and with a real or imaginary
+        # antisymmetric a-a^dag term (an imaginary one leaves H - H^dag = const);
+        # with asymmetric off-diagonal blocks as drawn, and plus a real
+        # antisymmetric part, which keeps H Hermitian.  Before, every accepted
+        # R needed symmetric R12 and R21, so the beam splitter was refused.
         rng = np.random.default_rng(m)
-        swap = np.r_[m:2 * m, :m]
+        n = 2 * m
+        swap = np.r_[m:n, :m]
 
         def cplx(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        antisym = np.zeros((2 * m, 2 * m))
+        antisym = np.zeros((n, n))
         antisym[0, m], antisym[m, 0] = 1.0, -1.0
-        cases = [np.array([[0.3j, 1.0], [1.0, 0.3j]])] if m == 1 else []
+        beam_splitter = np.zeros((n, n))
+        if m == 2:
+            # H = (a1 a2^dag + a1^dag a2) / 2: R12 and R21 are not symmetric.
+            beam_splitter[0, 3] = beam_splitter[2, 1] = 1.0
+        cases = [np.array([[0.3j, 1.0], [1.0, 0.3j]])] if m == 1 else [beam_splitter]
         for _ in range(6):
             r11, r12, r21 = cplx(m, m), cplx(m, m), cplx(m, m)
             R = np.block([[r11, r12 + r12.T], [r21 + r21.T, r11.T]])
             sym = (R + R.T) / 2
             herm = (sym + np.conj(sym[np.ix_(swap, swap)])) / 2
             z = rng.normal()
-            cases += [R, herm, herm + z * antisym, herm + 1j * z * antisym]
+            g = rng.normal(size=(n, n))
+            cases += [R, herm, herm + z * antisym, herm + 1j * z * antisym,
+                      np.block([[r11, r12], [r21, np.conj(r11)]]), herm + g - g.T]
         verdicts = set()
         for R in cases:
             hermitian = fock_hermiticity_defect(R) < 1e-9
@@ -205,13 +215,18 @@ class TestBuildAB:
             assert accepted == hermitian
             verdicts.add(hermitian)
         assert verdicts == {True, False}
+        if m == 2:
+            assert fock_hermiticity_defect(beam_splitter) == 0.0
+            A, _ = mom.build_AB(beam_splitter, np.zeros((4, 1)))
+            assert np.array_equal(A, mom.build_AB((beam_splitter + beam_splitter.T) / 2,
+                                                  np.zeros((4, 1)))[0])
 
 
-def sigma_path(sigma0, A, C, M_cov=None, F=None, dt=0.1, n_steps=1, include_diffusion=False):
+def sigma_path(sigma0, A, C, M_cov=None, F=None, dt=0.1, n_steps=1):
     """`covariance_path` of a model with B = 0 from sigma0."""
     n = len(sigma0)
     model = mom.LinearModel(A=A, B=np.zeros((n, 1)), C=C, M_cov=M_cov, F=F)
-    return mom.covariance_path(model, sigma0, dt, n_steps, include_diffusion)
+    return mom.covariance_path(model, sigma0, dt, n_steps)
 
 
 class TestKalmanGain:
@@ -272,7 +287,7 @@ class TestCovarianceStep:
         C = np.array([[1.0, 0.0]])
         # F F^T = 0.5 I.
         sigmas, _ = sigma_path(0.5 * np.eye(2), A, C, F=np.sqrt(0.5) * np.eye(2), dt=0.01,
-                               n_steps=200, include_diffusion=True)
+                               n_steps=200)
         assert np.min(np.linalg.eigvalsh(sigmas)) >= 0.0
 
 
@@ -301,6 +316,14 @@ class TestMomentFilterStep:
         state = mom.MomentState(xhat=[0.0, 0.0], sigma=np.zeros((2, 2)))
         out = mom.MomentFilter(state, model, 0.1, 1).step(dy=[0.0], u=[1.0, 0.0])
         assert np.allclose(out, [0.1, 0.0])
+
+    def test_default_path_keeps_heisenberg_bound(self):
+        # Sigma + (i/2) S >= 0 from the vacuum Sigma_0 = I/2 on.  Before, F F^T
+        # entered only on request: by default the bound fell to -0.20 by step
+        # 1,000, and by 3,000 Sigma left the PSD cone.
+        state = mom.MomentState(xhat=[0.0, 0.0], sigma=0.5 * np.eye(2))
+        filt = mom.MomentFilter(state, damped_oscillator_model(), 1e-3, 1000)
+        assert np.min(np.linalg.eigvalsh(filt.sigmas + 0.5j * mom.symplectic(1))) >= -1e-12
 
     def test_step_past_the_path_is_rejected(self):
         model, state, dys, _ = filter_inputs(10, (2, 2), 1e-2)
@@ -340,8 +363,7 @@ class TestMomentFilterStep:
 
         def final(x0, us, dys):
             state = mom.MomentState(xhat=x0, sigma=np.eye(2))
-            xs, _ = mom.run_moment_filter(state, model, dt, n, controls=us,
-                                          innovations=dys, include_diffusion=True)
+            xs, _ = mom.run_moment_filter(state, model, dt, n, controls=us, innovations=dys)
             return xs[-1]
 
         lam = 0.37
@@ -369,29 +391,43 @@ class TestRunMomentFilter:
         dt, n = 1e-2, 40
         model, state, dys, us = filter_inputs(5, (2, 3, n, 2), dt)
         us = us[0]  # controls (3, n, 2) broadcast against innovations (2, 3, n, 2)
-        xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us,
-                                           innovations=dys, include_diffusion=True)
+        xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us, innovations=dys)
         assert xs.shape == (2, 3, n + 1, 2)
         for i in range(2):
             for j in range(3):
                 x1, s1 = mom.run_moment_filter(state, model, dt, n, controls=us[j],
-                                               innovations=dys[i, j], include_diffusion=True)
+                                               innovations=dys[i, j])
                 assert np.array_equal(xs[i, j], x1)
                 assert np.array_equal(sigmas, s1)
 
     def test_steps_reproduce_run(self):
         dt, n = 1e-2, 30
         for controls in (False, True):
-            for diffusion in (False, True):
-                model, state, dys, us = filter_inputs(6, (2, 3, n, 2), dt)
-                us = us[0] if controls else None  # (3, n, 2), broadcast over the batch
-                xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us,
-                                                   innovations=dys, include_diffusion=diffusion)
-                filt = mom.MomentFilter(state, model, dt, n, include_diffusion=diffusion)
-                assert filt.sigmas is sigmas
-                for k in range(n):
-                    x = filt.step(dys[..., k, :], None if us is None else us[:, k])
-                    assert np.array_equal(x, xs[..., k + 1, :])
+            model, state, dys, us = filter_inputs(6, (2, 3, n, 2), dt)
+            us = us[0] if controls else None  # (3, n, 2), broadcast over the batch
+            xs, sigmas = mom.run_moment_filter(state, model, dt, n, controls=us, innovations=dys)
+            filt = mom.MomentFilter(state, model, dt, n)
+            assert filt.sigmas is sigmas
+            for k in range(n):
+                x = filt.step(dys[..., k, :], None if us is None else us[:, k])
+                assert np.array_equal(x, xs[..., k + 1, :])
+
+    @pytest.mark.parametrize("value", [False, None, 1, "yes"])
+    def test_include_diffusion_accepts_only_true(self, value):
+        # F F^T always enters; the keyword stays for callers that pass True.
+        dt, n = 1e-2, 10
+        model, state, dys, _ = filter_inputs(7, (n, 2), dt)
+        with pytest.raises(RejectedInputError, match="include_diffusion"):
+            mom.run_moment_filter(state, model, dt, n, innovations=dys, include_diffusion=value)
+        xs, _ = mom.run_moment_filter(state, model, dt, n, innovations=dys, include_diffusion=True)
+        assert np.array_equal(xs, mom.run_moment_filter(state, model, dt, n, innovations=dys)[0])
+
+    def test_path_and_filter_have_no_diffusion_switch(self):
+        model, state, _, _ = filter_inputs(7, (1, 2), 1e-2)
+        with pytest.raises(TypeError, match="include_diffusion"):
+            mom.covariance_path(model, state.sigma, 1e-2, 10, include_diffusion=True)
+        with pytest.raises(TypeError, match="include_diffusion"):
+            mom.MomentFilter(state, model, 1e-2, 10, include_diffusion=True)
 
     def test_rejects_misshapen_inputs(self):
         dt, n = 1e-2, 10
@@ -467,7 +503,7 @@ class TestMomentState:
 
 
 class TestCovariancePathCache:
-    ARGS = {"sigma0": np.eye(2), "dt": 1e-2, "n_steps": 25, "include_diffusion": True}
+    ARGS = {"sigma0": np.eye(2), "dt": 1e-2, "n_steps": 25}
 
     @staticmethod
     def count_updates(monkeypatch):
@@ -490,15 +526,9 @@ class TestCovariancePathCache:
         second = mom.covariance_path(model, **dict(self.ARGS, sigma0=np.eye(2)))
         assert len(calls) == 25
         assert all(a is b for a, b in zip(first, second))
-        # F is read only with diffusion.
-        no_diffusion = dict(self.ARGS, include_diffusion=False)
-        mom.covariance_path(model, **no_diffusion)
-        model.F[0, 0] += 0.5
-        mom.covariance_path(model, **no_diffusion)
-        assert len(calls) == 50
 
     @pytest.mark.parametrize("change", [
-        "A_in_place", "F_in_place", "sigma0", "dt", "n_steps", "include_diffusion"])
+        "A_in_place", "F_in_place", "sigma0", "dt", "n_steps"])
     def test_changed_input_recomputes(self, monkeypatch, change):
         model = filter_inputs(9, (1, 2), 1e-2)[0]
         args = dict(self.ARGS)
@@ -511,10 +541,8 @@ class TestCovariancePathCache:
             args["sigma0"] = 2.0 * np.eye(2)
         elif change == "dt":
             args["dt"] = 2e-2
-        elif change == "n_steps":
-            args["n_steps"] = 24
         else:
-            args["include_diffusion"] = False
+            args["n_steps"] = 24
         calls = self.count_updates(monkeypatch)
         got = mom.covariance_path(model, **args)
         assert len(calls) == args["n_steps"]
@@ -573,8 +601,7 @@ class TestBelavkinAgreement:
             sigma=(nbar + 0.5) * np.eye(2))
         xs, _ = mom.run_moment_filter(
             state0, lin, cfg.dt, cfg.n_steps,
-            innovations=np.diff(traj.innovations_W)[:, None],
-            include_diffusion=True)
+            innovations=np.diff(traj.innovations_W)[:, None])
         rel = np.max(np.abs(ref - xs)) / np.max(np.abs(ref))
         assert rel <= 0.05
 
