@@ -6,14 +6,15 @@ record is reconstructed as dy = <L + L^dag> dt + dW.  Control policies only
 ever see the past record, so adaptedness holds by construction.
 
 Each step is a Strang split around the Rouchon-Ralph Kraus map (Phys. Rev.
-A 91, 012118, 2015): rho <- U rho U^dag with the Cayley half step
-U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar), then
-`operators.kraus_map`, then U again, then the Hermitian part; a diagonal
-H(u), as H0 = omega a^dag a, gives a closed-form diagonal U (`_half_step`).
-The mean in dy is taken at the state the Kraus map measures, after the
-first half step, and the record gets that same dy.  Every state is positive
-semidefinite with unit trace by construction, up to rounding; nothing is
-projected.
+A 91, 012118, 2015), written once in `_KrausStep`: rho <- U rho U^dag with
+the Cayley half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar)
+(`operators.cayley`), then the measurement map `_KrausStep.measure`, then U
+again, then the Hermitian part; a diagonal H(u), as H0 = omega a^dag a,
+gives a closed-form diagonal U (`_half_step`).  The mean in dy is taken at
+the state the Kraus map measures, after the first half step, and the record
+gets that same dy.  Every state is positive semidefinite with unit trace by
+construction, up to rounding; nothing is projected.  `simulate_ensemble`
+and `step_sme` run this one step; neither keeps filter state on the model.
 """
 
 from collections import namedtuple
@@ -186,13 +187,24 @@ class _KrausStep:
     """The filter step (module docstring) of one call on a stack of n states.
 
     The last step's control rows and half step are reused while the rows
-    repeat, and the Kraus map reuses one set of work arrays from step to step.
+    repeat.  The measurement map's operator block and work arrays are built
+    once: arrays of this size come back from the allocator as fresh pages
+    each time, and at d = 21 that cost more than the two GEMMs themselves.
     """
 
     def __init__(self, model, dt, n):
         self.model, self.dt = model, dt
         self.rows = self.conjugate = None
-        self.work = ops.KrausWork(model.kraus, n)
+        # [-(1/2) sum L^dag L | L^dag | (L^dag)^2 | K_1^dag | ... | K_J^dag],
+        # the sum over every channel, L the measured one, K_j the extra ones.
+        ld = ops.dagger(model.L)
+        loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())
+        self.block = np.concatenate(
+            (loss, ld, ld @ ld) + tuple(ops.dagger(K) for K in model.L_extra), axis=1)
+        d = model.dim
+        self.p = np.empty((n * d, self.block.shape[1]), dtype=complex)
+        self.q = np.empty((n * d, 3 * d), dtype=complex)
+        self.x, self.m_rho, self.tmp = (np.empty((n, d, d), dtype=complex) for _ in range(3))
 
     def half_step(self, u):
         """`_half_step` for controls u (n, k): shared when every row equals the
@@ -205,10 +217,48 @@ class _KrausStep:
             self.conjugate = _half_step(h, self.dt / (4.0 * self.model.hbar))
         return self.conjugate
 
+    def measure(self, rho, dW):
+        """Rouchon-Ralph measurement map of the n Hermitian states rho (n, d, d).
+
+        With dy = <L + L^dag> dt + dW at rho and the Kraus operator
+        M = I - (1/2) sum L^dag L dt + L dy + (1/2) L^2 (dy^2 - dt),
+
+            rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
+
+        positive semidefinite by construction.  One GEMM gives
+        [P0 | P1 | P2 | ...] = rho @ block, and X = rho M^dag =
+        rho + dt P0 + dy P1 + (dy^2 - dt) / 2 P2 per state.  M rho M^dag =
+        X^dag M^dag, because X^dag = M rho for Hermitian rho, is a second GEMM
+        against the first three blocks with the same coefficients, and
+        K rho K^dag = (rho K^dag)^dag K^dag is one more per extra channel.
+        Returns (rho', dy) with dy (n,); rho' is a new array.
+        """
+        block, dt = self.block, self.dt
+        n, d = rho.shape[:2]
+        p = np.matmul(rho.reshape(n * d, d), block, out=self.p).reshape(n, d, -1, d)
+        dy = 2.0 * np.real(np.einsum("nii->n", p[:, :, 1])) * dt + dW
+        a = dy[:, None, None]
+        b = 0.5 * (a * a - dt)
+        x = np.multiply(p[:, :, 0], dt, out=self.x)
+        x += rho
+        x += np.multiply(p[:, :, 1], a, out=self.tmp)
+        x += np.multiply(p[:, :, 2], b, out=self.tmp)
+        m_rho = np.conjugate(x.transpose(0, 2, 1), out=self.m_rho)
+        q = np.matmul(m_rho.reshape(n * d, d), block[:, : 3 * d], out=self.q).reshape(n, d, 3, d)
+        out = np.multiply(q[:, :, 0], dt)
+        out += m_rho
+        out += np.multiply(q[:, :, 1], a, out=self.tmp)
+        out += np.multiply(q[:, :, 2], b, out=self.tmp)
+        for j in range(3, block.shape[1] // d):
+            k_rho = ops.dagger(p[:, :, j]).reshape(n * d, d)
+            out += dt * (k_rho @ block[:, j * d : (j + 1) * d]).reshape(n, d, d)
+        out /= np.real(np.einsum("nii->n", out))[:, None, None]
+        return out, dy
+
     def __call__(self, u, rho, dW):
         """Returns (rho', dy) with the mean in dy taken at the measured state."""
         conjugate = self.half_step(u) or (lambda r: r)
-        rho, dy = ops.kraus_map(self.model.kraus, conjugate(rho), dW, self.dt, self.work)
+        rho, dy = self.measure(conjugate(rho), dW)
         rho = conjugate(rho)
         rho = rho + ops.dagger(rho)
         rho *= 0.5
@@ -218,18 +268,14 @@ class _KrausStep:
 def step_sme(rho, u, dW, model, cfg):
     """One filter step for one state: the batch-of-1 `simulate_ensemble` step.
 
-    The model keeps the `_KrausStep` of its last dt, so repeated calls reuse
-    its work arrays and, while the control repeats, its half step.
+    dW must be one finite real number.
     """
-    if not np.isfinite(dW):
-        raise RejectedInputError("dW must be finite")
+    dW = np.asarray(dW)
+    if dW.ndim or dW.dtype.kind not in "iuf" or not np.isfinite(dW):
+        raise RejectedInputError(f"dW must be one finite real number, got {dW!r}")
     u, rho = ops.check_drift_inputs(model, u, rho)
     u = np.broadcast_to(u, (1, model.n_controls))
-    step = getattr(model, "_sme_step", None)
-    if step is None or step.dt != cfg.dt:
-        step = _KrausStep(model, cfg.dt, 1)
-        object.__setattr__(model, "_sme_step", step)
-    out = step(u, rho[None], np.array([dW]))[0][0]
+    out = _KrausStep(model, cfg.dt, 1)(u, rho[None], dW[None])[0][0]
     if not np.all(np.isfinite(out)):
         raise NumericalBlowupError("non-finite state after step_sme")
     return out

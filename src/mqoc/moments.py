@@ -94,8 +94,10 @@ def build_AB(R_param, K_ham, Gamma=None, hbar=1.0):
     It vanishes exactly when Gamma is real, i.e. when every L is self-adjoint;
     a complex Gamma damps or amplifies the mean (Gamma = sqrt(kappa/2) [1, i]
     is L = sqrt(kappa) a, which damps at rate kappa/2).
-    Violated Hermiticity constraints are rejected by the equation name.
+    Violated Hermiticity constraints are rejected by the equation name, and
+    hbar must be one finite number > 0 (`operators.check_hbar`).
     """
+    ops.check_hbar(hbar)
     violated = check_construction(R_param, K_ham, Gamma)
     if violated is not None:
         raise RejectedInputError(f"Hermiticity constraint violated: {violated}")
@@ -167,9 +169,12 @@ class LinearModel:
             unknown = sorted(set(self.construction) - set(CONSTRUCTION_KEYS))
             if unknown:
                 raise RejectedInputError(f"unknown construction keys {unknown}")
-            # Refused as `build_AB` refuses it: by the first violated constraint.
-            build_AB(*(self.construction.get(k) for k in ("R_param", "K_ham", "Gamma")))
+            # Refused as `build_AB` refuses it: by its hbar or first violated constraint.
+            build_AB(*(self.construction.get(k) for k in CONSTRUCTION_KEYS[:3]),
+                     hbar=self.construction.get("hbar", 1.0))
         for name, val in (("A", A), ("B", B), ("C", C), ("F", F), ("M_cov", M)):
+            if not np.all(np.isfinite(val)):
+                raise RejectedInputError(f"{name} has non-finite entries")
             object.__setattr__(self, name, val)
 
     @property

@@ -15,16 +15,15 @@ validate their inputs and call it.  `BlochGenerator.of_model` calls it on the
 Pauli basis, and `belavkin.filter_observable_check` on validated stored
 states.
 
-The filter's step is positive by construction: `kraus_map` applies the
-Rouchon-Ralph map through the one operator block a model precomputes,
-`kraus_block`, and `cayley` gives the unitary half steps around it.
+`cayley` gives the unitary half steps of the filter's split step; the
+Rouchon-Ralph measurement map between them is `belavkin._KrausStep.measure`.
 
 `project_physical` is set-up repair, not part of any step: it makes a
 start state exactly physical by clipping negative eigenvalues through
 `numpy.linalg.eigh` and renormalizing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,6 +97,12 @@ def check_density(rho, name="rho"):
     return rho
 
 
+def check_hbar(hbar):
+    """Refuse all but one finite real hbar > 0."""
+    if np.ndim(hbar) or np.iscomplexobj(hbar) or not 0 < hbar < np.inf:
+        raise RejectedInputError(f"hbar must be one finite number > 0, got {hbar!r}")
+
+
 def _same_dim(a, b, what="operands"):
     if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatchError(
@@ -119,7 +124,6 @@ class QuantumModel:
     Hc: tuple = ()
     L_extra: tuple = ()
     hbar: float = 1.0
-    kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h0 = check_hermitian(np.asarray(self.H0, dtype=complex), name="H0")
@@ -135,13 +139,11 @@ class QuantumModel:
                       for i, m in enumerate(self.L_extra))
         for i, m in enumerate(extra):
             _same_dim(h0, m, f"H0 and L_extra[{i}]")
-        if self.hbar <= 0:
-            raise RejectedInputError("hbar must be positive")
+        check_hbar(self.hbar)
         object.__setattr__(self, "H0", h0)
         object.__setattr__(self, "L", lop)
         object.__setattr__(self, "Hc", hc)
         object.__setattr__(self, "L_extra", extra)
-        object.__setattr__(self, "kraus", kraus_block(self))
 
     @property
     def dim(self):
@@ -191,75 +193,6 @@ def _fluctuation(L, rho):
     l_rho = L @ rho
     mean = 2.0 * np.real(trace(l_rho))
     return l_rho + rho @ dagger(L) - mean[..., None, None] * rho, mean
-
-
-def kraus_block(model):
-    """Right factors of the Rouchon-Ralph measurement map, side by side for one GEMM.
-
-    (d, (3 + J) d): [-(1/2) sum L^dag L | L^dag | (L^dag)^2 | K_1^dag | ... |
-    K_J^dag], the sum over every channel, L the measured one and K_j the
-    J extra ones.  It depends on neither dt nor the control, so each model
-    builds it once (`QuantumModel.kraus`).
-    """
-    ld = dagger(model.L)
-    loss = -0.5 * sum(dagger(c) @ c for c in model.channels())
-    return np.concatenate((loss, ld, ld @ ld) + tuple(dagger(K) for K in model.L_extra), axis=1)
-
-
-class KrausWork:
-    """Work arrays of `kraus_map` for a stack of n states.
-
-    A filter loop passes the same one to every step.  Arrays of this size
-    come back from the allocator as fresh pages each time, and at d = 21 that
-    cost more than the two GEMMs themselves.
-    """
-
-    def __init__(self, block, n):
-        d = block.shape[0]
-        self.p = np.empty((n * d, block.shape[1]), dtype=complex)
-        self.q = np.empty((n * d, 3 * d), dtype=complex)
-        self.x, self.m_rho, self.tmp = (np.empty((n, d, d), dtype=complex) for _ in range(3))
-
-
-def kraus_map(block, rho, dW, dt, work=None):
-    """Rouchon-Ralph measurement map of a stack of Hermitian states rho (n, d, d).
-
-    With dy = <L + L^dag> dt + dW at rho and the Kraus operator
-    M = I - (1/2) sum L^dag L dt + L dy + (1/2) L^2 (dy^2 - dt),
-
-        rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
-
-    positive semidefinite by construction.  One GEMM gives
-    [P0 | P1 | P2 | ...] = rho @ block (`kraus_block`), and X = rho M^dag =
-    rho + dt P0 + dy P1 + (dy^2 - dt) / 2 P2 per state.  M rho M^dag =
-    X^dag M^dag, because X^dag = M rho for Hermitian rho, is a second GEMM
-    against the first three blocks with the same coefficients, and
-    K rho K^dag = (rho K^dag)^dag K^dag is one more per extra channel.
-    `work` is a `KrausWork` for n states (default: a new one).  Returns
-    (rho', dy) with dy (n,); rho' is a new array.
-    """
-    d = block.shape[0]
-    n = rho.shape[0]
-    w = KrausWork(block, n) if work is None else work
-    p = np.matmul(rho.reshape(n * d, d), block, out=w.p).reshape(n, d, -1, d)
-    dy = 2.0 * np.real(np.einsum("nii->n", p[:, :, 1])) * dt + dW
-    a = dy[:, None, None]
-    b = 0.5 * (a * a - dt)
-    x = np.multiply(p[:, :, 0], dt, out=w.x)
-    x += rho
-    x += np.multiply(p[:, :, 1], a, out=w.tmp)
-    x += np.multiply(p[:, :, 2], b, out=w.tmp)
-    m_rho = np.conjugate(x.transpose(0, 2, 1), out=w.m_rho)
-    q = np.matmul(m_rho.reshape(n * d, d), block[:, : 3 * d], out=w.q).reshape(n, d, 3, d)
-    out = np.multiply(q[:, :, 0], dt)
-    out += m_rho
-    out += np.multiply(q[:, :, 1], a, out=w.tmp)
-    out += np.multiply(q[:, :, 2], b, out=w.tmp)
-    for j in range(3, block.shape[1] // d):
-        k_rho = dagger(p[:, :, j]).reshape(n * d, d)
-        out += dt * (k_rho @ block[:, j * d : (j + 1) * d]).reshape(n, d, d)
-    out /= np.real(np.einsum("nii->n", out))[:, None, None]
-    return out, dy
 
 
 def cayley(h, s):

@@ -156,9 +156,10 @@ class TestStepSme:
         with pytest.raises(TypeError, match="step_index"):
             bel.step_sme(MIXED, [], 0.0, QUBIT_Z, bel.SmeConfig(dt=1e-3, T=1.0), step_index=3)
 
-    def test_repeat_calls_reuse_one_step_bit_identically(self, monkeypatch):
-        # The model keeps the step of its last dt: a step is built only when
-        # dt changes, and the states are those of a fresh model per call.
+    def test_repeat_calls_on_one_model_match_fresh_models(self):
+        # The model carries no filter state: repeated calls on one model, with
+        # dt and the control changing, give the states of a fresh model per
+        # call bit for bit, and leave the model's attributes as they were.
         def qubit():
             return ops.QuantumModel(H0=0.4 * ops.SIGMA_X, L=ops.SIGMA_Z + 0.4j * ops.SIGMA_Y,
                                     Hc=(ops.SIGMA_Y,))
@@ -167,19 +168,39 @@ class TestStepSme:
         fresh = [MIXED]
         for dt, u in calls:
             fresh.append(bel.step_sme(fresh[-1], [u], 0.05, qubit(), bel.SmeConfig(dt=dt, T=dt)))
-        built = []
-        init = bel._KrausStep.__init__
-
-        def counted(self, model, dt, n):
-            built.append(dt)
-            init(self, model, dt, n)
-
-        monkeypatch.setattr(bel._KrausStep, "__init__", counted)
         model, rho = qubit(), MIXED
+        attributes = set(vars(model))
         for (dt, u), want in zip(calls, fresh[1:]):
             rho = bel.step_sme(rho, [u], 0.05, model, bel.SmeConfig(dt=dt, T=dt))
             assert np.array_equal(rho, want)
-        assert built == [1e-3, 1e-2, 1e-3]
+        assert set(vars(model)) == attributes
+
+    @pytest.mark.parametrize("dW", [np.array([0.1, 0.2]), np.array([0.1]), 0.1j, np.nan,
+                                    "0.1", None],
+                             ids=["vector", "1-vector", "complex", "nan", "string", "none"])
+    def test_rejects_dw_that_is_not_one_finite_real(self, dW):
+        # Before: the vector raised numpy's bare "truth value ... ambiguous"
+        # ValueError, and the string and None a bare TypeError.
+        with pytest.raises(RejectedInputError, match="dW"):
+            bel.step_sme(MIXED, [], dW, QUBIT_Z, bel.SmeConfig(dt=1e-3, T=1.0))
+
+    @pytest.mark.parametrize("name", ["driven_qubit", "oscillator"])
+    def test_matches_one_trajectory_ensemble_bitwise(self, name):
+        # Both entry points run one step.  The driven qubit, with an extra
+        # channel and a constant control, takes the dense half step; the
+        # d = 21 oscillator the diagonal one.
+        if name == "driven_qubit":
+            model = TestKrausPhysicality.MODELS["qubit"][0]
+            rho0, u, n = 0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X - 0.4 * ops.SIGMA_Z), [0.7], 200
+        else:
+            (model, rho0, _), u, n = oscillator(), [], 50
+        cfg, seed = bel.SmeConfig(dt=1e-2, T=n * 1e-2), 7
+        _, states, _, _, _ = bel.simulate_ensemble(model, lambda t, rho, past: u, cfg, rho0,
+                                                   [seed])
+        rho = rho0
+        for k, dW in enumerate(bel.noise_increments(seed, n, cfg.dt)):
+            rho = bel.step_sme(rho, u, dW, model, cfg)
+            assert np.array_equal(rho, states[0, k + 1])
 
 
 class TestGenerateRecord:
@@ -343,6 +364,13 @@ def kraus_step(rho, dw, model, dt):
     return bel.step_sme(rho, [], dw, model, bel.SmeConfig(dt=dt, T=dt))
 
 
+def held_kraus_step(model, dt):
+    """`kraus_step` through one `_KrausStep` held for every call: the same
+    step, without building a new one per call."""
+    step, u = bel._KrausStep(model, dt, 1), np.zeros((1, 0))
+    return lambda rho, dw, model, dt: step(u, rho[None], np.array([dw]))[0][0]
+
+
 class TestKrausOscillator:
     def quadrature_path(self, model, rho0, quadratures, step, dW, dt):
         states = [rho0]
@@ -358,7 +386,8 @@ class TestKrausOscillator:
         T, fine, ratio = 0.3, 1e-4, 10
         for seed in range(3):
             dW = np.random.default_rng(seed).normal(0.0, np.sqrt(fine), int(round(T / fine)))
-            ref = self.quadrature_path(model, rho0, quads, kraus_step, dW, fine)[::ratio]
+            ref = self.quadrature_path(model, rho0, quads, held_kraus_step(model, fine), dW,
+                                       fine)[::ratio]
             coarse_dW = dW.reshape(-1, ratio).sum(axis=1)
             err = {step: np.max(np.abs(self.quadrature_path(
                 model, rho0, quads, step, coarse_dW, fine * ratio) - ref))
@@ -411,7 +440,7 @@ class TestKrausPhysicality:
         cfg = bel.SmeConfig(dt=1e-2, T=1.0)
         rho = 0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X - 0.4 * ops.SIGMA_Z)
         out = bel.step_sme(rho, [0.0], 0.05, model, cfg)
-        kraus, _ = ops.kraus_map(model.kraus, rho[None], np.array([0.05]), cfg.dt)
+        kraus, _ = bel._KrausStep(model, cfg.dt, 1).measure(rho[None], np.array([0.05]))
         assert np.array_equal(out, ((kraus + ops.dagger(kraus)) / 2.0)[0])
 
     @pytest.mark.parametrize("name, feedback", [
@@ -496,7 +525,7 @@ def refuse_cayley(h, s):
 def dense_split_step(model, u, rho, dW, dt):
     """The split Kraus step with U from the dense `ops.cayley` solve."""
     U = ops.cayley(model.hamiltonian(u), dt / (4.0 * model.hbar))
-    r, dy = ops.kraus_map(model.kraus, U @ rho @ ops.dagger(U), dW, dt)
+    r, dy = bel._KrausStep(model, dt, len(rho)).measure(U @ rho @ ops.dagger(U), dW)
     r = U @ r @ ops.dagger(U)
     return (r + ops.dagger(r)) / 2.0, dy
 

@@ -683,3 +683,49 @@ def test_linear_model_has_no_unused_fields(field):
     with pytest.raises(TypeError):
         mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
                         **{field: np.eye(1)})
+
+
+BAD_HBAR = pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf],
+                                   ids=["zero", "negative", "nan", "inf"])
+
+
+@BAD_HBAR
+def test_build_ab_rejects_hbar_that_is_not_finite_positive(hbar):
+    # Before: 0 raised a bare ZeroDivisionError, -1 flipped A's sign, nan gave
+    # an all-NaN A and inf dropped the Hamiltonian part.
+    with pytest.raises(RejectedInputError, match="hbar"):
+        mom.build_AB(oscillator_R(1.0), np.zeros((2, 1)), hbar=hbar)
+
+
+@BAD_HBAR
+def test_linear_model_rejects_construction_hbar_in_code_and_file(hbar, tmp_path):
+    # Before: the construction block's hbar reached no check at all.
+    construction = {"R_param": oscillator_R(1.0), "K_ham": np.zeros((2, 1))}
+    with pytest.raises(RejectedInputError, match="hbar"):
+        mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                        construction=dict(construction, hbar=hbar))
+    path = tmp_path / "model.txt"
+    mom.save_linear_model(mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)),
+                                          C=np.zeros((1, 2)),
+                                          construction=dict(construction, hbar=0.7)), path)
+    path.write_text(path.read_text().replace("construction.hbar = [0.7]",
+                                             f"construction.hbar = [{hbar!r}]"))
+    with pytest.raises(RejectedInputError, match="hbar"):
+        mom.load_linear_model(path)
+
+
+@pytest.mark.parametrize("name", mom.MODEL_MATRICES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_model_rejects_non_finite_matrices_in_code_and_file(name, bad, tmp_path):
+    # Before: each was accepted, and the filter later raised NumericalBlowupError.
+    model = damped_oscillator_model()
+    mats = {k: getattr(model, k).copy() for k in mom.MODEL_MATRICES}
+    mats[name][0, 0] = bad
+    with pytest.raises(RejectedInputError, match=f"{name} has non-finite"):
+        mom.LinearModel(**mats)
+    path = tmp_path / "model.txt"
+    mom.save_linear_model(model, path)
+    path.write_text(re.sub(rf"^{name} = \[[^,]+", f"{name} = [{bad!r}", path.read_text(),
+                           flags=re.M))
+    with pytest.raises(RejectedInputError, match=f"{name} has non-finite"):
+        mom.load_linear_model(path)

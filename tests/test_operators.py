@@ -184,6 +184,16 @@ class TestQuantumModel:
             model.hamiltonian([[0.1, 0.2], [np.nan, 0.0]])
 
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, 1j, [1.0, 2.0]],
+                             ids=["zero", "negative", "nan", "inf", "complex", "vector"])
+    def test_rejects_hbar_that_is_not_one_finite_positive_number(self, hbar):
+        # Before: nan was accepted and the step then blew up, inf was accepted
+        # and silently dropped H, and complex and vector values raised bare
+        # TypeErrors.
+        with pytest.raises(RejectedInputError, match="hbar"):
+            ops.QuantumModel(H0=ops.SIGMA_X, L=ops.SIGMA_Z, hbar=hbar)
+
+
 class TestNonFiniteRejected:
     def test_check_hermitian(self):
         with pytest.raises(RejectedInputError, match="non-finite"):
