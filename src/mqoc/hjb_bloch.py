@@ -15,11 +15,12 @@ masked to the ball.  Each grid size has one cached stencil, a tap table: for
 every inside node the positions of its 19 taps (itself, 6 face and 12 edge
 neighbours) and per-node weights that encode its rule, central differences
 where both sides are inside and one-sided first (zero second) differences
-where a tap leaves the ball.  A sweep step is one gather of the taps and a
-few contractions against weight tables built once per solve.  The value
-grid holds the inside nodes only, in C order; the stencil owns the grid's
-geometry.  The costate lookup applies the same stencil at the inside grid
-corners it interpolates between, for a whole batch of points at once.
+where a tap leaves the ball.  A sweep step gathers the 6 face taps and
+takes each cross difference as a difference of their central differences;
+b being affine in u, it contracts the drift once per control direction.
+The value grid holds the inside nodes only, in C order; the stencil owns
+the grid's geometry.  The costate lookup reads all 19 taps at the inside
+grid corners it interpolates between, for a whole batch of points at once.
 """
 
 import functools
@@ -179,7 +180,9 @@ class _BallStencil:
     leaves the ball points back at the node itself.  `scale[k, i]` encodes
     node i's rule for derivative k: central where both sides are inside,
     one-sided where one is (first derivatives only), zero otherwise.  So
-    derivative k at every inside node is scale[k] * (_PATTERN[k] @ v[taps]).
+    derivative k at every inside node is scale[k] * (_PATTERN[k] @ v[taps]), as
+    `extract_costate` reads them.  The sweep reads only the face taps, then
+    `cross`: per pair (a, b), the a-differences at taps +b and -b in a flat (3 N_in).
     """
 
     def __init__(self, n):
@@ -208,6 +211,7 @@ class _BallStencil:
             np.where(both, 0.5 / h, np.where(ok[_PLUS] | ok[_MINUS], 1.0 / h, 0.0)),
             np.where(both, 1.0 / h ** 2, 0.0),
             np.where(ok[_EDGES].reshape(3, 4, n_in).all(axis=1), 0.25 / h ** 2, 0.0)])
+        self.cross = self.taps[[3, 4, 5, 6, 5, 6]] + n_in * np.array([0, 0, 0, 0, 1, 1])[:, None]
 
 
 @functools.cache
@@ -222,25 +226,41 @@ def expectation_fields(operators, r):
     return 0.5 * (traces[:, :1] + traces[:, 1:] @ r.T)
 
 
-def _sweep_weights(stencil, drift, s):
-    """Tap weights of the diffusion term (19, N_in) and of the drift (n_u, 3, N_in).
+class _Sweep:
+    """The explicit step v + dt * min over u_grid of [running_u + diffusion + drift_u].
 
-    With V = v[taps], the diffusion term 1/2 s^T Hess(v) s is
-    sum_t w_diff[t] V[t] and control u's drift term is
-    sum_a w_drift[u, a] (V[+a] - V[-a]).
+    `differences` forms the rows of `_PATTERN @ v[taps]`, unscaled, from the face
+    taps: cross (a, b) is the a-difference at tap +b minus that at -b, which is the
+    4-point rule wherever `scale` keeps it (the ball is convex).  As b(r, u) =
+    b(r, 0) + sum_i u_i A_i r, only running_u + sum_i u_i (A_i r).scale d enter the
+    minimum.  Work arrays are reused, and `np.take` fills them unbuffered (mode="clip").
     """
-    q = np.concatenate([0.5 * s.T ** 2, [s[:, a] * s[:, b] for a, b in _PAIRS]])
-    w_diff = _PATTERN[3:].T @ (q * stencil.scale[3:])
-    w_drift = np.transpose(drift, (0, 2, 1)) * stencil.scale[:3]
-    return w_diff, w_drift
 
+    def __init__(self, stencil, gen, u_grid, s):
+        self.stencil, self.u_grid = stencil, np.asarray(u_grid, dtype=float)
+        q = np.concatenate([0.5 * s.T ** 2, [s[:, a] * s[:, b] for a, b in _PAIRS]])
+        w_drift = (gen.A @ stencil.points_in.T) * stencil.scale[:3]  # (A_j r)_a, (1 + k, 3, N_in)
+        w_drift[0] += gen.c[:, None] * stencil.scale[:3]  # b(r, 0) = A_0 r + c
+        self.w_rest = np.concatenate([w_drift[0], q * stencil.scale[3:]])
+        self.w_control = w_drift[1:]
+        self.d, self.face, self.at_b, self.ham = np.split(
+            np.empty((21 + len(self.u_grid), len(s))), [9, 15, 21])
 
-def _explicit_step(v, stencil, running, w_diff, w_drift, dt):
-    """v + dt * min_u [running_u + diffusion + drift_u] on the inside nodes."""
-    at_taps = v[stencil.taps]
-    ham = running + np.einsum("tn,tn->n", w_diff, at_taps)
-    ham += np.einsum("uan,an->un", w_drift, at_taps[_PLUS] - at_taps[_MINUS])
-    return v + dt * np.min(ham, axis=0)
+    def differences(self, v):
+        d, face = self.d, np.take(v, self.stencil.taps[1:7], out=self.face, mode="clip")
+        np.subtract(face[0::2], face[1::2], out=d[:3])
+        np.add(face[0::2], face[1::2], out=d[3:6])
+        d[3:6] -= 2.0 * v
+        at_b = np.take(d[:3].ravel(), self.stencil.cross, out=self.at_b, mode="clip")
+        np.subtract(at_b[0::2], at_b[1::2], out=d[6:])
+        return d
+
+    def __call__(self, v, running, dt, out=None):
+        d, ham = self.differences(v), running
+        for u_i, g_i in zip(self.u_grid.T, np.einsum("jan,an->jn", self.w_control, d[:3])):
+            ham = np.add(ham, u_i[:, None] * g_i, out=self.ham)
+        rest = np.einsum("kn,kn->n", self.w_rest, d)
+        return np.add(v, dt * (np.min(ham, axis=0) + rest), out=out)
 
 
 def solve_hjb_grid(model, cost, u_grid, spec):
@@ -259,16 +279,16 @@ def solve_hjb_grid(model, cost, u_grid, spec):
         raise StabilityError(
             f"explicit scheme unstable: dt={spec.dt:.3e} exceeds h^2/(6 max|s|^2) = "
             f"{dt_max:.3e}; increase n_time to at least {int(np.ceil(spec.T / dt_max))}")
-    w_diff, w_drift = _sweep_weights(stencil, gen.drift(np.array(u_grid)[:, None], pts), s)
+    sweep = _Sweep(stencil, gen, u_grid, s)
 
     stored = np.empty((spec.n_time + 1, len(pts)))
     stored[-1] = v = expectation_fields([cost.terminal_op], pts)[0]
-
     for step in range(spec.n_time):
         t_next = spec.T - step * spec.dt
-        running = expectation_fields([cost.running(t_next, u) for u in u_grid], pts)
-        v = _explicit_step(v, stencil, running, w_diff, w_drift, spec.dt)
-        stored[spec.n_time - step - 1] = v
+        now = np.stack([cost.running(t_next, u) for u in u_grid])
+        if step == 0 or not np.array_equal(now, running_ops):
+            running_ops, running = now, expectation_fields(now, pts)
+        v = sweep(v, running, spec.dt, out=stored[spec.n_time - step - 1])
 
     return ValueGrid(
         time_points=np.linspace(0.0, spec.T, spec.n_time + 1),

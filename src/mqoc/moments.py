@@ -127,7 +127,7 @@ MODEL_MATRICES = ("A", "B", "C", "F", "M_cov")
 CONSTRUCTION_KEYS = ("R_param", "K_ham", "Gamma", "hbar")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """State-space matrices of the measured linear model.
 

@@ -110,7 +110,7 @@ def _same_dim(a, b, what="operands"):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumModel:
     """System Hamiltonian pieces, measured coupling L, extra decoherence channels.
 

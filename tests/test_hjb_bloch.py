@@ -10,6 +10,7 @@ from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc.errors import RejectedInputError, StabilityError
+from reference import hjb_grid_values
 
 KAPPA = 0.5
 DEPHASING = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(KAPPA) * ops.SIGMA_Z)
@@ -184,8 +185,7 @@ class TestSolveHjbGrid:
         r = stencil.points_in
         b, s = hjb.bloch_dynamics(model, [0.7], r)
         dt = 1e-2
-        w_diff, w_drift = hjb._sweep_weights(stencil, [b], s)
-        stepped = hjb._explicit_step(q(r), stencil, np.zeros((1, len(r))), w_diff, w_drift, dt)
+        stepped = hjb._Sweep(stencil, model.bloch, [[0.7]], s)(q(r), np.zeros((1, len(r))), dt)
         exact = q(r) + dt * (np.sum(b * grad(r), axis=1)
                              + 0.5 * np.einsum("ni,ij,nj->n", s, A, s))
         full = full_stencil(stencil)
@@ -247,6 +247,71 @@ class TestSolveHjbGrid:
         assert grid.time_points[0] == 0.0
         assert np.array_equal(grid.time_points,
                               np.linspace(0.0, T, n_time + 1))
+
+
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+EXCITED = np.diag([0.0, 1.0]).astype(complex)
+SWEEP_T = 0.02
+
+
+def switching_running_op(t, u):
+    """Weighs |1><1| before SWEEP_T / 2 and |0><0| from then on."""
+    state = EXCITED if t < SWEEP_T / 2 else np.eye(2) - EXCITED
+    return state + 0.1 * float(np.dot(u, u)) * np.eye(2)
+
+
+SWEEP_SETUPS = {
+    "sigma_y_5_controls": (
+        ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(KAPPA) * ops.SIGMA_Z, Hc=(ops.SIGMA_Y,)),
+        bel.quadratic_control_cost(0.5 * EXCITED, EXCITED, 0.2),
+        [[-1.0], [-0.5], [0.0], [0.5], [1.0]]),
+    "two_controls_non_unital": (
+        ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
+                         Hc=(ops.SIGMA_X, ops.SIGMA_Y), L_extra=(0.8 * SIGMA_MINUS,)),
+        bel.quadratic_control_cost(0.5 * EXCITED, EXCITED, [0.2, 0.3]),
+        [[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [0.5, -0.5]]),
+    "cost_switching_at_half_time": (
+        ops.QuantumModel(H0=0.4 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z,
+                         Hc=(ops.SIGMA_Y,)),
+        bel.CostSpec(running_op=switching_running_op, terminal_op=EXCITED),
+        [[-1.0], [0.0], [1.0]]),
+}
+
+
+class TestSweepMatchesReference:
+    """The face-tap sweep against the 19-tap reference scheme of `reference.py`."""
+
+    @pytest.mark.parametrize("n", [11, 20, 21])
+    @pytest.mark.parametrize("setup", sorted(SWEEP_SETUPS))
+    def test_every_stored_slice(self, setup, n):
+        model, cost, u_grid = SWEEP_SETUPS[setup]
+        spec = hjb.GridSpec(T=SWEEP_T, n_space=n, n_time=30)
+        grid = hjb.solve_hjb_grid(model, cost, u_grid, spec)
+        ref = hjb_grid_values(model, cost, u_grid, spec)
+        assert grid.values.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.all(np.max(np.abs(grid.values - ref), axis=1) <= 1e-12 * scale)
+
+    def test_switching_cost_changes_the_value(self):
+        # Guards the setup above: with the cost held at its t = T value the
+        # grid differs far beyond 1e-12, so a stale running field would fail.
+        model, cost, u_grid = SWEEP_SETUPS["cost_switching_at_half_time"]
+        late = bel.CostSpec(running_op=lambda t, u: cost.running(SWEEP_T, u),
+                            terminal_op=cost.terminal_op)
+        spec = hjb.GridSpec(T=SWEEP_T, n_space=11, n_time=30)
+        switched = hjb.solve_hjb_grid(model, cost, u_grid, spec).values[0]
+        held = hjb.solve_hjb_grid(model, late, u_grid, spec).values[0]
+        assert np.max(np.abs(switched - held)) > 1e-4
+
+    @pytest.mark.parametrize("n", [5, 6, 11, 20, 21])
+    def test_differences_match_the_19_tap_pattern(self, n):
+        stencil = hjb._stencil(n)
+        gen = DEPHASING.bloch
+        sweep = hjb._Sweep(stencil, gen, [np.zeros(0)], gen.diffusion(stencil.points_in))
+        v = np.random.default_rng(n).normal(size=len(stencil.points_in))
+        expect = stencil.scale * (hjb._PATTERN @ v[stencil.taps])
+        got = stencil.scale * sweep.differences(v)
+        assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
 class TestExtractCostate:

@@ -685,6 +685,15 @@ def test_linear_model_has_no_unused_fields(field):
                         **{field: np.eye(1)})
 
 
+def test_linear_model_hashes_keys_a_dict_and_compares_by_identity():
+    # Before: hash raised TypeError, and == raised numpy's ambiguous-truth ValueError.
+    model, twin = (mom.LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
+                   for _ in range(2))
+    assert hash(model) == hash(model)
+    assert {model: 1, twin: 2}[model] == 1
+    assert model == model and model != twin
+
+
 BAD_HBAR = pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf],
                                    ids=["zero", "negative", "nan", "inf"])
 

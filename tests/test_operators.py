@@ -193,6 +193,14 @@ class TestQuantumModel:
         with pytest.raises(RejectedInputError, match="hbar"):
             ops.QuantumModel(H0=ops.SIGMA_X, L=ops.SIGMA_Z, hbar=hbar)
 
+    def test_hashes_keys_a_dict_and_compares_by_identity(self):
+        # Before: the generated field-wise __hash__ raised TypeError on the arrays.
+        model = ops.QuantumModel(H0=ops.SIGMA_X, L=ops.SIGMA_Z)
+        twin = ops.QuantumModel(H0=ops.SIGMA_X, L=ops.SIGMA_Z)
+        assert hash(model) == hash(model)
+        assert {model: 1, twin: 2}[model] == 1
+        assert model == model and model != twin
+
 
 class TestNonFiniteRejected:
     def test_check_hermitian(self):
