@@ -13,8 +13,10 @@ again, then the Hermitian part; a diagonal H(u), as H0 = omega a^dag a,
 gives a closed-form diagonal U (`_half_step`).  The mean in dy is taken at
 the state the Kraus map measures, after the first half step, and the record
 gets that same dy.  Every state is positive semidefinite with unit trace by
-construction, up to rounding; nothing is projected.  `simulate_ensemble`
-and `step_sme` run this one step; neither keeps filter state on the model.
+construction, up to rounding; nothing is projected.  `simulate_ensemble`,
+the one trajectory generator, and `step_sme` run this step, keeping no state on the
+model; a `TrajectoryRecord` is packed from the generator's output, and
+`trajectory_cost` checks every running operator it reads.
 """
 
 from collections import namedtuple
@@ -24,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import operators as ops
-from .errors import NumericalBlowupError, RejectedInputError
+from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
 from .io import write_csv
 
 STEP_COUNT_TOL = 1e-9
@@ -36,7 +38,6 @@ class SmeConfig:
 
     dt: float
     T: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.dt <= self.T < np.inf:
@@ -44,7 +45,6 @@ class SmeConfig:
         ratio = self.T / self.dt
         if abs(ratio - round(ratio)) > STEP_COUNT_TOL * max(1.0, ratio):
             raise RejectedInputError(f"T/dt = {ratio} does not round to an integer step count")
-        _seed_list([self.seed])
 
     @property
     def n_steps(self):
@@ -61,7 +61,9 @@ def _check_psd(m, name):
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Linear cost: running density <rho, C(t,u)> plus terminal <rho(T), M>."""
+    """Linear cost: running density <rho, C(t,u)> plus terminal <rho(T), M>, M checked
+    here.  `trajectory_cost` checks every C it reads, along a record packed from the
+    output of `simulate_ensemble`, the one trajectory generator."""
 
     running_op: object  # callable (t, u) -> Hermitian PSD matrix
     terminal_op: np.ndarray
@@ -72,21 +74,12 @@ class CostSpec:
     def running(self, t, u):
         return np.asarray(self.running_op(t, u), dtype=complex)
 
-    def running_value(self, t, u, rho):
-        return np.real(ops.expectation(rho, self.running(t, u)))
-
-    def terminal_value(self, rho):
-        return np.real(ops.expectation(rho, self.terminal_op))
-
-    def check_at(self, t, u):
-        """Spot-check Hermiticity/PSD of the running operator at one (t, u)."""
-        _check_psd(self.running(t, u), f"running_op({t}, {u})")
-
 
 def quadratic_control_cost(state_op, terminal_op, control_weight=0.0):
     """CostSpec with C(t, u) = state_op + (1/2) u^T W u * I (W = control_weight).
 
     state_op must be Hermitian PSD, and W finite PSD: entries >= 0, or a PSD matrix.
+    A scalar W serves any control count k; a vector or matrix W must fit k.
     """
     state_op = _check_psd(state_op, "state_op")
     w = np.asarray(control_weight, dtype=float)
@@ -98,10 +91,9 @@ def quadratic_control_cost(state_op, terminal_op, control_weight=0.0):
 
     def running_op(t, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if w.ndim < 2:
-            penalty = 0.5 * float(np.sum(w * u * u))
-        else:
-            penalty = 0.5 * float(u @ w @ u)
+        if w.ndim and w.shape != (len(u),) * w.ndim:
+            raise DimensionMismatchError(f"control_weight {w.shape} does not fit k = {len(u)}")
+        penalty = 0.5 * float(u @ w @ u if w.ndim == 2 else np.sum(w * u * u))
         return state_op + penalty * eye
 
     return CostSpec(running_op=running_op, terminal_op=terminal_op)
@@ -109,7 +101,9 @@ def quadratic_control_cost(state_op, terminal_op, control_weight=0.0):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One filtered trajectory: states, controls, record y, innovations W."""
+    """One filtered trajectory: states, controls, record y, innovations W, packed from
+    row i of the output of `simulate_ensemble`, the one generator; `trajectory_cost`
+    checks every running operator it reads along it."""
 
     times: np.ndarray
     states: np.ndarray
@@ -352,29 +346,15 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     return times, states, controls, y, w_path
 
 
-def generate_record(model, policy, cost, cfg, rho0):
-    """Simulate one trajectory; reproducible from cfg.seed alone."""
-    if cost is not None:
-        cost.check_at(0.0, np.zeros(model.n_controls))
-    times, states, controls, y, w_path = simulate_ensemble(
-        model, policy, cfg, rho0, [cfg.seed], keep_states=True)
-    return TrajectoryRecord(
-        times=times,
-        states=states[0],
-        controls=controls[0],
-        record_y=y[0],
-        innovations_W=w_path[0],
-        seed=int(cfg.seed),
-    )
-
-
 def trajectory_cost(traj, cost):
-    """Left-endpoint Riemann sum of the running cost plus the terminal cost."""
-    dt = traj.dt
-    total = 0.0
-    for k in range(traj.n_steps):
-        total += cost.running_value(traj.times[k], traj.controls[k], traj.states[k]) * dt
-    return total + cost.terminal_value(traj.states[-1])
+    """Left-endpoint Riemann sum of the running cost plus the terminal cost, in one pass:
+    each C(t_k, u_k) is stacked and checked Hermitian PSD, and summed in step order."""
+    running = [cost.running(t, u) for t, u in zip(traj.times[:-1], traj.controls[:-1])]
+    if len({c.shape for c in running}) > 1:
+        raise DimensionMismatchError("running_op changes shape along the record")
+    running = _check_psd(running, "running_op")
+    values = np.real(ops.expectation(traj.states[:-1], running)) * traj.dt
+    return np.cumsum(values)[-1] + np.real(ops.expectation(traj.states[-1], cost.terminal_op))
 
 
 def filter_observable_check(traj, X, model):

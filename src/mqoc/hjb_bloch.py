@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .errors import RejectedInputError, StabilityError
+from .errors import DimensionMismatchError, RejectedInputError, StabilityError
 
 BLOCH_NORM_TOL = 1e-9
 STABILITY_EPS = 1e-12
@@ -221,8 +221,12 @@ def _stencil(n):
 
 
 def expectation_fields(operators, r):
-    """<rho(r), op> = (tr op + r . tr(op sigma)) / 2, (n_ops, N) for points r (N, 3)."""
-    traces = np.real(np.einsum("uij,kji->uk", np.asarray(operators), ops.PAULI_BASIS))
+    """<rho(r), op> = (tr op + r . tr(op sigma)) / 2, (n_ops, N) for points r (N, 3);
+    operators that are not a stack of 2 x 2 matrices raise DimensionMismatchError."""
+    operators = np.asarray(operators)
+    if operators.shape[1:] != (2, 2):
+        raise DimensionMismatchError(f"cost operators must be 2 x 2, got {operators.shape[1:]}")
+    traces = np.real(np.einsum("uij,kji->uk", operators, ops.PAULI_BASIS))
     return 0.5 * (traces[:, :1] + traces[:, 1:] @ r.T)
 
 

@@ -1,8 +1,28 @@
-"""Reference formulas the tests compare the library against, written apart from its kernel."""
+"""Reference formulas the tests compare the library against, written apart from its kernel,
+and the one-seed record the tests pack from `simulate_ensemble`."""
 
 import numpy as np
 
+from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
+from mqoc import operators as ops
+
+
+def record(model, policy, cfg, rho0, seed):
+    """The `TrajectoryRecord` of one seed, packed from `simulate_ensemble`'s output."""
+    times, states, controls, y, w = bel.simulate_ensemble(model, policy, cfg, rho0, [seed])
+    return bel.TrajectoryRecord(times, states[0], controls[0], y[0], w[0], seed)
+
+
+def trajectory_cost_loop(traj, cost):
+    """Left-endpoint Riemann sum of the running cost plus the terminal cost, one
+    step at a time: <C(t_k, u_k)>_k dt added in step order, then <M>_T."""
+    dt = traj.dt
+    total = 0.0
+    for k in range(traj.n_steps):
+        running = cost.running(traj.times[k], traj.controls[k])
+        total += np.real(ops.expectation(traj.states[k], running)) * dt
+    return total + np.real(ops.expectation(traj.states[-1], cost.terminal_op))
 
 
 def adjoint_generator(model, u, X):

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from mqoc import belavkin as bel
+from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
+from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, RejectedInputError
-from reference import adjoint_generator
+from reference import adjoint_generator, record, trajectory_cost_loop
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
 GROUND = np.diag([1.0, 0.0]).astype(complex)
-
-
-def zero_cost(dim=2):
-    return bel.CostSpec(running_op=lambda t, u: np.zeros((dim, dim)),
-                        terminal_op=np.zeros((dim, dim)))
+EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
 
 class TestSmeConfig:
@@ -60,9 +58,10 @@ class TestSmeConfig:
             with pytest.raises(TypeError, match="scheme"):
                 bel.SmeConfig(dt=1e-3, T=1.0, scheme=scheme)
 
-    @pytest.mark.parametrize("name", ["normalize_each_step"])
+    @pytest.mark.parametrize("name", ["normalize_each_step", "seed"])
     def test_removed_fields_are_unknown_keywords(self, name):
-        # The filter has one step, so no repair flag is settable.
+        # The filter has one step, so no repair flag is settable, and seeds go
+        # to simulate_ensemble, the one generator, not to the config.
         with pytest.raises(TypeError, match=name):
             bel.SmeConfig(dt=1e-3, T=1.0, **{name: False})
 
@@ -82,8 +81,7 @@ class TestSeeds:
         lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [2**64]),
         lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [1.7]),
         lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [[1, 2], [3, 4]]),
-        lambda cfg: bel.SmeConfig(dt=cfg.dt, T=cfg.T, seed=1.7),
-    ], ids=["empty", "negative", "2**64", "float", "2-D", "config_float"])
+    ], ids=["empty", "negative", "2**64", "float", "2-D"])
     def test_rejected_before_any_step(self, make, monkeypatch):
         def step(*args):
             raise AssertionError("the filter step ran")
@@ -98,7 +96,6 @@ class TestSeeds:
         for seeds in (range(2), np.array([0, 1]), [np.int32(0), top]):
             w = bel.simulate_ensemble(QUBIT_Z, None, self.CFG, MIXED, seeds)[4]
             assert np.array_equal(w[0], want)
-        assert bel.SmeConfig(dt=0.1, T=0.2, seed=top).seed == top
 
 
 class TestNoiseIncrements:
@@ -204,18 +201,20 @@ class TestStepSme:
 
 
 class TestGenerateRecord:
+    """Records packed from `simulate_ensemble`, the one trajectory generator."""
+
     def test_deterministic_from_seed(self):
-        cfg = bel.SmeConfig(dt=1e-3, T=0.05, seed=42)
-        a = bel.generate_record(QUBIT_Z, None, zero_cost(), cfg, MIXED)
-        b = bel.generate_record(QUBIT_Z, None, zero_cost(), cfg, MIXED)
+        cfg = bel.SmeConfig(dt=1e-3, T=0.05)
+        a = record(QUBIT_Z, None, cfg, MIXED, 42)
+        b = record(QUBIT_Z, None, cfg, MIXED, 42)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.record_y, b.record_y)
         assert np.array_equal(a.innovations_W, b.innovations_W)
 
     def test_free_record_is_random_walk(self):
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
-        cfg = bel.SmeConfig(dt=1e-3, T=0.2, seed=3)
-        traj = bel.generate_record(model, None, zero_cost(), cfg, MIXED)
+        cfg = bel.SmeConfig(dt=1e-3, T=0.2)
+        traj = record(model, None, cfg, MIXED, 3)
         assert np.allclose(traj.states, MIXED, atol=1e-14)
         # y has pure Normal(0, dt) increments: y == W.
         assert np.allclose(traj.record_y, traj.innovations_W)
@@ -223,11 +222,10 @@ class TestGenerateRecord:
         assert abs(np.var(incr) / cfg.dt - 1.0) < 0.5
 
     def test_ensemble_matches_single_runs(self):
-        cfg = bel.SmeConfig(dt=1e-3, T=0.05, seed=11)
+        cfg = bel.SmeConfig(dt=1e-3, T=0.05)
         times, states, controls, y, w = bel.simulate_ensemble(
             QUBIT_Z, None, cfg, MIXED, [11, 12])
-        solo = bel.generate_record(QUBIT_Z, None, zero_cost(),
-                                   bel.SmeConfig(dt=1e-3, T=0.05, seed=12), MIXED)
+        solo = record(QUBIT_Z, None, cfg, MIXED, 12)
         assert np.allclose(states[1], solo.states, atol=1e-14)
         assert np.array_equal(w[1], solo.innovations_W)
 
@@ -247,8 +245,8 @@ class TestGenerateRecord:
             seen.append((t, len(past.times), len(past.y)))
             return np.zeros(0)
 
-        cfg = bel.SmeConfig(dt=0.25, T=1.0, seed=0)
-        bel.generate_record(QUBIT_Z, probe, zero_cost(), cfg, MIXED)
+        cfg = bel.SmeConfig(dt=0.25, T=1.0)
+        bel.simulate_ensemble(QUBIT_Z, probe, cfg, MIXED, [0])
         # At step k the policy sees exactly k+1 past record entries.
         assert [n for (_, n, _) in seen] == [1, 2, 3, 4, 5]
 
@@ -290,8 +288,8 @@ class TestPolicyControls:
 
 class TestTrajectoryInvariants:
     def test_trace_and_positivity(self):
-        cfg = bel.SmeConfig(dt=1e-3, T=1.0, seed=5)
-        traj = bel.generate_record(QUBIT_Z, None, zero_cost(), cfg, MIXED)
+        cfg = bel.SmeConfig(dt=1e-3, T=1.0)
+        traj = record(QUBIT_Z, None, cfg, MIXED, 5)
         traces = np.einsum("tij->t", traj.states * np.eye(2))
         assert np.max(np.abs(traces - 1.0)) <= 1e-12
         eigs = np.linalg.eigvalsh(traj.states)
@@ -301,8 +299,8 @@ class TestTrajectoryInvariants:
         # Measurement-dominated regime: a driven qubit pinned near a pointer
         # state, where Euler positivity overshoot stays O(dt).
         model = ops.QuantumModel(H0=0.06 * ops.SIGMA_X, L=np.sqrt(0.5) * ops.SIGMA_Z)
-        cfg = bel.SmeConfig(dt=1e-4, T=1.0, seed=9)
-        traj = bel.generate_record(model, None, zero_cost(), cfg, GROUND)
+        cfg = bel.SmeConfig(dt=1e-4, T=1.0)
+        traj = record(model, None, cfg, GROUND, 9)
         purity = np.real(np.einsum("tij,tji->t", traj.states, traj.states))
         assert np.max(1.0 - purity) <= 1e-3
 
@@ -580,10 +578,39 @@ class TestDiagonalHalfStep:
         assert step.half_step(np.array([[0.0], [0.5], [0.0]])) is not None
 
 
+def cost_case(name):
+    """(record, cost) for the stacked-against-loop cost comparison."""
+    if name == "grid_policy":
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(0.5) * ops.SIGMA_Z,
+                                 Hc=(ops.SIGMA_Y,))
+        cost = bel.quadratic_control_cost(0.5 * EXCITED, EXCITED, 0.2)
+        u_grid = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
+        spec = hjb.GridSpec(T=0.05, n_space=11, n_time=100)
+        grid = hjb.solve_hjb_grid(model, cost, u_grid, spec)
+        policy = pmp.GridPolicy(grid, model, cost, u_grid)
+        rho0 = hjb.density_from_bloch([0.3, 0.0, 0.2])
+        return record(model, policy, bel.SmeConfig(dt=5e-4, T=0.05), rho0, 17), cost
+    if name == "t_dependent":
+        cost = bel.CostSpec(running_op=lambda t, u: (1.0 + t) * EXCITED + t * t * np.eye(2),
+                            terminal_op=EXCITED)
+        return record(QUBIT_Z, None, bel.SmeConfig(dt=1e-2, T=1.0), MIXED, 1), cost
+    if name == "two_controls":
+        model = ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=ops.SIGMA_Z,
+                                 Hc=(ops.SIGMA_X, ops.SIGMA_Y))
+        cost = bel.CostSpec(running_op=lambda t, u: u[0] ** 2 * GROUND + u[1] ** 2 * EXCITED,
+                            terminal_op=GROUND)
+        return record(model, lambda t, rho, past: [np.sin(5 * t), np.cos(3 * t)],
+                      bel.SmeConfig(dt=1e-2, T=0.5), MIXED, 2), cost
+    a = ops.annihilation(3)
+    model = ops.QuantumModel(H0=ops.dagger(a) @ a, L=0.7 * a, Hc=(a + ops.dagger(a),))
+    cost = bel.quadratic_control_cost(np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 0.0, 1.0]), 0.1)
+    return record(model, lambda t, rho, past: [np.cos(4 * t)], bel.SmeConfig(dt=1e-2, T=0.5),
+                  np.eye(3) / 3, 3), cost
+
+
 class TestTrajectoryCost:
     def _traj(self, T=1.0, dt=1e-2, seed=1):
-        cfg = bel.SmeConfig(dt=dt, T=T, seed=seed)
-        return bel.generate_record(QUBIT_Z, None, zero_cost(), cfg, MIXED)
+        return record(QUBIT_Z, None, bel.SmeConfig(dt=dt, T=T), MIXED, seed)
 
     def test_terminal_identity_is_one(self):
         traj = self._traj()
@@ -592,8 +619,7 @@ class TestTrajectoryCost:
 
     def test_orthogonal_terminal_state(self):
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
-        cfg = bel.SmeConfig(dt=1e-2, T=0.1, seed=2)
-        traj = bel.generate_record(model, None, zero_cost(), cfg, GROUND)
+        traj = record(model, None, bel.SmeConfig(dt=1e-2, T=0.1), GROUND, 2)
         excited = np.diag([0.0, 1.0]).astype(complex)
         cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)), terminal_op=excited)
         assert bel.trajectory_cost(traj, cost) == pytest.approx(0.0, abs=1e-12)
@@ -609,6 +635,30 @@ class TestTrajectoryCost:
         high = bel.CostSpec(running_op=lambda t, u: np.eye(2) + 0.5 * ops.SIGMA_X,
                             terminal_op=np.zeros((2, 2)))
         assert bel.trajectory_cost(traj, low) <= bel.trajectory_cost(traj, high)
+
+    @pytest.mark.parametrize("case", ["grid_policy", "t_dependent", "two_controls", "qutrit"])
+    def test_matches_per_step_loop(self, case):
+        traj, cost = cost_case(case)
+        assert bel.trajectory_cost(traj, cost) == trajectory_cost_loop(traj, cost)
+
+    def test_running_operator_checked_at_every_step(self):
+        # PSD up to T/2 and -|1><1| after: the check at t = 0 alone passes it.
+        traj = self._traj(T=1.0, dt=1e-2)
+        cost = bel.CostSpec(running_op=lambda t, u: EXCITED if t < 0.5 else -EXCITED,
+                            terminal_op=np.zeros((2, 2)))
+        with pytest.raises(RejectedInputError, match="running_op is not positive semidefinite"):
+            bel.trajectory_cost(traj, cost)
+
+    @pytest.mark.parametrize("late", [np.eye(3), np.eye(1)], ids=["qutrit", "scalar"])
+    def test_wrong_sized_running_operator_is_a_dimension_mismatch(self, late):
+        # Every operator or only those after T/2: the step-by-step sum refused
+        # both with this type, which stacking must keep.
+        traj = self._traj(T=1.0, dt=1e-2)
+        for switch in (0.0, 0.5):
+            cost = bel.CostSpec(running_op=lambda t, u: EXCITED if t < switch else late,
+                                terminal_op=np.zeros((2, 2)))
+            with pytest.raises(DimensionMismatchError):
+                bel.trajectory_cost(traj, cost)
 
 
 class TestQuadraticControlCost:
@@ -643,17 +693,33 @@ class TestQuadraticControlCost:
         with pytest.raises(RejectedInputError, match=match):
             bel.quadratic_control_cost(state_op, self.EXCITED, 0.1)
 
+    # Before: [0.2, 0.3] with one control charged (1/2)(0.2 + 0.3) u^2, and
+    # eye(2) with one control raised numpy's bare matmul ValueError.
+    @pytest.mark.parametrize("weight, u", [
+        ([0.2, 0.3], [1.0]), (np.eye(2), [1.0]), ([0.2, 0.3], [1.0, 1.0, 1.0]),
+        (np.eye(3), [1.0, 2.0]),
+    ], ids=["vector_two_for_one", "matrix_two_for_one", "vector_two_for_three",
+            "matrix_three_for_two"])
+    def test_weight_must_fit_the_control_count(self, weight, u):
+        cost = bel.quadratic_control_cost(0.5 * self.EXCITED, self.EXCITED, weight)
+        with pytest.raises(DimensionMismatchError, match="control_weight"):
+            cost.running(0.0, u)
+
+    @pytest.mark.parametrize("u", [[], [1.0], [1.0, -2.0, 0.5]], ids=["k0", "k1", "k3"])
+    def test_scalar_weight_serves_any_control_count(self, u):
+        cost = bel.quadratic_control_cost(0.5 * self.EXCITED, self.EXCITED, 0.2)
+        penalty = 0.1 * float(np.sum(np.square(u)))
+        assert np.allclose(cost.running(0.0, u), 0.5 * self.EXCITED + penalty * np.eye(2))
+
 
 class TestFilterObservableCheck:
     def test_identity_observable(self):
-        cfg = bel.SmeConfig(dt=1e-3, T=0.2, seed=3)
-        traj = bel.generate_record(QUBIT_Z, None, zero_cost(), cfg, MIXED)
+        traj = record(QUBIT_Z, None, bel.SmeConfig(dt=1e-3, T=0.2), MIXED, 3)
         assert bel.filter_observable_check(traj, np.eye(2), QUBIT_Z) < 1e-10
 
     def test_static_model(self):
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
-        cfg = bel.SmeConfig(dt=1e-3, T=0.2, seed=3)
-        traj = bel.generate_record(model, None, zero_cost(), cfg, MIXED)
+        traj = record(model, None, bel.SmeConfig(dt=1e-3, T=0.2), MIXED, 3)
         assert bel.filter_observable_check(traj, ops.SIGMA_Z, model) < 1e-10
 
     def test_qubit_discrepancy_small(self):
@@ -662,8 +728,7 @@ class TestFilterObservableCheck:
         # (0.0091 at most over these seeds); well under the coarse tolerance.
         model = ops.QuantumModel(H0=0.25 * ops.SIGMA_X, L=np.sqrt(0.5) * ops.SIGMA_Z)
         for seed in range(10):
-            cfg = bel.SmeConfig(dt=1e-3, T=1.0, seed=seed)
-            traj = bel.generate_record(model, None, zero_cost(), cfg, GROUND)
+            traj = record(model, None, bel.SmeConfig(dt=1e-3, T=1.0), GROUND, seed)
             assert bel.filter_observable_check(traj, ops.SIGMA_Z, model) <= 5e-2
 
 
@@ -673,9 +738,8 @@ class TestFilterObservableCheck:
         model = ops.QuantumModel(
             H0=0.3 * ops.SIGMA_X, L=0.4 * ops.SIGMA_Z + 0.2j * ops.SIGMA_Y + 0.1 * ops.SIGMA_X,
             Hc=(ops.SIGMA_Y,), L_extra=(0.3 * np.array([[0.0, 1.0], [0.0, 0.0]]),))
-        cfg = bel.SmeConfig(dt=1e-3, T=0.3, seed=5)
-        traj = bel.generate_record(model, lambda t, rho, past: [np.sin(7 * t)], None, cfg,
-                                   GROUND)
+        cfg = bel.SmeConfig(dt=1e-3, T=0.3)
+        traj = record(model, lambda t, rho, past: [np.sin(7 * t)], cfg, GROUND, 5)
         L = model.L
         for X in (ops.SIGMA_X, ops.SIGMA_Y, ops.SIGMA_Z):
             worst = 0.0
@@ -694,8 +758,7 @@ class TestFilterObservableCheck:
 
 class TestCsvExport:
     def test_roundtrip_columns(self, tmp_path):
-        cfg = bel.SmeConfig(dt=0.05, T=0.2, seed=4)
-        traj = bel.generate_record(QUBIT_Z, None, zero_cost(), cfg, MIXED)
+        traj = record(QUBIT_Z, None, bel.SmeConfig(dt=0.05, T=0.2), MIXED, 4)
         path = tmp_path / "traj.csv"
         bel.write_trajectory_csv(traj, path)
         header = path.read_text().splitlines()[0].split(",")

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
-from mqoc.errors import RejectedInputError, StabilityError
+from mqoc.errors import DimensionMismatchError, RejectedInputError, StabilityError
 from reference import hjb_grid_values
 
 KAPPA = 0.5
@@ -156,6 +156,16 @@ class TestSolveHjbGrid:
         spec = hjb.GridSpec(T=0.05, n_space=11, n_time=20)
         grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)], spec)
         assert np.allclose(grid.values[0], grid.values[-1], atol=1e-12)
+
+    # Before: numpy's bare "operands could not be broadcast" ValueError.
+    @pytest.mark.parametrize("running, terminal", [
+        (np.eye(3), np.eye(2)), (np.eye(2), np.eye(3)),
+    ], ids=["running", "terminal"])
+    def test_misshapen_cost_operator_is_a_dimension_mismatch(self, running, terminal):
+        cost = bel.CostSpec(running_op=lambda t, u: running, terminal_op=terminal)
+        spec = hjb.GridSpec(T=0.05, n_space=11, n_time=20)
+        with pytest.raises(DimensionMismatchError, match="2 x 2"):
+            hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)], spec)
 
     def test_stability_guard(self):
         cost = self._cost(np.eye(2))

@@ -586,13 +586,13 @@ class TestBelavkinAgreement:
         disp = expm(alpha * ad - np.conj(alpha) * a)
         rho0 = ops.project_physical(disp @ rho_th @ disp.conj().T)
 
-        cfg = bel.SmeConfig(dt=1e-3, T=1.0, seed=7)
-        traj = bel.generate_record(qmodel, None, None, cfg, rho0)
+        cfg = bel.SmeConfig(dt=1e-3, T=1.0)
+        _, states, _, _, w = bel.simulate_ensemble(qmodel, None, cfg, rho0, [7])
         x_op = (a + ad) / np.sqrt(2)
         p_op = 1j * (ad - a) / np.sqrt(2)
         ref = np.stack([
-            np.real(np.einsum("tij,ji->t", traj.states, x_op)),
-            np.real(np.einsum("tij,ji->t", traj.states, p_op)),
+            np.real(np.einsum("tij,ji->t", states[0], x_op)),
+            np.real(np.einsum("tij,ji->t", states[0], p_op)),
         ], axis=1)
 
         lin = damped_oscillator_model(omega, kappa)
@@ -601,7 +601,7 @@ class TestBelavkinAgreement:
             sigma=(nbar + 0.5) * np.eye(2))
         xs, _ = mom.run_moment_filter(
             state0, lin, cfg.dt, cfg.n_steps,
-            innovations=np.diff(traj.innovations_W)[:, None])
+            innovations=np.diff(w[0])[:, None])
         rel = np.max(np.abs(ref - xs)) / np.max(np.abs(ref))
         assert rel <= 0.05
 

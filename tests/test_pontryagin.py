@@ -9,7 +9,8 @@ from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
-from mqoc.errors import RejectedInputError
+from mqoc.errors import DimensionMismatchError, RejectedInputError
+from reference import record
 
 KAPPA = 0.5
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -27,7 +28,7 @@ class TestGeneralizedHamiltonian:
         cost = plain_cost()
         h = pmp.generalized_hamiltonian(0.0, [0.4], rho, np.zeros(3), np.zeros((3, 3)),
                                         CONTROLLED, cost)
-        assert h == pytest.approx(cost.running_value(0.0, [0.4], rho))
+        assert h == pytest.approx(np.real(ops.expectation(rho, cost.running(0.0, [0.4]))))
 
     def test_paper_convention_is_minus_drift_pairing(self):
         model = ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=np.zeros((2, 2)))
@@ -71,6 +72,15 @@ class TestMinimizeHamiltonian:
         u, _ = pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
                                         CONTROLLED, plain_cost(0.3), [[0.7]])
         assert np.allclose(u, [0.7])
+
+    def test_misshapen_running_operator_is_a_dimension_mismatch(self):
+        # Before: numpy's bare "operands could not be broadcast" ValueError,
+        # from here and so from GridPolicy.
+        cost = bel.CostSpec(running_op=lambda t, u: np.eye(3), terminal_op=EXCITED)
+        rho = hjb.density_from_bloch([0.1, 0.0, 0.2])
+        with pytest.raises(DimensionMismatchError, match="2 x 2"):
+            pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)), CONTROLLED, cost,
+                                     [[0.7]])
 
     def test_quadratic_argmin_near_analytic(self):
         # H(u) = (1/2) w u^2 + u * (b_c . p): analytic minimizer -(b_c.p)/w.
@@ -127,7 +137,7 @@ class TestMinimizeHamiltonian:
         u, h = pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
                                         model, cost, [np.zeros(0)])
         assert u.shape == (0,)
-        assert h == pytest.approx(cost.running_value(0.0, u, rho))
+        assert h == pytest.approx(np.real(ops.expectation(rho, cost.running(0.0, u))))
         grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)],
                                   hjb.GridSpec(T=0.05, n_space=11, n_time=20))
         policy = pmp.GridPolicy(grid, model, cost, [np.zeros(0)])
@@ -304,9 +314,9 @@ def _qubit_scenario(n_space=21, n_time=200, seed=17, T=0.1):
     spec = hjb.GridSpec(T=T, n_space=n_space, n_time=n_time)
     grid = hjb.solve_hjb_grid(CONTROLLED, cost, u_grid, spec)
     policy = pmp.GridPolicy(grid, CONTROLLED, cost, u_grid)
-    cfg = bel.SmeConfig(dt=T / n_time, T=T, seed=seed)
+    cfg = bel.SmeConfig(dt=T / n_time, T=T)
     rho0 = hjb.density_from_bloch([0.3, 0.0, 0.2])
-    traj = bel.generate_record(CONTROLLED, policy, cost, cfg, rho0)
+    traj = record(CONTROLLED, policy, cfg, rho0, seed)
     return traj, grid, cost, u_grid
 
 
@@ -341,8 +351,8 @@ class TestCostateBackwardStep:
         cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)), terminal_op=EXCITED)
         grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)],
                                   hjb.GridSpec(T=0.05, n_space=11, n_time=50))
-        traj = bel.generate_record(model, None, cost, bel.SmeConfig(dt=0.001, T=0.05, seed=3),
-                                   hjb.density_from_bloch([0.3, 0.0, 0.2]))
+        traj = record(model, None, bel.SmeConfig(dt=0.001, T=0.05),
+                      hjb.density_from_bloch([0.3, 0.0, 0.2]), 3)
         _, p0, p_terminal = _costate_recursion_report(traj, grid, model, cost, [np.zeros(0)])
         assert np.array_equal(p0, p_terminal)
         assert np.allclose(p_terminal, [0.0, 0.0, -0.5], atol=1e-12)
@@ -373,8 +383,7 @@ class TestFbsdeResidual:
                             terminal_op=np.zeros((2, 2)))
         spec = hjb.GridSpec(T=0.1, n_space=11, n_time=50)
         grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)], spec)
-        cfg = bel.SmeConfig(dt=0.002, T=0.1, seed=1)
-        traj = bel.generate_record(model, None, cost, cfg, np.eye(2) / 2)
+        traj = record(model, None, bel.SmeConfig(dt=0.002, T=0.1), np.eye(2) / 2, 1)
         rep = pmp.fbsde_residual(traj, grid, model, cost, [np.zeros(0)])
         assert rep.terminal_residual <= 1e-9
         assert rep.max_backward_residual <= 1e-9
