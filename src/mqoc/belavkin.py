@@ -61,9 +61,11 @@ def _check_psd(m, name):
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Linear cost: running density <rho, C(t,u)> plus terminal <rho(T), M>, M checked
-    here.  `trajectory_cost` checks every C it reads, along a record packed from the
-    output of `simulate_ensemble`, the one trajectory generator."""
+    """Linear cost: running density <rho, C(t,u)> plus terminal <rho(T), M>.  M is
+    checked Hermitian PSD here, C where it is read (within 1e-10): `trajectory_cost`
+    refuses a C along its record that is not Hermitian PSD; `solve_hjb_grid`,
+    `minimize_hamiltonian` (so `GridPolicy`) and `hamiltonian_gradient_r` refuse
+    one that is not Hermitian."""
 
     running_op: object  # callable (t, u) -> Hermitian PSD matrix
     terminal_op: np.ndarray
@@ -103,7 +105,8 @@ def quadratic_control_cost(state_op, terminal_op, control_weight=0.0):
 class TrajectoryRecord:
     """One filtered trajectory: states, controls, record y, innovations W, packed from
     row i of the output of `simulate_ensemble`, the one generator; `trajectory_cost`
-    checks every running operator it reads along it."""
+    checks every running operator it reads along it.  Every consumer reads one dt, so
+    times must be two or more finite points, evenly increasing (relative STEP_COUNT_TOL)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -113,7 +116,11 @@ class TrajectoryRecord:
     seed: int
 
     def __post_init__(self):
-        n = len(self.times)
+        t = np.asarray(self.times, dtype=float)
+        if not (len(t) > 1 and np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)
+                and np.ptp(np.diff(t)) <= STEP_COUNT_TOL * (t[1] - t[0])):
+            raise RejectedInputError("times must be two or more finite, evenly increasing points")
+        n = len(t)
         for name in ("states", "controls", "record_y", "innovations_W"):
             if len(getattr(self, name)) != n:
                 raise RejectedInputError(f"{name} length differs from times")
@@ -303,7 +310,7 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     """
     rho0 = ops.check_density(rho0)
     if rho0.shape[-1] != model.dim:
-        raise RejectedInputError("rho0 dimension does not match model")
+        raise DimensionMismatchError("rho0 dimension does not match model")
     seeds = _seed_list(seeds)
     n_traj = len(seeds)
     n = cfg.n_steps

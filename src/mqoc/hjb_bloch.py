@@ -291,7 +291,8 @@ def solve_hjb_grid(model, cost, u_grid, spec):
         t_next = spec.T - step * spec.dt
         now = np.stack([cost.running(t_next, u) for u in u_grid])
         if step == 0 or not np.array_equal(now, running_ops):
-            running_ops, running = now, expectation_fields(now, pts)
+            running_ops = ops.check_hermitian(now, 1e-10, "running_op")
+            running = expectation_fields(running_ops, pts)
         v = sweep(v, running, spec.dt, out=stored[spec.n_time - step - 1])
 
     return ValueGrid(

@@ -7,8 +7,8 @@ annihilator representation X = (a_1..a_m; a_1^dag..a_m^dag), where
 acts on the Hermitian quadratures (x; p) = U X of `to_quadrature`: each row
 is one channel L = Gamma_l . (x; p).
 
-The filter runs in real quadrature coordinates: the conditional mean
-follows dXhat = (A Xhat + B u) dt + Ktilde dYtilde with Ktilde = Sigma C^T + M,
+The filter runs on a `LinearModel`, five real read-only quadrature matrices: the
+conditional mean follows dXhat = (A Xhat + B u) dt + Ktilde dYtilde, Ktilde = Sigma C^T + M,
 and Sigma a Riccati recursion that never reads the record.  Its diffusion
 F F^T comes from the dissipator and always enters (F=None: none).  So
 `covariance_path` caches Sigma and Ktilde per model and inputs.  Against
@@ -35,6 +35,18 @@ def _mat(x, name):
     if m.ndim != 2:
         raise RejectedInputError(f"{name} must be a matrix, got shape {m.shape}")
     return m
+
+
+def _real(x, name):
+    """x as a read-only float copy; a complex dtype or a non-finite entry is refused by name."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise RejectedInputError(f"{name} must be real and finite, not complex")
+    if not np.all(np.isfinite(x)):
+        raise RejectedInputError(f"{name} has non-finite entries: it must be real and finite")
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
 
 
 def symplectic(m):
@@ -124,20 +136,18 @@ def to_quadrature(mat, m):
 
 
 MODEL_MATRICES = ("A", "B", "C", "F", "M_cov")
-CONSTRUCTION_KEYS = ("R_param", "K_ham", "Gamma", "hbar")
 
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """State-space matrices of the measured linear model.
+    """State-space matrices of the measured linear model, in real quadrature coordinates.
 
     n states, d controls, q measured outputs.  M_cov is the constant part of
     the filter gain (a covariance of noise increments, treated as a free
     model parameter), and F F^T the diffusion, always in the Riccati (F=None: zeros).
-    Sigma and Ktilde never read the record, so `covariance_path` caches them
-    per model and inputs.  The optional construction block records the
-    Hamiltonian parameters the A/B matrices came from (`CONSTRUCTION_KEYS`);
-    `save_linear_model` writes the model as key-value text.
+    Each matrix is checked once, here, and refused by name if misshapen,
+    complex or not finite; the model keeps read-only float copies, so the
+    checks hold for its life.  `covariance_path` caches its path on the model.
     """
 
     A: np.ndarray
@@ -145,37 +155,18 @@ class LinearModel:
     C: np.ndarray
     F: np.ndarray = None
     M_cov: np.ndarray = None
-    construction: dict = None
 
     def __post_init__(self):
-        A = _mat(self.A, "A")
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionMismatchError("A must be square")
-        B = _mat(self.B, "B")
-        if B.shape[0] != n:
-            raise DimensionMismatchError(f"B must have {n} rows")
-        C = _mat(self.C, "C")
-        if C.shape[1] != n:
-            raise DimensionMismatchError(f"C must have {n} columns")
-        q = C.shape[0]
-        F = np.zeros((n, n)) if self.F is None else _mat(self.F, "F")
-        M = np.zeros((n, q)) if self.M_cov is None else _mat(self.M_cov, "M_cov")
-        if F.shape[0] != n:
-            raise DimensionMismatchError(f"F must have {n} rows")
-        if M.shape != (n, q):
-            raise DimensionMismatchError(f"M_cov must be {(n, q)}")
-        if self.construction is not None:
-            unknown = sorted(set(self.construction) - set(CONSTRUCTION_KEYS))
-            if unknown:
-                raise RejectedInputError(f"unknown construction keys {unknown}")
-            # Refused as `build_AB` refuses it: by its hbar or first violated constraint.
-            build_AB(*(self.construction.get(k) for k in CONSTRUCTION_KEYS[:3]),
-                     hbar=self.construction.get("hbar", 1.0))
-        for name, val in (("A", A), ("B", B), ("C", C), ("F", F), ("M_cov", M)):
-            if not np.all(np.isfinite(val)):
-                raise RejectedInputError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, val)
+        n, q = len(_mat(self.A, "A")), len(_mat(self.C, "C"))
+        defaults = {"F": np.zeros((n, n)), "M_cov": np.zeros((n, q))}
+        # The shape each matrix must have, None leaving an axis free.
+        for name, shape in (("A", (n, n)), ("B", (n, None)), ("C", (q, n)), ("F", (n, None)),
+                            ("M_cov", (n, q))):
+            val = getattr(self, name)
+            val = _mat(defaults.get(name) if val is None else val, name)
+            if any(want not in (None, got) for want, got in zip(shape, val.shape)):
+                raise DimensionMismatchError(f"{name} must have shape {shape}, got {val.shape}")
+            object.__setattr__(self, name, _real(val, name))
 
     @property
     def n(self):
@@ -192,25 +183,19 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class MomentState:
-    """Conditional mean vector and covariance of the filter.
-
-    `covariance_path` checks that sigma is PSD, with the rest of its path.
-    """
+    """Conditional mean vector and covariance of the filter, read-only float copies refused
+    by name if complex or not finite; `covariance_path` checks that sigma is PSD."""
 
     xhat: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
-        for name in ("xhat", "sigma"):
-            v = np.asarray(getattr(self, name))
-            if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
-                raise RejectedInputError(f"{name} must be real and finite")
-        xhat = np.asarray(self.xhat, dtype=float).reshape(-1)
-        sigma = _mat(self.sigma, "sigma")
+        xhat = _real(self.xhat, "xhat").reshape(-1)
+        sigma = _real(_mat(self.sigma, "sigma"), "sigma")
         if sigma.shape != (len(xhat), len(xhat)):
             raise DimensionMismatchError("sigma shape does not match xhat")
         object.__setattr__(self, "xhat", xhat)
-        object.__setattr__(self, "sigma", np.asarray(sigma, dtype=float))
+        object.__setattr__(self, "sigma", sigma)
 
 
 def _covariance_update(sigma, A, ktilde, dt, FFt):
@@ -226,28 +211,27 @@ def covariance_path(model, sigma0, dt, n_steps):
     + FF^T) dt, then symmetrized exactly, never read the record, so one path
     serves every trajectory.  FF^T always enters; a model built with F=None
     has F = 0 and no diffusion.  The path is cached per model and inputs:
-    the model keeps its last path, keyed by n_steps and the content of A, C,
-    M_cov, F, sigma0 and dt, and returns it read-only.  The model's
-    matrices were checked when it was built and sigma0 is checked here, so
-    the loop runs the two updates without re-validating them.  A new path
+    the model keeps its last path, keyed by n_steps, sigma0 and dt, and
+    returns it read-only.  The model's read-only matrices were checked when
+    it was built and sigma0 (real, finite) is checked here, so the loop
+    runs the two updates without re-validating them.  A new path
     is checked at the end and cached only if it passes: a non-finite Sigma
     raises NumericalBlowupError, and a symmetric part with an eigenvalue
     below -SIGMA_PSD_TOL raises RejectedInputError, as do a dt that is not
     finite and positive and an n_steps that is not a non-negative integer.
     """
     ops.check_steps(dt, n_steps)
-    sigma0 = _mat(sigma0, "sigma0")
+    sigma0 = _real(_mat(sigma0, "sigma0"), "sigma0")
     if sigma0.shape != (model.n, model.n):
         raise DimensionMismatchError(f"sigma0 must be {(model.n, model.n)}, got {sigma0.shape}")
-    inputs = (model.A, model.C, model.M_cov, model.F, sigma0, np.asarray(dt))
-    key = (n_steps,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in inputs)
+    key = (n_steps, sigma0.tobytes(), dt)
     cached = getattr(model, "_covariance_path", None)
     if cached is not None and cached[0] == key:
         return cached[1]
     sigmas = np.empty((n_steps + 1, model.n, model.n))
     gains = np.empty((n_steps, model.n, model.q))
     sigmas[0] = sigma0
-    FFt = np.real(model.F @ np.conj(model.F.T))
+    FFt = model.F @ model.F.T
     for k in range(n_steps):
         gains[k] = sigmas[k] @ model.C.T + model.M_cov
         sigmas[k + 1] = _covariance_update(sigmas[k], model.A, gains[k], dt, FFt)
@@ -288,8 +272,6 @@ class MomentFilter:
     """
 
     def __init__(self, state, model, dt, n_steps):
-        if any(np.iscomplexobj(getattr(model, name)) for name in ("A", "B", "C", "M_cov")):
-            raise RejectedInputError("moment filtering runs in the real quadrature representation")
         self.sigmas, self.gains = covariance_path(model, state.sigma, dt, n_steps)
         self.model, self.dt, self.k = model, dt, 0
         self.x = state.xhat[:, None].copy()
@@ -356,29 +338,16 @@ def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None
 
 
 def save_linear_model(model, path):
-    """Key-value text through `io.write_keyvalue`: `<name>.shape = [...]`, `<name> = [...]`.
-
-    One pair per matrix of `MODEL_MATRICES` (row-major), then one per
-    construction entry as `construction.<key>`; a scalar has shape [].
-    """
-    arrays = {name: getattr(model, name) for name in MODEL_MATRICES}
-    for key, value in (model.construction or {}).items():
-        arrays[f"construction.{key}"] = np.asarray(value)
+    """Key-value text through `io.write_keyvalue`: `<name>.shape = [...]` and
+    `<name> = [...]` (row-major) for each matrix of `MODEL_MATRICES`."""
     items = {}
-    for name, arr in arrays.items():
-        items[f"{name}.shape"] = list(arr.shape)
-        items[name] = arr
+    for name in MODEL_MATRICES:
+        arr = getattr(model, name)
+        items.update({f"{name}.shape": list(arr.shape), name: arr})
     write_keyvalue(path, items)
 
 
 def load_linear_model(path):
-    """Read a `save_linear_model` file with the strict `io.read_keyvalue`.
-
-    Bad keys are rejected by name, a construction block that violates a
-    Hermiticity constraint by the first violated equation.
-    """
-    prefix = "construction."
-    arrays = read_keyvalue(path, MODEL_MATRICES + tuple(prefix + k for k in CONSTRUCTION_KEYS))
-    construction = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-    mats = {k: v for k, v in arrays.items() if not k.startswith(prefix)}
-    return LinearModel(construction=construction or None, **mats)
+    """Read a `save_linear_model` file with the strict `io.read_keyvalue`: bad keys
+    are refused by name, and bad matrices as `LinearModel` refuses them."""
+    return LinearModel(**read_keyvalue(path, MODEL_MATRICES))

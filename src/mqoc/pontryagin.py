@@ -23,6 +23,8 @@ from . import operators as ops
 from .errors import NumericalBlowupError, RejectedInputError
 from .io import write_keyvalue
 
+HORIZON_TOL = 1e-9  # how far a time may pass the value grid's horizon T
+
 
 def _check_costate(p, P, batch=()):
     """Finite p of shape (*batch, 3) and P of shape (*batch, 3, 3)."""
@@ -48,7 +50,8 @@ def hamiltonian_gradient_r(t, u, r, p, P, model, cost):
     r = hb.check_bloch(r)
     p, P = _check_costate(p, P, r.shape[:-1])
     u = ops.check_control(model, u)
-    grad_c = 0.5 * ops.pauli_components(cost.running(t, u))
+    c = ops.check_hermitian(cost.running(t, u), 1e-10, "running_op")
+    grad_c = 0.5 * ops.pauli_components(c)
     jac = gen.S1 - (r @ gen.ell)[..., None, None] * np.eye(3) - r[..., :, None] * gen.ell
     return (grad_c + p @ gen.drift_matrix(u)
             + np.einsum("...ji,...jk,...k->...i", jac, 0.5 * (P + np.swapaxes(P, -1, -2)),
@@ -70,7 +73,8 @@ def minimize_hamiltonian(t, rho, p, P, model, cost, u_grid):
     grid = np.array(sorted(tuple(ops.check_control(model, u)) for u in u_grid))
     gen = model.bloch
     s = gen.diffusion(r)
-    running = hb.expectation_fields([cost.running(t, u) for u in grid], r.reshape(-1, 3))
+    running = ops.check_hermitian([cost.running(t, u) for u in grid], 1e-10, "running_op")
+    running = hb.expectation_fields(running, r.reshape(-1, 3))
     h = (running.T.reshape(r.shape[:-1] + (len(grid),))
          + np.einsum("...ui,...i->...u", gen.drift(grid, r[..., None, :]), p)
          + 0.5 * np.einsum("...i,...ij,...j->...", s, P, s)[..., None])
@@ -82,6 +86,8 @@ class GridPolicy:
 
     Called with one state rho (2, 2) it returns one control (k,); with a
     stack (n, 2, 2) it returns (n, k) from one costate lookup for the stack.
+    A time past the grid's horizon by more than HORIZON_TOL, the tolerance of
+    `fbsde_residual`, is refused; one within it is read at grid.T.
     """
 
     def __init__(self, grid, model, cost, u_grid):
@@ -93,6 +99,8 @@ class GridPolicy:
             raise RejectedInputError("u_grid must be nonempty")
 
     def __call__(self, t, rho, past):
+        if t > self.grid.T + HORIZON_TOL:
+            raise RejectedInputError(f"t={t:.6g} is past the grid horizon T={self.grid.T:.6g}")
         t = min(t, self.grid.T)
         p, P = hb.extract_costate(self.grid, t, hb.bloch_from_density(rho))
         u, _ = minimize_hamiltonian(t, rho, p, P, self.model, self.cost, self.u_grid)
@@ -139,7 +147,7 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
     if len(exits):
         raise RejectedInputError(
             f"trajectory exits the grid at t={traj.times[exits[0]]:.6g}")
-    if traj.times[-1] > grid.T + 1e-9:
+    if traj.times[-1] > grid.T + HORIZON_TOL:
         raise RejectedInputError("trajectory horizon exceeds the grid horizon")
 
     p_ref, P_ref = hb.extract_costate(grid, traj.times, r_path)

@@ -251,6 +251,38 @@ class TestGenerateRecord:
         assert [n for (_, n, _) in seen] == [1, 2, 3, 4, 5]
 
 
+    def test_misshapen_start_state_is_a_dimension_mismatch(self):
+        # Before: the bare RejectedInputError base class.
+        with pytest.raises(DimensionMismatchError, match="rho0"):
+            bel.simulate_ensemble(QUBIT_Z, None, bel.SmeConfig(dt=0.1, T=0.2),
+                                  np.eye(3) / 3, [0])
+
+
+class TestTrajectoryRecordTimes:
+    @staticmethod
+    def pack(times):
+        n = len(times)
+        return bel.TrajectoryRecord(np.asarray(times, dtype=float),
+                                    np.broadcast_to(MIXED, (n, 2, 2)), np.zeros((n, 0)),
+                                    np.zeros(n), np.zeros(n), 0)
+
+    @pytest.mark.parametrize("times", [
+        [0.0], [], [0.0, 0.1, 0.2, 0.3, 1.0], [0.0, 0.2, 0.1, 0.3], [0.0, 0.1, 0.1, 0.2],
+        [0.0, -0.1, -0.2], [0.0, 0.1, np.nan, 0.3], [0.0, 0.1, 0.2, np.inf],
+    ], ids=["one_time", "no_time", "uneven", "unsorted", "repeated", "decreasing", "nan",
+            "inf"])
+    def test_refuses_bad_time_grid(self, times):
+        # Before: a constant cost of 1 on [0, 1] summed to 0.4 for the uneven
+        # times and to 2.0 for unsorted ones.
+        with pytest.raises(RejectedInputError, match="times"):
+            self.pack(times)
+
+    def test_accepts_simulated_grids(self):
+        for T, n in ((1.0, 1), (0.1, 100), (5.0, 5000)):
+            traj = self.pack(np.linspace(0.0, T, n + 1))
+            assert traj.n_steps == n
+
+
 class TestPolicyControls:
     MODEL = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z, Hc=(ops.SIGMA_X,))
     CFG = bel.SmeConfig(dt=0.1, T=0.3)

@@ -6,11 +6,9 @@ import importlib
 import importlib.metadata
 import re
 import sys
+import tomllib
 from pathlib import Path
 
-import pytest
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 ROOT = Path(__file__).resolve().parent.parent
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 

@@ -218,6 +218,43 @@ class TestGridPolicyControlGrid:
             pmp.GridPolicy(grid, CONTROLLED, plain_cost(), u_grid)
 
 
+class TestGridPolicyHorizon:
+    def test_refuses_time_past_grid_horizon(self):
+        # Before: t was clamped to grid.T, so a T = 0.2 ensemble ran on a
+        # T = 0.05 grid with no error.
+        grid = hjb.solve_hjb_grid(CONTROLLED, plain_cost(), [[0.0]],
+                                  hjb.GridSpec(T=0.05, n_space=11, n_time=20))
+        policy = pmp.GridPolicy(grid, CONTROLLED, plain_cost(), [[0.0]])
+        rho = hjb.density_from_bloch([0.1, 0.0, 0.2])
+        assert np.array_equal(policy(0.05 + 5e-10, rho, None), policy(0.05, rho, None))
+        with pytest.raises(RejectedInputError, match="horizon"):
+            policy(0.05 + 1e-8, rho, None)
+        with pytest.raises(RejectedInputError, match="horizon"):
+            bel.simulate_ensemble(CONTROLLED, policy, bel.SmeConfig(dt=0.01, T=0.2), rho, [0])
+
+
+NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda cost: hjb.solve_hjb_grid(CONTROLLED, cost, [[0.0]],
+                                    hjb.GridSpec(T=0.05, n_space=11, n_time=20)),
+    lambda cost: pmp.minimize_hamiltonian(0.0, hjb.density_from_bloch([0.1, 0.0, 0.2]),
+                                          np.zeros(3), np.zeros((3, 3)), CONTROLLED, cost,
+                                          [[0.0]]),
+    lambda cost: pmp.hamiltonian_gradient_r(0.0, [0.0], np.array([0.1, 0.0, 0.2]), np.zeros(3),
+                                            np.zeros((3, 3)), CONTROLLED, cost),
+], ids=["solve_hjb_grid", "minimize_hamiltonian", "hamiltonian_gradient_r"])
+def test_non_hermitian_running_operator_is_refused(reader):
+    # Before: each read the Hermitian part of C = [[0, 1], [0, 0]] without a
+    # word, where trajectory_cost refused it.
+    cost = bel.CostSpec(running_op=lambda t, u: NON_HERMITIAN, terminal_op=EXCITED)
+    with pytest.raises(RejectedInputError, match="running_op is not Hermitian"):
+        reader(cost)
+    # A Hermitian cost that is not PSD stays allowed in these readers.
+    reader(bel.CostSpec(running_op=lambda t, u: 0.3 * ops.SIGMA_X, terminal_op=EXCITED))
+
+
 class TestGridPolicyBoundary:
     def test_sphere_states_need_no_clamp(self):
         # check_density accepts |r| up to 1 + 2 PSD_EIG_TOL, inside check_bloch's
