@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -527,12 +528,22 @@ class TestCovariancePathCache:
         assert len(calls) == 25
         assert all(a is b for a, b in zip(first, second))
 
-    @pytest.mark.parametrize("change", ["sigma0", "dt", "n_steps"])
+    @pytest.mark.parametrize("change", [
+        "A_in_place", "F_in_place", "sigma0", "dt", "n_steps"])
     def test_changed_input_recomputes(self, monkeypatch, change):
         model = filter_inputs(9, (1, 2), 1e-2)[0]
         args = dict(self.ARGS)
         mom.covariance_path(model, **args)
-        if change == "sigma0":
+        if change in ("A_in_place", "F_in_place"):
+            # The model's matrices are read-only, so an edit goes through a new
+            # model, which carries no cached path.
+            name = change[0]
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[0, 1] += 0.1
+            edited = np.array(getattr(model, name))
+            edited[0, 1] += 0.1
+            model = dataclasses.replace(model, **{name: edited})
+        elif change == "sigma0":
             args["sigma0"] = 2.0 * np.eye(2)
         elif change == "dt":
             args["dt"] = 2e-2
