@@ -52,9 +52,9 @@ class SmeConfig:
 
 
 def _check_psd(m, name):
-    """m as a complex operator, refused unless Hermitian PSD within 1e-10."""
-    m = ops.check_hermitian(np.asarray(m, dtype=complex), 1e-10, name)
-    if np.min(np.linalg.eigvalsh(m)) < -1e-10:
+    """m as a complex operator, refused unless Hermitian PSD within ops.OPERATOR_TOL."""
+    m = ops.check_hermitian(np.asarray(m, dtype=complex), ops.OPERATOR_TOL, name)
+    if np.min(np.linalg.eigvalsh(m)) < -ops.OPERATOR_TOL:
         raise RejectedInputError(f"{name} is not positive semidefinite")
     return m
 
@@ -62,10 +62,10 @@ def _check_psd(m, name):
 @dataclass(frozen=True)
 class CostSpec:
     """Linear cost: running density <rho, C(t,u)> plus terminal <rho(T), M>.  M is
-    checked Hermitian PSD here, C where it is read (within 1e-10): `trajectory_cost`
-    refuses a C along its record that is not Hermitian PSD; `solve_hjb_grid`,
-    `minimize_hamiltonian` (so `GridPolicy`) and `hamiltonian_gradient_r` refuse
-    one that is not Hermitian."""
+    checked Hermitian PSD here, C where it is read (within ops.OPERATOR_TOL):
+    `trajectory_cost` refuses a C along its record that is not Hermitian PSD, and
+    the Bloch readers (`solve_hjb_grid`, `pontryagin`) read C and M only through
+    `hjb_bloch.cost_chart`, which refuses one that is not 2 x 2 and Hermitian."""
 
     running_op: object  # callable (t, u) -> Hermitian PSD matrix
     terminal_op: np.ndarray
@@ -103,10 +103,10 @@ def quadratic_control_cost(state_op, terminal_op, control_weight=0.0):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One filtered trajectory: states, controls, record y, innovations W, packed from
-    row i of the output of `simulate_ensemble`, the one generator; `trajectory_cost`
-    checks every running operator it reads along it.  Every consumer reads one dt, so
-    times must be two or more finite points, evenly increasing (relative STEP_COUNT_TOL)."""
+    """One filtered trajectory, kept as the arrays it is checked as: states, controls, record
+    y, innovations W, packed from row i of the output of `simulate_ensemble`, the one
+    generator.  Every consumer reads one dt, so times must be two or more finite points,
+    evenly increasing (relative STEP_COUNT_TOL), with one row of each array per time."""
 
     times: np.ndarray
     states: np.ndarray
@@ -120,10 +120,11 @@ class TrajectoryRecord:
         if not (len(t) > 1 and np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)
                 and np.ptp(np.diff(t)) <= STEP_COUNT_TOL * (t[1] - t[0])):
             raise RejectedInputError("times must be two or more finite, evenly increasing points")
-        n = len(t)
-        for name in ("states", "controls", "record_y", "innovations_W"):
-            if len(getattr(self, name)) != n:
+        for name in ("times", "states", "controls", "record_y", "innovations_W"):
+            a = np.asarray(getattr(self, name), dtype=complex if name == "states" else float)
+            if a.shape[:1] != t.shape:
                 raise RejectedInputError(f"{name} length differs from times")
+            object.__setattr__(self, name, a)
         if self.record_y[0] != 0.0 or self.innovations_W[0] != 0.0:
             raise RejectedInputError("record_y and innovations_W must start at 0")
 
@@ -376,7 +377,7 @@ def filter_observable_check(traj, X, model):
     (its higher-order terms and its normalisation): 0.0091 at most over
     seeds 0-9 for the driven qubit in the tests at dt = 1e-3, T = 1.
     """
-    X = ops.check_hermitian(np.asarray(X, dtype=complex), 1e-10, "X")
+    X = ops.check_hermitian(np.asarray(X, dtype=complex), ops.OPERATOR_TOL, "X")
     dt = traj.dt
     dW = np.diff(traj.innovations_W)
     # Along the stored states, with G* the Heisenberg-picture generator:

@@ -21,6 +21,10 @@ b being affine in u, it contracts the drift once per control direction.
 The value grid holds the inside nodes only, in C order; the stencil owns
 the grid's geometry.  The costate lookup reads all 19 taps at the inside
 grid corners it interpolates between, for a whole batch of points at once.
+
+Each input rule has one owner, which `pontryagin` calls: `check_bloch` (the ball),
+`bloch_from_density` (a qubit), `cost_chart` (2 x 2 Hermitian cost operators),
+`operators.check_control_grid` and `_check_times` (grid times, HORIZON_TOL).
 """
 
 import functools
@@ -30,8 +34,10 @@ import numpy as np
 
 from . import operators as ops
 from .errors import DimensionMismatchError, RejectedInputError, StabilityError
+from .io import write_csv
 
 BLOCH_NORM_TOL = 1e-9
+HORIZON_TOL = 1e-9  # how far a time may pass either end of a value grid's stored range
 STABILITY_EPS = 1e-12
 
 SIGN_STANDARD = "standard"
@@ -43,16 +49,18 @@ def check_bloch(r):
         raise RejectedInputError(f"Bloch vector must have 3 components, got {r.shape}")
     if not np.all(np.isfinite(r)):
         raise RejectedInputError("Bloch vector has non-finite components")
-    if np.any(np.linalg.norm(r, axis=-1) > 1.0 + BLOCH_NORM_TOL):
-        raise RejectedInputError("Bloch vector lies outside the unit ball")
+    outside = np.linalg.norm(r, axis=-1) > 1.0 + BLOCH_NORM_TOL
+    if np.any(outside):
+        at = tuple(np.argwhere(outside)[0].tolist())
+        raise RejectedInputError(f"Bloch vector {r[at]} at index {at} lies outside the unit ball")
     return r
 
 
 def bloch_from_density(rho):
     """r_i = tr(rho sigma_i); accepts stacked states (..., 2, 2)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-1] != 2 or rho.shape[-2] != 2:
-        raise RejectedInputError("bloch_from_density needs a qubit state")
+    if rho.shape[-2:] != (2, 2):
+        raise DimensionMismatchError(f"bloch_from_density needs a qubit state, got {rho.shape}")
     return ops.pauli_components(rho)
 
 
@@ -98,9 +106,9 @@ class GridSpec:
 class ValueGrid:
     """Backward-solved cost-to-go on a Bloch-ball grid.
 
-    time_points are the stored times, finite and strictly increasing (at
-    least two).  values has shape (len(time_points), N_in): one column per
-    inside node of the ball, in C order (the order of `_stencil(n).points_in`).
+    time_points are the stored times as a float array, finite and strictly
+    increasing (at least two).  values has shape (len(time_points), N_in): one
+    column per inside node of the ball, in C order (`_stencil(n).points_in`).
     A cube (len(time_points), n, n, n) is also accepted, and only its inside
     nodes are kept.  The geometry belongs to `_stencil(n)`, with n = len(axes[0])
     and n >= 5: axes must be linspace(-1, 1, n) three times, h its spacing and
@@ -116,7 +124,7 @@ class ValueGrid:
     inside: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        tp = np.asarray(self.time_points, dtype=float)
+        self.time_points = tp = np.asarray(self.time_points, dtype=float)
         if tp.ndim != 1 or len(tp) < 2 or not np.all(np.isfinite(tp)) or np.any(np.diff(tp) <= 0):
             raise RejectedInputError(
                 "time_points must be at least two finite, strictly increasing times")
@@ -220,14 +228,19 @@ def _stencil(n):
     return _BallStencil(n)
 
 
-def expectation_fields(operators, r):
-    """<rho(r), op> = (tr op + r . tr(op sigma)) / 2, (n_ops, N) for points r (N, 3);
-    operators that are not a stack of 2 x 2 matrices raise DimensionMismatchError."""
+def cost_chart(operators, name):
+    """(tr C, tr(C sigma)) / 2, (n, 4), of cost operators C (n, 2, 2), refused unless
+    2 x 2 (DimensionMismatchError) and Hermitian within `operators.OPERATOR_TOL`."""
     operators = np.asarray(operators)
     if operators.shape[1:] != (2, 2):
-        raise DimensionMismatchError(f"cost operators must be 2 x 2, got {operators.shape[1:]}")
-    traces = np.real(np.einsum("uij,kji->uk", operators, ops.PAULI_BASIS))
-    return 0.5 * (traces[:, :1] + traces[:, 1:] @ r.T)
+        raise DimensionMismatchError(f"{name} must be 2 x 2, got {operators.shape[1:]}")
+    operators = ops.check_hermitian(operators, ops.OPERATOR_TOL, name)
+    return 0.5 * np.real(np.einsum("uij,kji->uk", operators, ops.PAULI_BASIS))
+
+
+def expectation_fields(chart, r):
+    """<rho(r), C> of each row of a `cost_chart`, (n, N) for points r (N, 3)."""
+    return chart[:, :1] + chart[:, 1:] @ r.T
 
 
 class _Sweep:
@@ -271,9 +284,7 @@ def solve_hjb_grid(model, cost, u_grid, spec):
     """Backward explicit scheme for the cost-to-go S on the ball: S(T) = <M> and
     -dS/dt = min over u_grid of <C(t, u)> + <b, grad S> + (1/2) s^T Hess(S) s."""
     gen = model.bloch
-    u_grid = [ops.check_control(model, u) for u in u_grid]
-    if not u_grid:
-        raise RejectedInputError("u_grid must be nonempty")
+    u_grid = ops.check_control_grid(model, u_grid)
     stencil = _stencil(spec.n_space)
     pts = stencil.points_in
     # s(r) does not depend on u; the explicit limit is h^2 / (6 max|s|^2).
@@ -286,13 +297,13 @@ def solve_hjb_grid(model, cost, u_grid, spec):
     sweep = _Sweep(stencil, gen, u_grid, s)
 
     stored = np.empty((spec.n_time + 1, len(pts)))
-    stored[-1] = v = expectation_fields([cost.terminal_op], pts)[0]
+    stored[-1] = v = expectation_fields(cost_chart([cost.terminal_op], "terminal_op"), pts)[0]
     for step in range(spec.n_time):
         t_next = spec.T - step * spec.dt
         now = np.stack([cost.running(t_next, u) for u in u_grid])
         if step == 0 or not np.array_equal(now, running_ops):
-            running_ops = ops.check_hermitian(now, 1e-10, "running_op")
-            running = expectation_fields(running_ops, pts)
+            running_ops = now
+            running = expectation_fields(cost_chart(now, "running_op"), pts)
         v = sweep(v, running, spec.dt, out=stored[spec.n_time - step - 1])
 
     return ValueGrid(
@@ -306,11 +317,11 @@ def solve_hjb_grid(model, cost, u_grid, spec):
 
 
 def _check_times(grid, t):
-    """Refuse any entry of the time array t that is non-finite or outside the stored range."""
+    """Refuse any entry of the time array t that is non-finite or out of range (HORIZON_TOL)."""
     tp = grid.time_points
-    late = ~((tp[0] - 1e-12 <= t) & (t <= tp[-1] + 1e-12))
+    late = ~((tp[0] - HORIZON_TOL <= t) & (t <= tp[-1] + HORIZON_TOL))
     if np.any(late):
-        raise RejectedInputError(f"t={t[late][0]} outside grid time range")
+        raise RejectedInputError(f"t={t[late][0]} outside grid time range plus horizon tolerance")
 
 
 def extract_costate(grid, t, r):
@@ -318,11 +329,11 @@ def extract_costate(grid, t, r):
 
     t is a scalar or broadcasts to r's batch shape r.shape[:-1]; p has shape
     (..., 3) and P (..., 3, 3), so one point r (3,) gives p (3,) and P (3, 3).
-    p approximates the Bloch gradient of the value function and P its
-    Hessian: linear in t between stored slices, and trilinear in r over the
-    19-tap stencils of the (up to eight) surrounding inside nodes, with
-    central differences inside and one-sided first (zero second) differences
-    where a tap leaves the ball.  No outside node is read.
+    p approximates the Bloch gradient of the value function and P its Hessian:
+    linear in t between stored slices (a t up to HORIZON_TOL past an end reads
+    its slice), and trilinear in r over the 19-tap stencils of the (up to eight)
+    surrounding inside nodes, with central differences inside and one-sided first
+    (zero second) differences where a tap leaves the ball.  No outside node is read.
     """
     r = check_bloch(r)
     batch = r.shape[:-1]
@@ -363,8 +374,6 @@ def write_grid_csv(grid, path, times=None):
     stored one), the stored slice nearest to it, one row per inside node in C
     order.  A time that is non-finite or outside the grid's range is refused.
     """
-    from .io import write_csv
-
     tp = grid.time_points
     times = np.asarray([tp[0]] if times is None else times, dtype=float)
     if not times.size:

@@ -34,6 +34,7 @@ from .errors import DegenerateStateError, DimensionMismatchError, RejectedInputE
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_EIG_TOL = 1e-10
+OPERATOR_TOL = 1e-10  # Hermitian (and PSD) slack of cost operators and observables
 # project_physical only repairs matrices that are already close to Hermitian.
 PROJECTION_HERM_TOL = 0.1
 DEGENERATE_TRACE_FLOOR = 1e-14
@@ -276,6 +277,14 @@ def check_control(model, u, batch=()):
     if u.ndim > 1 and u.shape[:-1] != batch:
         raise DimensionMismatchError(f"controls {u.shape} do not match states {batch}")
     return u
+
+
+def check_control_grid(model, u_grid):
+    """A non-empty (n_u, k) array of `check_control`ed rows, sorted lexicographically."""
+    rows = sorted(tuple(check_control(model, u)) for u in u_grid)
+    if not rows:
+        raise RejectedInputError("u_grid must be nonempty")
+    return np.array(rows, dtype=float)
 
 
 def check_drift_inputs(model, u, rho):

@@ -12,6 +12,9 @@ fixed) are
 
 with <C>(r) = (tr C + r . tr(C sigma)) / 2 and J = ds/dr = S1 - (l.r) I - r l^T.
 H is the minimand of the HJB that `hjb_bloch.solve_hjb_grid` integrates.
+
+Its input rules live in `hjb_bloch` (`check_bloch`, `bloch_from_density`, `cost_chart`,
+and `_check_times` through `extract_costate`) and `operators.check_control_grid`.
 """
 
 from dataclasses import asdict, dataclass
@@ -22,8 +25,6 @@ from . import hjb_bloch as hb
 from . import operators as ops
 from .errors import NumericalBlowupError, RejectedInputError
 from .io import write_keyvalue
-
-HORIZON_TOL = 1e-9  # how far a time may pass the value grid's horizon T
 
 
 def _check_costate(p, P, batch=()):
@@ -50,8 +51,7 @@ def hamiltonian_gradient_r(t, u, r, p, P, model, cost):
     r = hb.check_bloch(r)
     p, P = _check_costate(p, P, r.shape[:-1])
     u = ops.check_control(model, u)
-    c = ops.check_hermitian(cost.running(t, u), 1e-10, "running_op")
-    grad_c = 0.5 * ops.pauli_components(c)
+    grad_c = hb.cost_chart([cost.running(t, u)], "running_op")[0, 1:]
     jac = gen.S1 - (r @ gen.ell)[..., None, None] * np.eye(3) - r[..., :, None] * gen.ell
     return (grad_c + p @ gen.drift_matrix(u)
             + np.einsum("...ji,...jk,...k->...i", jac, 0.5 * (P + np.swapaxes(P, -1, -2)),
@@ -65,15 +65,13 @@ def minimize_hamiltonian(t, rho, p, P, model, cost, u_grid):
     P (n, 3, 3).  Returns (u, H) per state; ties go to the lexicographically
     smallest control vector.
     """
-    if len(u_grid) == 0:
-        raise RejectedInputError("u_grid must be nonempty")
+    grid = ops.check_control_grid(model, u_grid)
     rho = ops.check_density(rho)
     r = hb.bloch_from_density(rho)
     p, P = _check_costate(p, P, r.shape[:-1])
-    grid = np.array(sorted(tuple(ops.check_control(model, u)) for u in u_grid))
     gen = model.bloch
     s = gen.diffusion(r)
-    running = ops.check_hermitian([cost.running(t, u) for u in grid], 1e-10, "running_op")
+    running = hb.cost_chart([cost.running(t, u) for u in grid], "running_op")
     running = hb.expectation_fields(running, r.reshape(-1, 3))
     h = (running.T.reshape(r.shape[:-1] + (len(grid),))
          + np.einsum("...ui,...i->...u", gen.drift(grid, r[..., None, :]), p)
@@ -86,22 +84,17 @@ class GridPolicy:
 
     Called with one state rho (2, 2) it returns one control (k,); with a
     stack (n, 2, 2) it returns (n, k) from one costate lookup for the stack.
-    A time past the grid's horizon by more than HORIZON_TOL, the tolerance of
-    `fbsde_residual`, is refused; one within it is read at grid.T.
+    The control grid is checked here (`operators.check_control_grid`), the time by the
+    costate lookup: up to its horizon tolerance past grid.T it reads grid.T, later it refuses.
     """
 
     def __init__(self, grid, model, cost, u_grid):
         self.grid = grid
         self.model = model
         self.cost = cost
-        self.u_grid = [ops.check_control(model, u) for u in u_grid]
-        if not self.u_grid:
-            raise RejectedInputError("u_grid must be nonempty")
+        self.u_grid = ops.check_control_grid(model, u_grid)
 
     def __call__(self, t, rho, past):
-        if t > self.grid.T + HORIZON_TOL:
-            raise RejectedInputError(f"t={t:.6g} is past the grid horizon T={self.grid.T:.6g}")
-        t = min(t, self.grid.T)
         p, P = hb.extract_costate(self.grid, t, hb.bloch_from_density(rho))
         u, _ = minimize_hamiltonian(t, rho, p, P, self.model, self.cost, self.u_grid)
         return u
@@ -137,30 +130,18 @@ def fbsde_residual(traj, grid, model, cost, u_grid):
     the grid gradient at T and uses the trajectory's own innovations.
     u_grid is never read; it stays only because the benchmark passes it.
     """
-    if traj.states.shape[-1] != 2:
-        raise RejectedInputError("fbsde_residual requires a qubit trajectory")
     n = traj.n_steps
     dt = traj.dt
     r_path = hb.bloch_from_density(traj.states)
-    norms = np.linalg.norm(r_path, axis=1)
-    exits = np.where(norms > 1.0 + hb.BLOCH_NORM_TOL)[0]
-    if len(exits):
-        raise RejectedInputError(
-            f"trajectory exits the grid at t={traj.times[exits[0]]:.6g}")
-    if traj.times[-1] > grid.T + HORIZON_TOL:
-        raise RejectedInputError("trajectory horizon exceeds the grid horizon")
-
     p_ref, P_ref = hb.extract_costate(grid, traj.times, r_path)
-    _, s = hb.bloch_dynamics(model, traj.controls, r_path)
-    q = np.einsum("nij,nj->ni", P_ref, s)
+    q = np.einsum("nij,nj->ni", P_ref, model.bloch.diffusion(r_path))
 
-    m_vec = ops.pauli_components(cost.terminal_op)
-    terminal_residual = float(np.linalg.norm(p_ref[-1] - 0.5 * m_vec))
+    grad_m = hb.cost_chart([cost.terminal_op], "terminal_op")[0, 1:]
+    terminal_residual = float(np.linalg.norm(p_ref[-1] - grad_m))
 
     dW = np.diff(traj.innovations_W)
     p_prop = p_ref[-1].copy()
-    residuals = np.empty(n + 1)
-    residuals[-1] = 0.0
+    residuals = np.zeros(n + 1)
     for k in range(n - 1, -1, -1):
         grad = hamiltonian_gradient_r(
             traj.times[k + 1], traj.controls[k + 1], r_path[k + 1], p_prop, P_ref[k + 1],

@@ -51,10 +51,11 @@ def hjb_grid_values(model, cost, u_grid, spec):
     w_diff = hjb._PATTERN[3:].T @ (q * stencil.scale[3:])
     w_drift = np.transpose(drift, (0, 2, 1)) * stencil.scale[:3]
     stored = np.empty((spec.n_time + 1, len(pts)))
-    stored[-1] = v = hjb.expectation_fields([cost.terminal_op], pts)[0]
+    stored[-1] = v = hjb.expectation_fields(hjb.cost_chart([cost.terminal_op], "M"), pts)[0]
     for step in range(spec.n_time):
         t_next = spec.T - step * spec.dt
-        running = hjb.expectation_fields([cost.running(t_next, u) for u in u_grid], pts)
+        running = hjb.cost_chart([cost.running(t_next, u) for u in u_grid], "C")
+        running = hjb.expectation_fields(running, pts)
         at_taps = v[stencil.taps]
         ham = running + np.einsum("tn,tn->n", w_diff, at_taps)
         ham += np.einsum("uan,an->un", w_drift, at_taps[1:7:2] - at_taps[2:7:2])

@@ -799,3 +799,15 @@ class TestCsvExport:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (5, len(header))
         assert np.allclose(data[:, 0], traj.times)
+
+    def test_record_of_lists_is_kept_as_arrays(self, tmp_path):
+        # Before: the lists were kept as given, and writing raised
+        # AttributeError ('list' object has no attribute 'shape').
+        traj = record(QUBIT_Z, None, bel.SmeConfig(dt=0.05, T=0.2), MIXED, 4)
+        fields = ("times", "states", "controls", "record_y", "innovations_W")
+        listed = bel.TrajectoryRecord(*(getattr(traj, f).tolist() for f in fields), traj.seed)
+        for f in fields:
+            assert np.array_equal(getattr(listed, f), getattr(traj, f))
+        bel.write_trajectory_csv(traj, tmp_path / "arrays.csv")
+        bel.write_trajectory_csv(listed, tmp_path / "lists.csv")
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()

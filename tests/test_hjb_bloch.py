@@ -95,6 +95,18 @@ class TestBlochMaps:
         with pytest.raises(RejectedInputError):
             hjb.density_from_bloch([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 2, 3)])
+    def test_bloch_from_density_refuses_non_qubit_shapes(self, shape):
+        # Before: (2,) raised a bare IndexError.
+        with pytest.raises(DimensionMismatchError, match="qubit state"):
+            hjb.bloch_from_density(np.zeros(shape))
+
+    def test_check_bloch_names_first_point_outside(self):
+        r = np.zeros((4, 3))
+        r[2, 0] = r[3, 1] = 1.01
+        with pytest.raises(RejectedInputError, match=r"at index \(2,\) lies outside the unit"):
+            hjb.check_bloch(r)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_check_bloch_rejects_non_finite(self, bad):
         with pytest.raises(RejectedInputError, match="non-finite"):
@@ -453,6 +465,16 @@ class TestBatchedCostate:
         with pytest.raises(RejectedInputError, match=f"t={bad} outside grid time range"):
             hjb.extract_costate(grid, np.array([0.5, bad, 0.2]), np.zeros((3, 3)))
 
+    def test_reads_end_slices_within_horizon_tolerance(self):
+        # Before: refused past 1e-12, where fbsde_residual allowed 1e-9.
+        grid = solved_grid(21)
+        r = np.array([0.2, -0.1, 0.3])
+        for end, past in ((grid.T, 0.5), (0.0, -0.5)):
+            near = hjb.extract_costate(grid, end + past * hjb.HORIZON_TOL, r)
+            assert all(map(np.array_equal, near, hjb.extract_costate(grid, end, r)))
+            with pytest.raises(RejectedInputError, match="outside grid time range"):
+                hjb.extract_costate(grid, end + 4 * past * hjb.HORIZON_TOL, r)
+
     @pytest.mark.parametrize("t_shape", [(3,), (2, 1, 1), (4, 2)])
     def test_rejects_time_shape_not_broadcasting(self, t_shape):
         grid = analytic_grid(lambda pts: np.zeros(len(pts)))
@@ -515,11 +537,41 @@ class TestValueGridShape:
         with pytest.raises(RejectedInputError, match="shapes"):
             self.make(inside_n=19)
 
+    def test_keeps_list_time_points_as_array(self):
+        # Before: the list was kept, and extract_costate raised a bare TypeError.
+        grid = dataclasses.replace(analytic_grid(lambda pts: pts[:, 0] ** 2),
+                                   time_points=[0.0, 1.0])
+        assert isinstance(grid.time_points, np.ndarray)
+        p, _ = hjb.extract_costate(grid, 0.5, [0.1, 0.0, 0.0])
+        assert np.allclose(p, [0.2, 0.0, 0.0], atol=1e-12)
+
     @pytest.mark.parametrize("time_points", [(0.0,), (0.0, np.nan), (0.0, np.inf),
                                              (1.0, 0.0), (0.0, 0.0)])
     def test_rejects_bad_time_points(self, time_points):
         with pytest.raises(RejectedInputError, match="time_points"):
             self.make(n_slices=len(time_points), time_points=time_points)
+
+
+class TestCostChart:
+    def test_chart_gives_each_expectation(self):
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        c = g + np.conj(np.swapaxes(g, 1, 2))
+        r = rng.normal(size=(5, 3))
+        r *= rng.uniform(0, 1, size=(5, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+        want = np.real(np.einsum("nij,uji->un", hjb.density_from_bloch(r), c))
+        got = hjb.expectation_fields(hjb.cost_chart(c, "C"), r)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("c, error, match", [
+        (np.zeros((1, 2, 3)), DimensionMismatchError, "C must be 2 x 2"),
+        (np.eye(2), DimensionMismatchError, "C must be 2 x 2"),
+        ([[[0.0, 1.0], [0.0, 0.0]]], RejectedInputError, "C is not Hermitian"),
+        ([[[np.nan, 0.0], [0.0, 0.0]]], RejectedInputError, "C has non-finite"),
+    ], ids=["not_square", "not_a_stack", "not_hermitian", "nan"])
+    def test_refusals(self, c, error, match):
+        with pytest.raises(error, match=match):
+            hjb.cost_chart(c, "C")
 
 
 class TestGridSpec:

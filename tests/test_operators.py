@@ -202,6 +202,18 @@ class TestQuantumModel:
         assert model == model and model != twin
 
 
+class TestCheckControlGrid:
+    def test_rows_come_back_sorted(self):
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z, Hc=(ops.SIGMA_X, ops.SIGMA_Y))
+        grid = ops.check_control_grid(model, [[0.5, 0.0], [-1.0, 2.0], (-1, 1)])
+        assert grid.dtype == float
+        assert np.array_equal(grid, [[-1.0, 1.0], [-1.0, 2.0], [0.5, 0.0]])
+
+    def test_model_without_controls_has_empty_rows(self):
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
+        assert ops.check_control_grid(model, [np.zeros(0)] * 2).shape == (2, 0)
+
+
 class TestNonFiniteRejected:
     def test_check_hermitian(self):
         with pytest.raises(RejectedInputError, match="non-finite"):

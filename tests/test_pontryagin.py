@@ -255,6 +255,14 @@ def test_non_hermitian_running_operator_is_refused(reader):
     reader(bel.CostSpec(running_op=lambda t, u: 0.3 * ops.SIGMA_X, terminal_op=EXCITED))
 
 
+def test_misshapen_running_operator_in_gradient_is_a_dimension_mismatch():
+    # Before: numpy's bare "operands could not be broadcast" ValueError.
+    cost = bel.CostSpec(running_op=lambda t, u: np.eye(3), terminal_op=EXCITED)
+    with pytest.raises(DimensionMismatchError, match="running_op must be 2 x 2"):
+        pmp.hamiltonian_gradient_r(0.0, [0.0], np.array([0.1, 0.0, 0.2]), np.zeros(3),
+                                   np.zeros((3, 3)), CONTROLLED, cost)
+
+
 class TestGridPolicyBoundary:
     def test_sphere_states_need_no_clamp(self):
         # check_density accepts |r| up to 1 + 2 PSD_EIG_TOL, inside check_bloch's
@@ -446,3 +454,50 @@ class TestFbsdeResidual:
         for key in ("terminal_residual", "max_backward_residual",
                     "mean_backward_residual", "grid_h", "dt"):
             assert key in text
+
+
+class TestFbsdeInputRules:
+    """`fbsde_residual` reads its record through the rules of `hjb_bloch`."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return _qubit_scenario(n_space=11, n_time=100, T=0.05)
+
+    def test_reads_times_within_horizon_tolerance(self, scenario):
+        # Before: fbsde_residual allowed T + 1e-9, then extract_costate refused
+        # "t=0.0500000005 outside grid time range" at 1e-12.
+        traj, grid, cost, u_grid = scenario
+        late = dataclasses.replace(traj, times=traj.times * (1 + 1e-8))
+        assert grid.T < late.times[-1] <= grid.T + hjb.HORIZON_TOL
+        rep = pmp.fbsde_residual(late, grid, CONTROLLED, cost, u_grid)
+        assert rep.terminal_residual == pmp.fbsde_residual(traj, grid, CONTROLLED, cost,
+                                                           u_grid).terminal_residual
+
+    def test_reads_record_of_lists(self, scenario):
+        # Before: AttributeError ('list' object has no attribute 'shape').
+        traj, grid, cost, u_grid = scenario
+        fields = ("times", "states", "controls", "record_y", "innovations_W")
+        listed = bel.TrajectoryRecord(*(getattr(traj, f).tolist() for f in fields), traj.seed)
+        assert (pmp.fbsde_residual(listed, grid, CONTROLLED, cost, u_grid)
+                == pmp.fbsde_residual(traj, grid, CONTROLLED, cost, u_grid))
+
+    def test_refuses_times_past_horizon_tolerance(self, scenario):
+        traj, grid, cost, u_grid = scenario
+        late = dataclasses.replace(traj, times=traj.times * (1 + 4 * hjb.HORIZON_TOL / grid.T))
+        with pytest.raises(RejectedInputError, match="outside grid time range"):
+            pmp.fbsde_residual(late, grid, CONTROLLED, cost, u_grid)
+
+    def test_refuses_record_leaving_the_ball_at_its_step(self, scenario):
+        traj, grid, cost, u_grid = scenario
+        states = traj.states.copy()
+        states[7] = 0.5 * (ops.IDENTITY2 + 1.01 * ops.SIGMA_Z)
+        with pytest.raises(RejectedInputError, match=r"at index \(7,\) lies outside the unit"):
+            pmp.fbsde_residual(dataclasses.replace(traj, states=states), grid, CONTROLLED, cost,
+                               u_grid)
+
+    def test_refuses_non_qubit_record(self, scenario):
+        traj, grid, cost, u_grid = scenario
+        states = np.broadcast_to(np.eye(3) / 3, (len(traj.times), 3, 3))
+        with pytest.raises(DimensionMismatchError, match="bloch_from_density needs a qubit state"):
+            pmp.fbsde_residual(dataclasses.replace(traj, states=states), grid, CONTROLLED, cost,
+                               u_grid)
