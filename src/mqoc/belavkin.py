@@ -10,13 +10,15 @@ A 91, 012118, 2015), written once in `_KrausStep`: rho <- U rho U^dag with
 the Cayley half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar)
 (`operators.cayley`), then the measurement map `_KrausStep.measure`, then U
 again, then the Hermitian part; a diagonal H(u), as H0 = omega a^dag a,
-gives a closed-form diagonal U (`_half_step`).  The mean in dy is taken at
-the state the Kraus map measures, after the first half step, and the record
-gets that same dy.  Every state is positive semidefinite with unit trace by
-construction, up to rounding; nothing is projected.  `simulate_ensemble`,
-the one trajectory generator, and `step_sme` run this step, keeping no state on the
-model; a `TrajectoryRecord` is packed from the generator's output, and
-`trajectory_cost` checks every running operator it reads.
+gives a closed-form diagonal U (`_half_step`).  From d = SANDWICH_DIM up the
+map applies each state's Kraus operator M as M rho M^dag; below it, it takes
+shared GEMMs.  The mean in dy is taken at the state the Kraus map measures,
+after the first half step, and the record gets that same dy.  Every state is
+positive semidefinite with unit trace by construction, up to rounding; nothing
+is projected.  `simulate_ensemble`, the one trajectory generator, and
+`step_sme` run this step, keeping no state on the model; a `TrajectoryRecord`
+is packed from the generator's output, and `trajectory_cost` checks every
+running operator it reads.
 """
 
 from collections import namedtuple
@@ -30,6 +32,7 @@ from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputE
 from .io import write_csv
 
 STEP_COUNT_TOL = 1e-9
+SANDWICH_DIM = 8  # `_KrausStep.measure`'s crossover: the sandwich lost at d = 4, won at 8
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,8 @@ class TrajectoryRecord:
             if a.shape[:1] != t.shape:
                 raise RejectedInputError(f"{name} length differs from times")
             object.__setattr__(self, name, a)
+        if self.states.shape[1:] != self.states.shape[-1:] * 2 or self.controls.ndim != 2:
+            raise DimensionMismatchError("states must be (n, d, d) and controls (n, k)")
         if self.record_y[0] != 0.0 or self.innovations_W[0] != 0.0:
             raise RejectedInputError("record_y and innovations_W must start at 0")
 
@@ -189,9 +194,10 @@ class _KrausStep:
     """The filter step (module docstring) of one call on a stack of n states.
 
     The last step's control rows and half step are reused while the rows
-    repeat.  The measurement map's operator block and work arrays are built
-    once: arrays of this size come back from the allocator as fresh pages
-    each time, and at d = 21 that cost more than the two GEMMs themselves.
+    repeat.  The measurement map's operators and the work arrays of its one
+    formulation for d (`measure`) are built once: arrays of this size come back
+    from the allocator as fresh pages each time, and at d = 21 that cost more
+    than the GEMMs themselves.
     """
 
     def __init__(self, model, dt, n):
@@ -204,9 +210,14 @@ class _KrausStep:
         self.block = np.concatenate(
             (loss, ld, ld @ ld) + tuple(ops.dagger(K) for K in model.L_extra), axis=1)
         d = model.dim
-        self.p = np.empty((n * d, self.block.shape[1]), dtype=complex)
-        self.q = np.empty((n * d, 3 * d), dtype=complex)
-        self.x, self.m_rho, self.tmp = (np.empty((n, d, d), dtype=complex) for _ in range(3))
+        self.sandwich = d >= SANDWICH_DIM
+        if self.sandwich:
+            self.a0, self.ld = np.eye(d) + dt * loss, ld.reshape(-1)
+            self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
+        else:
+            self.p = np.empty((n * d, self.block.shape[1]), dtype=complex)
+            self.q = np.empty((n * d, 3 * d), dtype=complex)
+            self.x, self.m_rho, self.tmp = np.empty((3, n, d, d), dtype=complex)
 
     def half_step(self, u):
         """`_half_step` for controls u (n, k): shared when every row equals the
@@ -227,33 +238,48 @@ class _KrausStep:
 
             rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
 
-        positive semidefinite by construction.  One GEMM gives
-        [P0 | P1 | P2 | ...] = rho @ block, and X = rho M^dag =
+        positive semidefinite by construction.  From d = SANDWICH_DIM up, M^dag
+        is formed per state from the block and M rho M^dag = (rho M^dag)^dag M^dag
+        is two batched matmuls, 2 d^3 multiply-adds.  Below it, where a batched
+        matmul costs about 0.4 us a matrix, the map takes shared GEMMs of 6 d^3:
+        one gives [P0 | P1 | P2 | ...] = rho @ block, and X = rho M^dag =
         rho + dt P0 + dy P1 + (dy^2 - dt) / 2 P2 per state.  M rho M^dag =
         X^dag M^dag, because X^dag = M rho for Hermitian rho, is a second GEMM
-        against the first three blocks with the same coefficients, and
+        against the first three blocks with the same coefficients.  Either way,
         K rho K^dag = (rho K^dag)^dag K^dag is one more per extra channel.
         Returns (rho', dy) with dy (n,); rho' is a new array.
         """
         block, dt = self.block, self.dt
         n, d = rho.shape[:2]
-        p = np.matmul(rho.reshape(n * d, d), block, out=self.p).reshape(n, d, -1, d)
-        dy = 2.0 * np.real(np.einsum("nii->n", p[:, :, 1])) * dt + dW
-        a = dy[:, None, None]
-        b = 0.5 * (a * a - dt)
-        x = np.multiply(p[:, :, 0], dt, out=self.x)
-        x += rho
-        x += np.multiply(p[:, :, 1], a, out=self.tmp)
-        x += np.multiply(p[:, :, 2], b, out=self.tmp)
-        m_rho = np.conjugate(x.transpose(0, 2, 1), out=self.m_rho)
-        q = np.matmul(m_rho.reshape(n * d, d), block[:, : 3 * d], out=self.q).reshape(n, d, 3, d)
-        out = np.multiply(q[:, :, 0], dt)
-        out += m_rho
-        out += np.multiply(q[:, :, 1], a, out=self.tmp)
-        out += np.multiply(q[:, :, 2], b, out=self.tmp)
-        for j in range(3, block.shape[1] // d):
-            k_rho = ops.dagger(p[:, :, j]).reshape(n * d, d)
-            out += dt * (k_rho @ block[:, j * d : (j + 1) * d]).reshape(n, d, d)
+        if self.sandwich:
+            dy = 2.0 * np.real(np.vecdot(self.ld, rho.reshape(n, d * d))) * dt + dW
+            a = dy[:, None, None]
+            md = np.multiply(block[:, d : 2 * d], a, out=self.md)
+            md += np.multiply(block[:, 2 * d : 3 * d], 0.5 * (a * a - dt), out=self.rho_md)
+            md += self.a0
+            rho_md = np.matmul(rho, md, out=self.rho_md)
+            out = np.matmul(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), md)
+            rho_kd = (rho.reshape(n * d, d) @ block[:, 3 * d :]).reshape(n, d, -1, d)
+        else:
+            p = np.matmul(rho.reshape(n * d, d), block, out=self.p).reshape(n, d, -1, d)
+            dy = 2.0 * np.real(np.einsum("nii->n", p[:, :, 1])) * dt + dW
+            a = dy[:, None, None]
+            b = 0.5 * (a * a - dt)
+            x = np.multiply(p[:, :, 0], dt, out=self.x)
+            x += rho
+            x += np.multiply(p[:, :, 1], a, out=self.tmp)
+            x += np.multiply(p[:, :, 2], b, out=self.tmp)
+            m_rho = np.conjugate(x.transpose(0, 2, 1), out=self.m_rho)
+            q = np.matmul(m_rho.reshape(n * d, d), block[:, : 3 * d], out=self.q)
+            q = q.reshape(n, d, 3, d)
+            out = np.multiply(q[:, :, 0], dt)
+            out += m_rho
+            out += np.multiply(q[:, :, 1], a, out=self.tmp)
+            out += np.multiply(q[:, :, 2], b, out=self.tmp)
+            rho_kd = p[:, :, 3:]
+        for j in range(rho_kd.shape[2]):
+            k_rho = ops.dagger(rho_kd[:, :, j]).reshape(n * d, d)
+            out += dt * (k_rho @ block[:, (j + 3) * d : (j + 4) * d]).reshape(n, d, d)
         out /= np.real(np.einsum("nii->n", out))[:, None, None]
         return out, dy
 

@@ -25,6 +25,19 @@ def trajectory_cost_loop(traj, cost):
     return total + np.real(ops.expectation(traj.states[-1], cost.terminal_op))
 
 
+def qnd_filter_exact(rho0, h, l, T, y_T, hbar=1.0):
+    """The filter state at time T of H = diag(h) with one measured L = diag(l), l real,
+    and no extra channel, on its own record y_T (shape (n,)): the unnormalised filter is
+    rho0 * exp(-i (h_i - h_j) T / hbar - (l_i^2 + l_j^2) T + (l_i + l_j) y_T) entrywise,
+    returned with unit trace, (n, d, d).  For L = sqrt(kappa) sigma_z this is the tanh
+    oracle of the qubit."""
+    h, l = np.asarray(h, dtype=float), np.asarray(l, dtype=float)
+    exponent = (-1j * (h[:, None] - h[None, :]) * T / hbar
+                - (l[:, None] ** 2 + l[None, :] ** 2) * T)
+    w = rho0 * np.exp(exponent + (l[:, None] + l[None, :]) * np.asarray(y_T)[:, None, None])
+    return w / np.einsum("nii->n", w)[:, None, None]
+
+
 def adjoint_generator(model, u, X):
     """Heisenberg-picture generator: (i/hbar)[H, X] + sum_L (L^dag X L - (1/2){L^dag L, X})."""
     h = model.H0 + sum(ui * hc for ui, hc in zip(u, model.Hc))

@@ -8,7 +8,7 @@ from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, RejectedInputError
-from reference import adjoint_generator, record, trajectory_cost_loop
+from reference import adjoint_generator, qnd_filter_exact, record, trajectory_cost_loop
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -283,6 +283,25 @@ class TestTrajectoryRecordTimes:
             assert traj.n_steps == n
 
 
+class TestTrajectoryRecordShapes:
+    @pytest.mark.parametrize("states, controls", [
+        ((3, 3), (3, 0)), ((3, 2, 3), (3, 0)), ((3, 2, 2, 1), (3, 0)), ((3, 2, 2), (3,)),
+        ((3, 2, 2), (3, 1, 1)),
+    ], ids=["flat_states", "non_square_states", "4d_states", "flat_controls", "3d_controls"])
+    def test_refuses_misshapen_states_and_controls(self, states, controls):
+        # Before: only the first axis was checked, and (3, 3) states were accepted
+        # and written as 9 values a row under a 21-column CSV header.
+        with pytest.raises(DimensionMismatchError, match=r"\(n, d, d\) and controls \(n, k\)"):
+            bel.TrajectoryRecord(np.linspace(0.0, 0.1, 3), np.zeros(states), np.zeros(controls),
+                                 np.zeros(3), np.zeros(3), 0)
+
+    def test_accepts_any_dimension_and_control_count(self):
+        for d, k in ((2, 0), (3, 2), (21, 1)):
+            traj = bel.TrajectoryRecord(np.linspace(0.0, 0.1, 3), np.zeros((3, d, d)),
+                                        np.zeros((3, k)), np.zeros(3), np.zeros(3), 0)
+            assert traj.states.shape == (3, d, d) and traj.controls.shape == (3, k)
+
+
 class TestPolicyControls:
     MODEL = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z, Hc=(ops.SIGMA_X,))
     CFG = bel.SmeConfig(dt=0.1, T=0.3)
@@ -367,6 +386,36 @@ class TestKrausQndOracle:
         # Measured: 0.0022 at dt = 1e-2 and 0.00025 at dt = 1e-3, an order of 0.95.
         coarse, fine = self.sup_error(1e-2), self.sup_error(1e-3)
         assert fine <= 1e-3
+        assert 0.8 <= np.log10(coarse / fine) <= 1.2
+
+
+class TestKrausQndOracleAnyDim:
+    """H = n^ and L = sqrt(0.05) n^ at d = 8, from a mixed state with coherences: the
+    filter on its own record against `qnd_filter_exact`, phases and populations alike.
+    d = 8 runs the Kraus sandwich (`bel.SANDWICH_DIM`)."""
+
+    DIM = 8
+
+    def mean_error(self, dt):
+        """Mean over seeds 0-199 of the worst entry of |rho_T - exact(y_T)|, T = 1."""
+        h = np.arange(self.DIM, dtype=float)
+        l = np.sqrt(0.05) * h
+        model = ops.QuantumModel(H0=np.diag(h), L=np.diag(l))
+        g = np.random.default_rng(self.DIM).normal(size=(2, self.DIM, self.DIM))
+        rho0 = (g[0] + 1j * g[1]) @ ops.dagger(g[0] + 1j * g[1])
+        rho0 /= np.trace(rho0)
+        _, states, _, y, _ = bel.simulate_ensemble(
+            model, None, bel.SmeConfig(dt=dt, T=1.0), rho0, list(range(200)),
+            keep_states=False)
+        exact = qnd_filter_exact(rho0, h, l, 1.0, y[:, -1])
+        return float(np.mean(np.max(np.abs(states[:, -1] - exact), axis=(1, 2))))
+
+    def test_error_bound_and_strong_order(self):
+        # Measured: 2.1e-3 at dt = 1e-2 and 2.1e-4 at dt = 1e-3, an order of 1.01.
+        # Without the (1/2) L^2 (dy^2 - dt) term of M: 1.4e-2 and 4.1e-3, order 0.53.
+        assert self.DIM >= bel.SANDWICH_DIM
+        coarse, fine = self.mean_error(1e-2), self.mean_error(1e-3)
+        assert fine <= 5e-4
         assert 0.8 <= np.log10(coarse / fine) <= 1.2
 
 
@@ -546,6 +595,46 @@ class TestKrausPhysicality:
         peak(200)
         growth = (peak(800) - peak(200)) / (n_traj * 600)
         assert growth <= 64
+
+
+class TestMeasureFormulations:
+    """`_KrausStep.measure` is the Kraus sandwich from d = SANDWICH_DIM up and
+    the shared-block GEMMs below it; the two are one map."""
+
+    MODELS = {
+        "qubit": TestKrausPhysicality.MODELS["qubit"][0],
+        "oscillator_12": oscillator(12)[0],
+        "oscillator_21": oscillator(21)[0],
+        "non_normal_8": ops.QuantumModel(
+            H0=np.zeros((8, 8)), L=np.sqrt(0.3) * (ops.annihilation(8) + 0.2 * ops.annihilation(8)
+                                                   @ ops.annihilation(8)),
+            L_extra=(0.4 * ops.dagger(ops.annihilation(8)),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_formulations_agree(self, name, monkeypatch):
+        model = self.MODELS[name]
+        rho = TestDiagonalHalfStep.states(model.dim, 5, 7)
+        dW = np.random.default_rng(5).normal(0.0, 0.1, 5)
+        got = {}
+        for sandwich, min_dim in ((True, 0), (False, 10 ** 9)):
+            monkeypatch.setattr(bel, "SANDWICH_DIM", min_dim)
+            step = bel._KrausStep(model, 1e-2, 5)
+            assert step.sandwich is sandwich
+            got[sandwich] = step.measure(rho, dW)
+        assert np.max(np.abs(got[True][0] - got[False][0])) <= 1e-13
+        assert np.max(np.abs(got[True][1] - got[False][1])) <= 1e-13
+
+    @pytest.mark.parametrize("dim, sandwich", [(2, False), (21, True)])
+    def test_size_rule(self, dim, sandwich):
+        # The d = 2 workloads (QND ensemble, HJB closed loop) stay on the block
+        # map, and each formulation holds only its own work arrays.
+        model = ops.QuantumModel(H0=np.zeros((dim, dim)), L=ops.annihilation(dim))
+        step = bel._KrausStep(model, 1e-2, 3)
+        assert step.sandwich is sandwich
+        assert hasattr(step, "md") is sandwich and hasattr(step, "p") is not sandwich
+        rho, _ = step.measure(np.broadcast_to(np.eye(dim) / dim, (3, dim, dim)).copy(), np.ones(3))
+        assert np.allclose(np.einsum("nii->n", rho), 1.0)
 
 
 def refuse_cayley(h, s):
