@@ -10,15 +10,15 @@ A 91, 012118, 2015), written once in `_KrausStep`: rho <- U rho U^dag with
 the Cayley half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar)
 (`operators.cayley`), then the measurement map `_KrausStep.measure`, then U
 again, then the Hermitian part; a diagonal H(u), as H0 = omega a^dag a,
-gives a closed-form diagonal U (`_half_step`).  From d = SANDWICH_DIM up the
-map applies each state's Kraus operator M as M rho M^dag; below it, it takes
-shared GEMMs.  The mean in dy is taken at the state the Kraus map measures,
-after the first half step, and the record gets that same dy.  Every state is
-positive semidefinite with unit trace by construction, up to rounding; nothing
-is projected.  `simulate_ensemble`, the one trajectory generator, and
-`step_sme` run this step, keeping no state on the model; a `TrajectoryRecord`
-is packed from the generator's output, and `trajectory_cost` checks every
-running operator it reads.
+gives a closed-form diagonal U (`_half_step`).  At every d the map forms each
+state's Kraus operator M and applies it as M rho M^dag; only the product
+(`_product`) picks its kernel by d.  The mean in dy is taken at the state the
+Kraus map measures, after the first half step, and the record gets that same
+dy.  Every state is positive semidefinite with unit trace by construction, up
+to rounding; nothing is projected.  `simulate_ensemble`, the one trajectory
+generator, and `step_sme` run this step, keeping no state on the model; a
+`TrajectoryRecord` is packed from the generator's output, and `trajectory_cost`
+checks every running operator it reads.
 """
 
 from collections import namedtuple
@@ -32,7 +32,7 @@ from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputE
 from .io import write_csv
 
 STEP_COUNT_TOL = 1e-9
-SANDWICH_DIM = 8  # `_KrausStep.measure`'s crossover: the sandwich lost at d = 4, won at 8
+MATMUL_DIM = 5  # `_product`'s crossover: batched matmul from d = 5 up (the sum won at d = 4)
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,19 @@ def _conjugate(rho, ud):
     return (u_rho.reshape(n * d, d) @ ud).reshape(n, d, d)
 
 
+def _product(a, b, out=None):
+    """a @ b for stacks a, b (n, d, d), into out if given: one batched matmul from
+    d = MATMUL_DIM up.  Below it, where a batched matmul costs about 0.4 us a
+    matrix, the sum over j of the outer products of column j of a with row j of
+    b: no BLAS call per matrix, so each state's product is the same in any batch."""
+    if a.shape[-1] >= MATMUL_DIM:
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a[:, :, :1], b[:, None, 0], out=out)
+    for j in range(1, a.shape[-1]):
+        out += a[:, :, j : j + 1] * b[:, None, j]
+    return out
+
+
 def _half_step(h, s):
     """rho -> U rho U^dag for U = `ops.cayley`(h, s) and h (d, d) or (n, d, d),
     or None when h = 0, where U is exactly I.  A diagonal h gives a diagonal U,
@@ -194,30 +207,21 @@ class _KrausStep:
     """The filter step (module docstring) of one call on a stack of n states.
 
     The last step's control rows and half step are reused while the rows
-    repeat.  The measurement map's operators and the work arrays of its one
-    formulation for d (`measure`) are built once: arrays of this size come back
-    from the allocator as fresh pages each time, and at d = 21 that cost more
-    than the GEMMs themselves.
+    repeat.  The measurement map's shared operators and the two (n, d, d) work
+    arrays of its products are built once: arrays of this size come back from
+    the allocator as fresh pages each time, and at d = 21 that cost more than
+    the products themselves.
     """
 
     def __init__(self, model, dt, n):
         self.model, self.dt = model, dt
         self.rows = self.conjugate = None
-        # [-(1/2) sum L^dag L | L^dag | (L^dag)^2 | K_1^dag | ... | K_J^dag],
-        # the sum over every channel, L the measured one, K_j the extra ones.
-        ld = ops.dagger(model.L)
-        loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())
-        self.block = np.concatenate(
-            (loss, ld, ld @ ld) + tuple(ops.dagger(K) for K in model.L_extra), axis=1)
-        d = model.dim
-        self.sandwich = d >= SANDWICH_DIM
-        if self.sandwich:
-            self.a0, self.ld = np.eye(d) + dt * loss, ld.reshape(-1)
-            self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
-        else:
-            self.p = np.empty((n * d, self.block.shape[1]), dtype=complex)
-            self.q = np.empty((n * d, 3 * d), dtype=complex)
-            self.x, self.m_rho, self.tmp = np.empty((3, n, d, d), dtype=complex)
+        d, ld = model.dim, ops.dagger(model.L)
+        loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())  # over every channel
+        self.a0, self.ld, self.ld2 = np.eye(d) + dt * loss, ld, ld @ ld
+        self.ld_flat = ld.ravel()
+        self.kd = [ops.dagger(K) for K in model.L_extra]
+        self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
 
     def half_step(self, u):
         """`_half_step` for controls u (n, k): shared when every row equals the
@@ -238,48 +242,24 @@ class _KrausStep:
 
             rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
 
-        positive semidefinite by construction.  From d = SANDWICH_DIM up, M^dag
-        is formed per state from the block and M rho M^dag = (rho M^dag)^dag M^dag
-        is two batched matmuls, 2 d^3 multiply-adds.  Below it, where a batched
-        matmul costs about 0.4 us a matrix, the map takes shared GEMMs of 6 d^3:
-        one gives [P0 | P1 | P2 | ...] = rho @ block, and X = rho M^dag =
-        rho + dt P0 + dy P1 + (dy^2 - dt) / 2 P2 per state.  M rho M^dag =
-        X^dag M^dag, because X^dag = M rho for Hermitian rho, is a second GEMM
-        against the first three blocks with the same coefficients.  Either way,
-        K rho K^dag = (rho K^dag)^dag K^dag is one more per extra channel.
-        Returns (rho', dy) with dy (n,); rho' is a new array.
+        positive semidefinite by construction.  dy takes tr(L rho) from one
+        `np.vecdot` of flat L^dag with flat rho.  M^dag is formed per state,
+        and M rho M^dag = (rho M^dag)^dag M^dag is two calls of `_product`,
+        2 d^3 multiply-adds.  K rho K^dag = (rho K^dag)^dag K^dag is two
+        shared GEMMs per extra channel (`_conjugate`).  Returns (rho', dy)
+        with dy (n,); rho' is a new array.
         """
-        block, dt = self.block, self.dt
+        dt = self.dt
         n, d = rho.shape[:2]
-        if self.sandwich:
-            dy = 2.0 * np.real(np.vecdot(self.ld, rho.reshape(n, d * d))) * dt + dW
-            a = dy[:, None, None]
-            md = np.multiply(block[:, d : 2 * d], a, out=self.md)
-            md += np.multiply(block[:, 2 * d : 3 * d], 0.5 * (a * a - dt), out=self.rho_md)
-            md += self.a0
-            rho_md = np.matmul(rho, md, out=self.rho_md)
-            out = np.matmul(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), md)
-            rho_kd = (rho.reshape(n * d, d) @ block[:, 3 * d :]).reshape(n, d, -1, d)
-        else:
-            p = np.matmul(rho.reshape(n * d, d), block, out=self.p).reshape(n, d, -1, d)
-            dy = 2.0 * np.real(np.einsum("nii->n", p[:, :, 1])) * dt + dW
-            a = dy[:, None, None]
-            b = 0.5 * (a * a - dt)
-            x = np.multiply(p[:, :, 0], dt, out=self.x)
-            x += rho
-            x += np.multiply(p[:, :, 1], a, out=self.tmp)
-            x += np.multiply(p[:, :, 2], b, out=self.tmp)
-            m_rho = np.conjugate(x.transpose(0, 2, 1), out=self.m_rho)
-            q = np.matmul(m_rho.reshape(n * d, d), block[:, : 3 * d], out=self.q)
-            q = q.reshape(n, d, 3, d)
-            out = np.multiply(q[:, :, 0], dt)
-            out += m_rho
-            out += np.multiply(q[:, :, 1], a, out=self.tmp)
-            out += np.multiply(q[:, :, 2], b, out=self.tmp)
-            rho_kd = p[:, :, 3:]
-        for j in range(rho_kd.shape[2]):
-            k_rho = ops.dagger(rho_kd[:, :, j]).reshape(n * d, d)
-            out += dt * (k_rho @ block[:, (j + 3) * d : (j + 4) * d]).reshape(n, d, d)
+        dy = 2.0 * np.real(np.vecdot(self.ld_flat, rho.reshape(n, d * d))) * dt + dW
+        a = dy[:, None, None]
+        md = np.multiply(self.ld, a, out=self.md)
+        md += np.multiply(self.ld2, 0.5 * (a * a - dt), out=self.rho_md)
+        md += self.a0
+        rho_md = _product(rho, md, self.rho_md)
+        out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), md)
+        for kd in self.kd:
+            out += dt * _conjugate(rho, kd)
         out /= np.real(np.einsum("nii->n", out))[:, None, None]
         return out, dy
 
@@ -403,7 +383,10 @@ def filter_observable_check(traj, X, model):
     (its higher-order terms and its normalisation): 0.0091 at most over
     seeds 0-9 for the driven qubit in the tests at dt = 1e-3, T = 1.
     """
-    X = ops.check_hermitian(np.asarray(X, dtype=complex), ops.OPERATOR_TOL, "X")
+    X, d = np.asarray(X, dtype=complex), traj.states.shape[-1]
+    if X.shape != (d, d):
+        raise DimensionMismatchError(f"X is {X.shape}, not ({d}, {d}) as the record's states")
+    X = ops.check_hermitian(X, ops.OPERATOR_TOL, "X")
     dt = traj.dt
     dW = np.diff(traj.innovations_W)
     # Along the stored states, with G* the Heisenberg-picture generator:

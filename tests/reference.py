@@ -38,6 +38,26 @@ def qnd_filter_exact(rho0, h, l, T, y_T, hbar=1.0):
     return w / np.einsum("nii->n", w)[:, None, None]
 
 
+def kraus_map_reference(model, dt, rho, dW):
+    """The Rouchon-Ralph measurement map of the states rho (n, d, d), one state at a
+    time: dy = 2 Re tr(L rho) dt + dW, the Kraus operator
+    M = I - (1/2) sum_c c^dag c dt + L dy + (1/2) L^2 (dy^2 - dt) over every channel c,
+    and rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...) over the extra channels K.
+    Returns (rho', dy) with dy (n,)."""
+    L = model.L
+    loss = sum(np.conj(c.T) @ c for c in model.channels())
+    out, dys = [], []
+    for r, dw in zip(rho, dW):
+        dy = 2.0 * np.real(np.trace(L @ r)) * dt + dw
+        M = np.eye(model.dim) - 0.5 * loss * dt + L * dy + 0.5 * (L @ L) * (dy * dy - dt)
+        w = M @ r @ np.conj(M.T)
+        for K in model.L_extra:
+            w = w + K @ r @ np.conj(K.T) * dt
+        out.append(w / np.trace(w))
+        dys.append(dy)
+    return np.array(out), np.array(dys)
+
+
 def adjoint_generator(model, u, X):
     """Heisenberg-picture generator: (i/hbar)[H, X] + sum_L (L^dag X L - (1/2){L^dag L, X})."""
     h = model.H0 + sum(ui * hc for ui, hc in zip(u, model.Hc))

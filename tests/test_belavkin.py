@@ -8,7 +8,8 @@ from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, RejectedInputError
-from reference import adjoint_generator, qnd_filter_exact, record, trajectory_cost_loop
+from reference import (adjoint_generator, kraus_map_reference, qnd_filter_exact, record,
+                       trajectory_cost_loop)
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -390,18 +391,17 @@ class TestKrausQndOracle:
 
 
 class TestKrausQndOracleAnyDim:
-    """H = n^ and L = sqrt(0.05) n^ at d = 8, from a mixed state with coherences: the
-    filter on its own record against `qnd_filter_exact`, phases and populations alike.
-    d = 8 runs the Kraus sandwich (`bel.SANDWICH_DIM`)."""
+    """H = n^ and L = sqrt(0.05) n^ at d = 3 and 8, from a mixed state with coherences:
+    the filter on its own record against `qnd_filter_exact`, phases and populations
+    alike.  d = 3 runs `bel._product`'s sum of outer products, d = 8 its matmul."""
 
-    DIM = 8
-
-    def mean_error(self, dt):
+    @staticmethod
+    def mean_error(dim, dt):
         """Mean over seeds 0-199 of the worst entry of |rho_T - exact(y_T)|, T = 1."""
-        h = np.arange(self.DIM, dtype=float)
+        h = np.arange(dim, dtype=float)
         l = np.sqrt(0.05) * h
         model = ops.QuantumModel(H0=np.diag(h), L=np.diag(l))
-        g = np.random.default_rng(self.DIM).normal(size=(2, self.DIM, self.DIM))
+        g = np.random.default_rng(dim).normal(size=(2, dim, dim))
         rho0 = (g[0] + 1j * g[1]) @ ops.dagger(g[0] + 1j * g[1])
         rho0 /= np.trace(rho0)
         _, states, _, y, _ = bel.simulate_ensemble(
@@ -410,11 +410,13 @@ class TestKrausQndOracleAnyDim:
         exact = qnd_filter_exact(rho0, h, l, 1.0, y[:, -1])
         return float(np.mean(np.max(np.abs(states[:, -1] - exact), axis=(1, 2))))
 
-    def test_error_bound_and_strong_order(self):
-        # Measured: 2.1e-3 at dt = 1e-2 and 2.1e-4 at dt = 1e-3, an order of 1.01.
+    @pytest.mark.parametrize("dim, matmul", [(3, False), (8, True)])
+    def test_error_bound_and_strong_order(self, dim, matmul):
+        # Measured at d = 8: 2.1e-3 at dt = 1e-2 and 2.1e-4 at dt = 1e-3, an order of 1.01.
         # Without the (1/2) L^2 (dy^2 - dt) term of M: 1.4e-2 and 4.1e-3, order 0.53.
-        assert self.DIM >= bel.SANDWICH_DIM
-        coarse, fine = self.mean_error(1e-2), self.mean_error(1e-3)
+        # Measured at d = 3: 1.2e-4 at dt = 1e-2 and 1.1e-5 at dt = 1e-3, an order of 1.02.
+        assert (dim >= bel.MATMUL_DIM) is matmul
+        coarse, fine = self.mean_error(dim, 1e-2), self.mean_error(dim, 1e-3)
         assert fine <= 5e-4
         assert 0.8 <= np.log10(coarse / fine) <= 1.2
 
@@ -597,9 +599,23 @@ class TestKrausPhysicality:
         assert growth <= 64
 
 
+def matmul_calls(monkeypatch):
+    """The shapes of the first operand of every `np.matmul` call from here on."""
+    calls = []
+    matmul = np.matmul
+
+    def counted(a, b, **kw):
+        calls.append(a.shape)
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return calls
+
+
 class TestMeasureFormulations:
-    """`_KrausStep.measure` is the Kraus sandwich from d = SANDWICH_DIM up and
-    the shared-block GEMMs below it; the two are one map."""
+    """`_KrausStep.measure` is one map, M rho M^dag through `bel._product`, a batched
+    matmul from d = MATMUL_DIM up and a sum of outer products below it; under either
+    product it is `kraus_map_reference`."""
 
     MODELS = {
         "qubit": TestKrausPhysicality.MODELS["qubit"][0],
@@ -616,24 +632,27 @@ class TestMeasureFormulations:
         model = self.MODELS[name]
         rho = TestDiagonalHalfStep.states(model.dim, 5, 7)
         dW = np.random.default_rng(5).normal(0.0, 0.1, 5)
-        got = {}
-        for sandwich, min_dim in ((True, 0), (False, 10 ** 9)):
-            monkeypatch.setattr(bel, "SANDWICH_DIM", min_dim)
-            step = bel._KrausStep(model, 1e-2, 5)
-            assert step.sandwich is sandwich
-            got[sandwich] = step.measure(rho, dW)
-        assert np.max(np.abs(got[True][0] - got[False][0])) <= 1e-13
-        assert np.max(np.abs(got[True][1] - got[False][1])) <= 1e-13
+        want, want_dy = kraus_map_reference(model, 1e-2, rho, dW)
+        calls = matmul_calls(monkeypatch)
+        for matmul_dim, n_matmul in ((0, 2), (10 ** 9, 0)):
+            monkeypatch.setattr(bel, "MATMUL_DIM", matmul_dim)
+            calls.clear()
+            got, dy = bel._KrausStep(model, 1e-2, 5).measure(rho, dW)
+            assert len(calls) == n_matmul
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert np.max(np.abs(dy - want_dy)) <= 1e-13
 
-    @pytest.mark.parametrize("dim, sandwich", [(2, False), (21, True)])
-    def test_size_rule(self, dim, sandwich):
-        # The d = 2 workloads (QND ensemble, HJB closed loop) stay on the block
-        # map, and each formulation holds only its own work arrays.
+    @pytest.mark.parametrize("dim, matmul", [(2, False), (21, True)])
+    def test_size_rule(self, dim, matmul, monkeypatch):
+        # The d = 2 workloads (QND ensemble, HJB closed loop) take the sum of outer
+        # products, and the step holds only two (n, d, d) work arrays.
         model = ops.QuantumModel(H0=np.zeros((dim, dim)), L=ops.annihilation(dim))
         step = bel._KrausStep(model, 1e-2, 3)
-        assert step.sandwich is sandwich
-        assert hasattr(step, "md") is sandwich and hasattr(step, "p") is not sandwich
+        work = [k for k, v in vars(step).items() if np.shape(v) == (3, dim, dim)]
+        assert work == ["md", "rho_md"]
+        calls = matmul_calls(monkeypatch)
         rho, _ = step.measure(np.broadcast_to(np.eye(dim) / dim, (3, dim, dim)).copy(), np.ones(3))
+        assert calls == [(3, dim, dim)] * 2 * matmul
         assert np.allclose(np.einsum("nii->n", rho), 1.0)
 
 
@@ -842,6 +861,13 @@ class TestFilterObservableCheck:
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.zeros((2, 2)))
         traj = record(model, None, bel.SmeConfig(dt=1e-3, T=0.2), MIXED, 3)
         assert bel.filter_observable_check(traj, ops.SIGMA_Z, model) < 1e-10
+
+    @pytest.mark.parametrize("X", [np.eye(3), np.eye(2)[None], np.ones((2, 3)), 1.0],
+                             ids=["3x3", "stacked", "2x3", "scalar"])
+    def test_refuses_x_not_d_by_d(self, X):
+        traj = record(QUBIT_Z, None, bel.SmeConfig(dt=1e-2, T=0.1), MIXED, 3)
+        with pytest.raises(DimensionMismatchError):
+            bel.filter_observable_check(traj, X, QUBIT_Z)
 
     def test_qubit_discrepancy_small(self):
         # Nonzero because the split Kraus step differs from the raw
