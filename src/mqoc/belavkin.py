@@ -12,7 +12,8 @@ the Cayley half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar)
 again, then the Hermitian part; a diagonal H(u), as H0 = omega a^dag a,
 gives a closed-form diagonal U (`_half_step`).  At every d the map forms each
 state's Kraus operator M and applies it as M rho M^dag; only the product
-(`_product`) picks its kernel by d.  The mean in dy is taken at the state the
+(`_product`) picks its kernel: elementwise when M is diagonal, as under a QND
+measurement, else by d.  The mean in dy is taken at the state the
 Kraus map measures, after the first half step, and the record gets that same
 dy.  Every state is positive semidefinite with unit trace by construction, up
 to rounding; nothing is projected.  `simulate_ensemble`, the one trajectory
@@ -175,16 +176,25 @@ def _conjugate(rho, ud):
 
 
 def _product(a, b, out=None):
-    """a @ b for stacks a, b (n, d, d), into out if given: one batched matmul from
-    d = MATMUL_DIM up.  Below it, where a batched matmul costs about 0.4 us a
-    matrix, the sum over j of the outer products of column j of a with row j of
-    b: no BLAS call per matrix, so each state's product is the same in any batch."""
+    """a @ b for a stack a (n, d, d), by the shape of b.  A b (n, d) holds diagonals,
+    and a @ diag(b) = a * b[:, None, :] scales the columns of a, into a new array.
+    A stack b (n, d, d) goes into out if given: one batched matmul from d = MATMUL_DIM
+    up; below it, where a batched matmul costs about 0.4 us a matrix, the sum over j
+    of the outer products of column j of a with row j of b.  Below MATMUL_DIM no rule
+    calls BLAS per matrix, so each state's product is the same in any batch."""
+    if b.ndim == 2:
+        return a * b[:, None, :]
     if a.shape[-1] >= MATMUL_DIM:
         return np.matmul(a, b, out=out)
     out = np.multiply(a[:, :, :1], b[:, None, 0], out=out)
     for j in range(1, a.shape[-1]):
         out += a[:, :, j : j + 1] * b[:, None, j]
     return out
+
+
+def _is_diagonal(x):
+    """True when x (..., d, d) has no nonzero entry off its diagonals."""
+    return np.count_nonzero(x) == np.count_nonzero(np.diagonal(x, axis1=-2, axis2=-1))
 
 
 def _half_step(h, s):
@@ -195,8 +205,8 @@ def _half_step(h, s):
     dense solve and `_conjugate`."""
     if not h.any():
         return None
-    diag = np.diagonal(h, axis1=-2, axis2=-1)
-    if np.count_nonzero(h) == np.count_nonzero(diag):
+    if _is_diagonal(h):
+        diag = np.diagonal(h, axis1=-2, axis2=-1)
         u = (1.0 - 1j * s * diag) / (1.0 + 1j * s * diag)
         phase = u[..., :, None] * np.conj(u[..., None, :])
         return lambda rho: rho * phase
@@ -207,10 +217,11 @@ class _KrausStep:
     """The filter step (module docstring) of one call on a stack of n states.
 
     The last step's control rows and half step are reused while the rows
-    repeat.  The measurement map's shared operators and the two (n, d, d) work
-    arrays of its products are built once: arrays of this size come back from
-    the allocator as fresh pages each time, and at d = 21 that cost more than
-    the products themselves.
+    repeat.  The measurement map's shared operators a0 = I + dt loss, L^dag and
+    L^dag^2 are built once, as their diagonals (d,) when all three are diagonal,
+    and so are the two work arrays md and rho_md of M^dag's shape: (n, d, d)
+    arrays come back from the allocator as fresh pages each time, and at d = 21
+    that cost more than the products themselves.
     """
 
     def __init__(self, model, dt, n):
@@ -218,10 +229,13 @@ class _KrausStep:
         self.rows = self.conjugate = None
         d, ld = model.dim, ops.dagger(model.L)
         loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())  # over every channel
-        self.a0, self.ld, self.ld2 = np.eye(d) + dt * loss, ld, ld @ ld
+        shared = (np.eye(d) + dt * loss, ld, ld @ ld)
+        if all(map(_is_diagonal, shared)):
+            shared = [np.diagonal(x).copy() for x in shared]
+        self.a0, self.ld, self.ld2 = shared
         self.ld_flat = ld.ravel()
         self.kd = [ops.dagger(K) for K in model.L_extra]
-        self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
+        self.md, self.rho_md = np.empty((2, n) + self.ld.shape, dtype=complex)
 
     def half_step(self, u):
         """`_half_step` for controls u (n, k): shared when every row equals the
@@ -244,15 +258,16 @@ class _KrausStep:
 
         positive semidefinite by construction.  dy takes tr(L rho) from one
         `np.vecdot` of flat L^dag with flat rho.  M^dag is formed per state,
-        and M rho M^dag = (rho M^dag)^dag M^dag is two calls of `_product`,
-        2 d^3 multiply-adds.  K rho K^dag = (rho K^dag)^dag K^dag is two
-        shared GEMMs per extra channel (`_conjugate`).  Returns (rho', dy)
-        with dy (n,); rho' is a new array.
+        (n, d) if diagonal, and M rho M^dag = (rho M^dag)^dag M^dag is two
+        calls of `_product`: 2 d^3 multiply-adds, 2 d^2 for a diagonal M.
+        K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs per extra
+        channel (`_conjugate`).  Returns (rho', dy) with dy (n,); rho' is a
+        new array.
         """
         dt = self.dt
         n, d = rho.shape[:2]
         dy = 2.0 * np.real(np.vecdot(self.ld_flat, rho.reshape(n, d * d))) * dt + dW
-        a = dy[:, None, None]
+        a = dy.reshape((n,) + (1,) * self.ld.ndim)
         md = np.multiply(self.ld, a, out=self.md)
         md += np.multiply(self.ld2, 0.5 * (a * a - dt), out=self.rho_md)
         md += self.a0

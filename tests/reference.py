@@ -1,5 +1,6 @@
 """Reference formulas the tests compare the library against, written apart from its kernel,
-and the one-seed record the tests pack from `simulate_ensemble`."""
+the one-seed record the tests pack from `simulate_ensemble`, and the exact QND oracle
+ladders that the tests and `scripts/orders.py` run."""
 
 import numpy as np
 
@@ -36,6 +37,44 @@ def qnd_filter_exact(rho0, h, l, T, y_T, hbar=1.0):
                 - (l[:, None] ** 2 + l[None, :] ** 2) * T)
     w = rho0 * np.exp(exponent + (l[:, None] + l[None, :]) * np.asarray(y_T)[:, None, None])
     return w / np.einsum("nii->n", w)[:, None, None]
+
+
+def qnd_oracle_error(dim, kappa, dt, n_seeds, rotated=False):
+    """Mean over seeds 0..n_seeds-1 of the worst entry of |rho_T - exact(y_T)| at T = 1 for
+    H = n^ and one measured L = sqrt(kappa) n^ on dim levels, from a random mixed state with
+    coherences: the filter on its own record against `qnd_filter_exact`, phases and
+    populations alike.  rotated runs the same filter in the basis of a fixed random unitary
+    V, H' = V H V^dag, L' = V L V^dag and rho0' = V rho0 V^dag, against V exact V^dag;
+    there its Kraus operator is dense."""
+    h = np.arange(dim, dtype=float)
+    l = np.sqrt(kappa) * h
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(2, dim, dim))
+    rho0 = (g[0] + 1j * g[1]) @ ops.dagger(g[0] + 1j * g[1])
+    rho0 /= np.trace(rho0)
+    g = rng.normal(size=(2, dim, dim))
+    v = np.linalg.qr(g[0] + 1j * g[1])[0]
+    turn = (lambda x: v @ x @ ops.dagger(v)) if rotated else (lambda x: x)
+    model = ops.QuantumModel(H0=turn(np.diag(h)), L=turn(np.diag(l)))
+    _, states, _, y, _ = bel.simulate_ensemble(
+        model, None, bel.SmeConfig(dt=dt, T=1.0), turn(rho0), range(n_seeds), keep_states=False)
+    exact = turn(qnd_filter_exact(rho0, h, l, 1.0, y[:, -1]))
+    return float(np.mean(np.max(np.abs(states[:, -1] - exact), axis=(1, 2))))
+
+
+def tanh_oracle_error(dt):
+    """QND measurement of the qubit, L = sqrt(kappa) sigma_z with kappa = 0.5 and H = 0,
+    from r0 = (0.3, 0, 0.2): on the filter's own record, z_t = tanh(artanh z_0 +
+    2 sqrt(kappa) y_t) exactly.  Returns the mean over seeds 0-199 of
+    sup_t |z_t - z_exact(y_t)|, T = 1."""
+    kappa, r0 = 0.5, (0.3, 0.0, 0.2)
+    model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(kappa) * ops.SIGMA_Z)
+    rho0 = 0.5 * (np.eye(2) + sum(c * s for c, s in zip(r0, ops.PAULI)))
+    _, states, _, y, _ = bel.simulate_ensemble(
+        model, None, bel.SmeConfig(dt=dt, T=1.0), rho0, list(range(200)))
+    z = np.real(states[..., 0, 0] - states[..., 1, 1])
+    exact = np.tanh(np.arctanh(r0[2]) + 2.0 * np.sqrt(kappa) * y)
+    return float(np.mean(np.max(np.abs(z - exact), axis=1)))
 
 
 def kraus_map_reference(model, dt, rho, dW):

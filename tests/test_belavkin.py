@@ -8,8 +8,8 @@ from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, RejectedInputError
-from reference import (adjoint_generator, kraus_map_reference, qnd_filter_exact, record,
-                       trajectory_cost_loop)
+from reference import (adjoint_generator, kraus_map_reference, qnd_oracle_error, record,
+                       tanh_oracle_error, trajectory_cost_loop)
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -367,57 +367,60 @@ class TestTrajectoryInvariants:
 
 
 class TestKrausQndOracle:
-    """QND measurement, L = sqrt(kappa) sigma_z and H = 0: on the filter's own
-    record, z_t = tanh(artanh z_0 + 2 sqrt(kappa) y_t) exactly."""
-
-    KAPPA = 0.5
-    R0 = (0.3, 0.0, 0.2)
-
-    def sup_error(self, dt):
-        """Mean over seeds 0-199 of sup_t |z_t - z_exact(y_t)|."""
-        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(self.KAPPA) * ops.SIGMA_Z)
-        rho0 = 0.5 * (np.eye(2) + sum(c * s for c, s in zip(self.R0, ops.PAULI)))
-        _, states, _, y, _ = bel.simulate_ensemble(
-            model, None, bel.SmeConfig(dt=dt, T=1.0), rho0, list(range(200)))
-        z = np.real(states[..., 0, 0] - states[..., 1, 1])
-        exact = np.tanh(np.arctanh(self.R0[2]) + 2.0 * np.sqrt(self.KAPPA) * y)
-        return float(np.mean(np.max(np.abs(z - exact), axis=1)))
+    """QND measurement of the qubit against the tanh oracle (`tanh_oracle_error`)."""
 
     def test_error_bound_and_strong_order(self):
         # Measured: 0.0022 at dt = 1e-2 and 0.00025 at dt = 1e-3, an order of 0.95.
-        coarse, fine = self.sup_error(1e-2), self.sup_error(1e-3)
+        coarse, fine = tanh_oracle_error(1e-2), tanh_oracle_error(1e-3)
         assert fine <= 1e-3
         assert 0.8 <= np.log10(coarse / fine) <= 1.2
 
 
+def product_kernels(monkeypatch):
+    """The kernel of every `bel._product` call from here on: "matmul" when it calls
+    `np.matmul`, else "diagonal" for a b of diagonals (n, d), else "sum"."""
+    kernels, calls = [], matmul_calls(monkeypatch)
+    product = bel._product
+
+    def counted(a, b, out=None):
+        before = len(calls)
+        result = product(a, b, out)
+        kernels.append("matmul" if len(calls) > before else "diagonal" if b.ndim == 2 else "sum")
+        return result
+
+    monkeypatch.setattr(bel, "_product", counted)
+    return kernels
+
+
 class TestKrausQndOracleAnyDim:
-    """H = n^ and L = sqrt(0.05) n^ at d = 3 and 8, from a mixed state with coherences:
-    the filter on its own record against `qnd_filter_exact`, phases and populations
-    alike.  d = 3 runs `bel._product`'s sum of outer products, d = 8 its matmul."""
+    """H = n^ and L = sqrt(kappa) n^ from a mixed state with coherences: the filter on
+    its own record against `qnd_filter_exact` (`qnd_oracle_error`).  Diagonal, M is
+    diagonal and `bel._product` acts elementwise; rotated by a fixed random unitary, M
+    is dense, and d = 3 runs the sum of outer products, d = 8 the batched matmul."""
 
-    @staticmethod
-    def mean_error(dim, dt):
-        """Mean over seeds 0-199 of the worst entry of |rho_T - exact(y_T)|, T = 1."""
-        h = np.arange(dim, dtype=float)
-        l = np.sqrt(0.05) * h
-        model = ops.QuantumModel(H0=np.diag(h), L=np.diag(l))
-        g = np.random.default_rng(dim).normal(size=(2, dim, dim))
-        rho0 = (g[0] + 1j * g[1]) @ ops.dagger(g[0] + 1j * g[1])
-        rho0 /= np.trace(rho0)
-        _, states, _, y, _ = bel.simulate_ensemble(
-            model, None, bel.SmeConfig(dt=dt, T=1.0), rho0, list(range(200)),
-            keep_states=False)
-        exact = qnd_filter_exact(rho0, h, l, 1.0, y[:, -1])
-        return float(np.mean(np.max(np.abs(states[:, -1] - exact), axis=(1, 2))))
+    KERNELS = {(3, False): "diagonal", (8, False): "diagonal", (3, True): "sum",
+               (8, True): "matmul"}
 
-    @pytest.mark.parametrize("dim, matmul", [(3, False), (8, True)])
-    def test_error_bound_and_strong_order(self, dim, matmul):
-        # Measured at d = 8: 2.1e-3 at dt = 1e-2 and 2.1e-4 at dt = 1e-3, an order of 1.01.
-        # Without the (1/2) L^2 (dy^2 - dt) term of M: 1.4e-2 and 4.1e-3, order 0.53.
-        # Measured at d = 3: 1.2e-4 at dt = 1e-2 and 1.1e-5 at dt = 1e-3, an order of 1.02.
-        assert (dim >= bel.MATMUL_DIM) is matmul
-        coarse, fine = self.mean_error(dim, 1e-2), self.mean_error(dim, 1e-3)
+    @pytest.mark.parametrize("dim, rotated", sorted(KERNELS))
+    def test_error_bound_and_strong_order(self, dim, rotated, monkeypatch):
+        # Measured, 200 seeds, dt = 1e-2 and 1e-3 (order):
+        #   d = 3: 1.2e-4 and 1.1e-5 (1.02); rotated 8.7e-5 and 8.2e-6 (1.03).
+        #   d = 8: 2.1e-3 and 2.1e-4 (1.01); rotated 8.8e-4 and 8.9e-5 (1.00).
+        # Without the (1/2) L^2 (dy^2 - dt) term of M, d = 8: 1.4e-2 and 4.1e-3, order 0.53.
+        kernels = product_kernels(monkeypatch)
+        coarse = qnd_oracle_error(dim, 0.05, 1e-2, 200, rotated)
+        fine = qnd_oracle_error(dim, 0.05, 1e-3, 200, rotated)
+        assert set(kernels) == {self.KERNELS[dim, rotated]}
         assert fine <= 5e-4
+        assert 0.8 <= np.log10(coarse / fine) <= 1.2
+
+    def test_photon_number_at_d21(self):
+        # L = sqrt(0.005) n^, 64 seeds: measured 9.7e-4 at dt = 1e-2 and 1.1e-4 at
+        # dt = 1e-3, an order of 0.95; the bound is 2.3 times the measured fine error.
+        # Without the (1/2) L^2 (dy^2 - dt) term of M: 5.5e-3 and 1.9e-3, order 0.47.
+        coarse = qnd_oracle_error(21, 0.005, 1e-2, 64)
+        fine = qnd_oracle_error(21, 0.005, 1e-3, 64)
+        assert fine <= 2.5e-4
         assert 0.8 <= np.log10(coarse / fine) <= 1.2
 
 
@@ -484,6 +487,10 @@ class TestKrausPhysicality:
                                    L_extra=(0.5 * np.array([[0.0, 1.0], [0.0, 0.0]]),)),
                   GROUND),
         "oscillator": oscillator(12)[:2],
+        # The closed-loop workload's filter: QND measurement, so a diagonal M.
+        "closed_loop_qubit": (ops.QuantumModel(H0=np.zeros((2, 2)),
+                                               L=np.sqrt(0.5) * ops.SIGMA_Z, Hc=(ops.SIGMA_Y,)),
+                              0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X + 0.2 * ops.SIGMA_Z)),
     }
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -525,8 +532,10 @@ class TestKrausPhysicality:
         assert np.array_equal(out, ((kraus + ops.dagger(kraus)) / 2.0)[0])
 
     @pytest.mark.parametrize("name, feedback", [
-        ("oscillator", "record"), ("qubit", "record"), ("qubit", "state")],
-        ids=["oscillator", "qubit", "qubit_state_feedback"])
+        ("oscillator", "record"), ("qubit", "record"), ("qubit", "state"),
+        ("closed_loop_qubit", "record"), ("closed_loop_qubit", "state")],
+        ids=["oscillator", "qubit", "qubit_state_feedback", "closed_loop_qubit",
+             "closed_loop_qubit_state_feedback"])
     def test_batch_equals_single_runs_bitwise(self, name, feedback):
         model, rho0 = self.MODELS[name]
         seeds = [3, 4, 5, 6]
@@ -613,9 +622,13 @@ def matmul_calls(monkeypatch):
 
 
 class TestMeasureFormulations:
-    """`_KrausStep.measure` is one map, M rho M^dag through `bel._product`, a batched
-    matmul from d = MATMUL_DIM up and a sum of outer products below it; under either
-    product it is `kraus_map_reference`."""
+    """`_KrausStep.measure` is one map, M rho M^dag through `bel._product`: elementwise
+    for a diagonal M, else a batched matmul from d = MATMUL_DIM up and a sum of outer
+    products below it; under each product it is `kraus_map_reference`.  diagonal_8's
+    extra channel K = 0.4 a has a diagonal K^dag K, so M stays diagonal; dense_loss_8's
+    L is diagonal too, but K = 0.3 (a + a^dag) makes I + dt loss dense, and so M.
+    complex_diagonal_3's L is diagonal but not Hermitian, so M rho M^dag differs from
+    M^dag rho M there."""
 
     MODELS = {
         "qubit": TestKrausPhysicality.MODELS["qubit"][0],
@@ -625,7 +638,17 @@ class TestMeasureFormulations:
             H0=np.zeros((8, 8)), L=np.sqrt(0.3) * (ops.annihilation(8) + 0.2 * ops.annihilation(8)
                                                    @ ops.annihilation(8)),
             L_extra=(0.4 * ops.dagger(ops.annihilation(8)),)),
+        "closed_loop_qubit": TestKrausPhysicality.MODELS["closed_loop_qubit"][0],
+        "diagonal_8": ops.QuantumModel(H0=np.diag(np.arange(8.0)),
+                                       L=np.sqrt(0.05) * np.diag(np.arange(8.0)),
+                                       L_extra=(0.4 * ops.annihilation(8),)),
+        "dense_loss_8": ops.QuantumModel(
+            H0=np.diag(np.arange(8.0)), L=np.sqrt(0.05) * np.diag(np.arange(8.0)),
+            L_extra=(0.3 * (ops.annihilation(8) + ops.dagger(ops.annihilation(8))),)),
+        "complex_diagonal_3": ops.QuantumModel(H0=np.zeros((3, 3)),
+                                               L=np.diag([0.5, 0.3j, -0.2 + 0.4j])),
     }
+    DIAGONAL = {"closed_loop_qubit", "diagonal_8", "complex_diagonal_3"}
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_formulations_agree(self, name, monkeypatch):
@@ -633,27 +656,32 @@ class TestMeasureFormulations:
         rho = TestDiagonalHalfStep.states(model.dim, 5, 7)
         dW = np.random.default_rng(5).normal(0.0, 0.1, 5)
         want, want_dy = kraus_map_reference(model, 1e-2, rho, dW)
-        calls = matmul_calls(monkeypatch)
-        for matmul_dim, n_matmul in ((0, 2), (10 ** 9, 0)):
+        kernels = product_kernels(monkeypatch)
+        for matmul_dim, dense in ((0, "matmul"), (10 ** 9, "sum")):
             monkeypatch.setattr(bel, "MATMUL_DIM", matmul_dim)
-            calls.clear()
+            kernels.clear()
             got, dy = bel._KrausStep(model, 1e-2, 5).measure(rho, dW)
-            assert len(calls) == n_matmul
+            assert kernels == ["diagonal" if name in self.DIAGONAL else dense] * 2
             assert np.max(np.abs(got - want)) <= 1e-13
             assert np.max(np.abs(dy - want_dy)) <= 1e-13
 
     @pytest.mark.parametrize("dim, matmul", [(2, False), (21, True)])
     def test_size_rule(self, dim, matmul, monkeypatch):
-        # The d = 2 workloads (QND ensemble, HJB closed loop) take the sum of outer
-        # products, and the step holds only two (n, d, d) work arrays.
-        model = ops.QuantumModel(H0=np.zeros((dim, dim)), L=ops.annihilation(dim))
-        step = bel._KrausStep(model, 1e-2, 3)
-        work = [k for k, v in vars(step).items() if np.shape(v) == (3, dim, dim)]
-        assert work == ["md", "rho_md"]
+        # A dense M (L = a) takes the sum of outer products below MATMUL_DIM and the
+        # batched matmul from it, and the step holds two (n, d, d) work arrays.  A
+        # diagonal M (L = n^, QND as in the d = 2 workloads) takes neither at any d,
+        # and its two work arrays are (n, d).
         calls = matmul_calls(monkeypatch)
-        rho, _ = step.measure(np.broadcast_to(np.eye(dim) / dim, (3, dim, dim)).copy(), np.ones(3))
-        assert calls == [(3, dim, dim)] * 2 * matmul
-        assert np.allclose(np.einsum("nii->n", rho), 1.0)
+        for L, shape, n_matmul in ((ops.annihilation(dim), (3, dim, dim), 2 * matmul),
+                                   (np.diag(np.arange(dim, dtype=float)), (3, dim), 0)):
+            step = bel._KrausStep(ops.QuantumModel(H0=np.zeros((dim, dim)), L=L), 1e-2, 3)
+            work = {k: np.shape(v) for k, v in vars(step).items() if np.shape(v)[:1] == (3,)}
+            assert work == {"md": shape, "rho_md": shape}
+            calls.clear()
+            rho, _ = step.measure(np.broadcast_to(np.eye(dim) / dim, (3, dim, dim)).copy(),
+                                  np.ones(3))
+            assert calls == [(3, dim, dim)] * n_matmul
+            assert np.allclose(np.einsum("nii->n", rho), 1.0)
 
 
 def refuse_cayley(h, s):
