@@ -13,13 +13,15 @@ again, then the Hermitian part; a diagonal H(u), as H0 = omega a^dag a,
 gives a closed-form diagonal U (`_half_step`).  At every d the map forms each
 state's Kraus operator M and applies it as M rho M^dag; only the product
 (`_product`) picks its kernel: elementwise when M is diagonal, as under a QND
-measurement, else by d.  The mean in dy is taken at the state the
-Kraus map measures, after the first half step, and the record gets that same
-dy.  Every state is positive semidefinite with unit trace by construction, up
-to rounding; nothing is projected.  `simulate_ensemble`, the one trajectory
-generator, and `step_sme` run this step, keeping no state on the model; a
-`TrajectoryRecord` is packed from the generator's output, and `trajectory_cost`
-checks every running operator it reads.
+measurement, else by d.  Around the products no ufunc broadcasts a per-state
+scalar over the stack: dy and the normalisation run on real views, and a
+diagonal M^dag is formed batch-last.  The mean in dy is taken at the state
+the Kraus map measures, after the first half step, and the record gets that
+same dy.  Every state is positive semidefinite with unit trace by
+construction, up to rounding; nothing is projected.  `simulate_ensemble`, the
+one trajectory generator, and `step_sme` run this step, keeping no state on
+the model; a `TrajectoryRecord` is packed from the generator's output, and
+`trajectory_cost` checks every running operator it reads.
 """
 
 from collections import namedtuple
@@ -96,10 +98,10 @@ def quadratic_control_cost(state_op, terminal_op, control_weight=0.0):
     eye = np.eye(state_op.shape[-1], dtype=complex)
 
     def running_op(t, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.array(u, dtype=float, copy=None, ndmin=1)
         if w.ndim and w.shape != (len(u),) * w.ndim:
             raise DimensionMismatchError(f"control_weight {w.shape} does not fit k = {len(u)}")
-        penalty = 0.5 * float(u @ w @ u if w.ndim == 2 else np.sum(w * u * u))
+        penalty = 0.5 * float(u @ w @ u if w.ndim == 2 else np.add.reduce(w * u * u, axis=None))
         return state_op + penalty * eye
 
     return CostSpec(running_op=running_op, terminal_op=terminal_op)
@@ -160,9 +162,19 @@ def _seed_list(seeds):
 def noise_increments(seed, n_steps, dt):
     """Innovation increments dW ~ Normal(0, dt) from a Philox stream keyed by seed."""
     ops.check_steps(dt, n_steps)
-    (seed,) = _seed_list([seed])
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return rng.normal(0.0, np.sqrt(dt), size=n_steps)
+    return next(_philox_normals(_seed_list([seed]), n_steps, dt))
+
+
+def _philox_normals(seeds, n_steps, dt):
+    """Yields each seed's `noise_increments` from one generator: a Philox state reset to
+    the seed's key, counter 0 and an empty buffer is that of a new Philox(key=seed)."""
+    rng, zeros = np.random.Generator(np.random.Philox(key=0)), np.zeros(4, np.uint64)
+    for seed in seeds:
+        key = np.array([seed, 0], np.uint64)
+        rng.bit_generator.state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
+                                   "state": {"counter": zeros, "key": key},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng.normal(0.0, np.sqrt(dt), size=n_steps)
 
 
 def _conjugate(rho, ud):
@@ -213,15 +225,21 @@ def _half_step(h, s):
     return partial(_conjugate, ud=ops.dagger(ops.cayley(h, s)))
 
 
+def _floats(x):
+    """The stack x (n, d, d) as complex entries and then as its real view (n, 2 d^2)."""
+    return np.asarray(x, dtype=complex).reshape(len(x), -1).view(float)
+
+
 class _KrausStep:
     """The filter step (module docstring) of one call on a stack of n states.
 
     The last step's control rows and half step are reused while the rows
-    repeat.  The measurement map's shared operators a0 = I + dt loss, L^dag and
-    L^dag^2 are built once, as their diagonals (d,) when all three are diagonal,
-    and so are the two work arrays md and rho_md of M^dag's shape: (n, d, d)
-    arrays come back from the allocator as fresh pages each time, and at d = 21
-    that cost more than the products themselves.
+    repeat, and never compared without controls.  The measurement map's shared
+    operators L^dag, L^dag^2 and a0 = I + dt loss are built once: as columns
+    (d, 1) when all three are diagonal, with the work arrays md and rho_md
+    (n, d) views of (d, n) ones, else as the (2 d^2, 3) table of their real
+    views, with md and rho_md (n, d, d), held because at d = 21 fresh pages
+    cost more than the products themselves.
     """
 
     def __init__(self, model, dt, n):
@@ -229,17 +247,22 @@ class _KrausStep:
         self.rows = self.conjugate = None
         d, ld = model.dim, ops.dagger(model.L)
         loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())  # over every channel
-        shared = (np.eye(d) + dt * loss, ld, ld @ ld)
-        if all(map(_is_diagonal, shared)):
-            shared = [np.diagonal(x).copy() for x in shared]
-        self.a0, self.ld, self.ld2 = shared
-        self.ld_flat = ld.ravel()
+        shared = (ld, ld @ ld, np.eye(d) + dt * loss)
+        self.ld_floats = _floats(ld[None])[0]
         self.kd = [ops.dagger(K) for K in model.L_extra]
-        self.md, self.rho_md = np.empty((2, n) + self.ld.shape, dtype=complex)
+        if all(map(_is_diagonal, shared)):
+            self.ld, self.ld2, self.a0 = (np.diagonal(x)[:, None] for x in shared)
+            self.table = None
+            self.md, self.rho_md = np.empty((2, d, n), dtype=complex).transpose(0, 2, 1)
+        else:
+            self.table = _floats(np.stack(shared)).T
+            self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
 
     def half_step(self, u):
         """`_half_step` for controls u (n, k): shared when every row equals the
         first, else one per state; None when H(u) = 0 for every row."""
+        if self.rows is not None and not u.shape[-1]:
+            return self.conjugate
         if (u == u[:1]).all():
             u = u[0]
         if self.rows is None or not np.array_equal(u, self.rows):
@@ -256,36 +279,45 @@ class _KrausStep:
 
             rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
 
-        positive semidefinite by construction.  dy takes tr(L rho) from one
-        `np.vecdot` of flat L^dag with flat rho.  M^dag is formed per state,
-        (n, d) if diagonal, and M rho M^dag = (rho M^dag)^dag M^dag is two
-        calls of `_product`: 2 d^3 multiply-adds, 2 d^2 for a diagonal M.
-        K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs per extra
-        channel (`_conjugate`).  Returns (rho', dy) with dy (n,); rho' is a
-        new array.
+        positive semidefinite by construction.  Re tr(L rho) is one real
+        `np.vecdot` of the float views of rho and L^dag.  M^dag = a0 + dy L^dag
+        + (1/2) (dy^2 - dt) L^dag^2 is formed per state, as (d, n) rows if
+        diagonal, else by one `np.einsum` with the float table.  Then
+        M rho M^dag = (rho M^dag)^dag M^dag is two calls of `_product`: 2 d^3
+        multiply-adds, 2 d^2 for a diagonal M.  K rho K^dag = (rho K^dag)^dag
+        K^dag is two shared GEMMs per extra channel (`_conjugate`).  1 / tr
+        scales the float view, as numpy's complex-by-real division does.
+        Returns (rho', dy) with dy (n,); rho' is a new array.
         """
-        dt = self.dt
-        n, d = rho.shape[:2]
-        dy = 2.0 * np.real(np.vecdot(self.ld_flat, rho.reshape(n, d * d))) * dt + dW
-        a = dy.reshape((n,) + (1,) * self.ld.ndim)
-        md = np.multiply(self.ld, a, out=self.md)
-        md += np.multiply(self.ld2, 0.5 * (a * a - dt), out=self.rho_md)
-        md += self.a0
+        dt, md = self.dt, self.md
+        dy = 2.0 * np.vecdot(_floats(rho), self.ld_floats) * dt + dW
+        c2 = 0.5 * (dy * dy - dt)
+        if self.table is None:
+            rows = md.T
+            np.multiply(self.ld, dy, out=rows)
+            rows += np.multiply(self.ld2, c2, out=self.rho_md.T)
+            rows += self.a0
+        else:
+            coef = np.stack((dy, c2, np.ones_like(dy)), axis=1)
+            np.einsum("nk,mk->nm", coef, self.table, out=_floats(md))
         rho_md = _product(rho, md, self.rho_md)
         out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), md)
         for kd in self.kd:
             out += dt * _conjugate(rho, kd)
-        out /= np.real(np.einsum("nii->n", out))[:, None, None]
+        scaled = (out if out.flags.c_contiguous else out.transpose(0, 2, 1)).view(float)
+        scaled *= (1.0 / np.einsum("nii->n", out).real)[:, None, None]
         return out, dy
 
     def __call__(self, u, rho, dW):
-        """Returns (rho', dy) with the mean in dy taken at the measured state."""
+        """Returns (rho', dy) with the mean in dy taken at the measured state;
+        rho' is C-ordered whatever the layout the map's product left."""
         conjugate = self.half_step(u) or (lambda r: r)
         rho, dy = self.measure(conjugate(rho), dW)
         rho = conjugate(rho)
-        rho = rho + ops.dagger(rho)
-        rho *= 0.5
-        return rho, dy
+        out = np.conjugate(rho.transpose(0, 2, 1), order="C")
+        out += rho
+        out *= 0.5
+        return out, dy
 
 
 def step_sme(rho, u, dW, model, cfg):
@@ -306,10 +338,11 @@ def step_sme(rho, u, dW, model, cfg):
 
 def _policy_controls(policy, model, rho, times, y, w, k):
     """The checked controls of the batch rho (n_traj, d, d) at step k, shared or
-    one row per trajectory; the policy contract is `simulate_ensemble`'s."""
+    one row per trajectory; y and w are time-major and the policy contract is
+    `simulate_ensemble`'s."""
     if policy is None:
         return np.zeros(model.n_controls)
-    past = RecordView(times[: k + 1], y[:, : k + 1], w[:, : k + 1])
+    past = RecordView(times[: k + 1], y[: k + 1].T, w[: k + 1].T)
     return ops.check_control(model, policy(times[k], rho, past), (len(rho),))
 
 
@@ -327,8 +360,9 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
 
     Returns (times, states, controls, record_y, innovations_W) where states is
     (n_traj, n_steps+1, d, d) if keep_states else the final slice only.
-    Each trajectory's noise comes from its own counter-based stream, so results
-    do not depend on batch composition or execution order.
+    record_y and innovations_W are transposed views of time-major arrays.  Each
+    trajectory's noise is its seed's `noise_increments` stream, so results do
+    not depend on batch composition or execution order.
     """
     rho0 = ops.check_density(rho0)
     if rho0.shape[-1] != model.dim:
@@ -339,14 +373,14 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     d = model.dim
 
     times = np.linspace(0.0, cfg.T, n + 1)
-    # w_path[:, k + 1] holds the raw increment dW_k until step k adds
-    # w_path[:, k] to it, so the noise needs no array of its own.
-    w_path = np.zeros((n_traj, n + 1))
-    for i, s in enumerate(seeds):
-        w_path[i, 1:] = noise_increments(s, n, cfg.dt)
+    # w[k + 1] holds the raw increments dW_k until step k adds w[k] to them,
+    # so the noise needs no array of its own.
+    w = np.zeros((n + 1, n_traj))
+    for i, dw in enumerate(_philox_normals(seeds, n, cfg.dt)):
+        w[1:, i] = dw
 
     rho = np.broadcast_to(rho0, (n_traj, d, d)).copy()
-    y = np.zeros((n_traj, n + 1))
+    y = np.zeros((n + 1, n_traj))
     controls = np.zeros((n_traj, n + 1, model.n_controls))
     if keep_states:
         states = np.empty((n_traj, n + 1, d, d), dtype=complex)
@@ -354,9 +388,8 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
 
     step = _KrausStep(model, cfg.dt, n_traj)
     for k in range(n):
-        controls[:, k] = _policy_controls(policy, model, rho, times, y, w_path, k)
-        dW = w_path[:, k + 1].copy()
-        rho, dy = step(controls[:, k], rho, dW)
+        controls[:, k] = _policy_controls(policy, model, rho, times, y, w, k)
+        rho, dy = step(controls[:, k], rho, w[k + 1])
         total = rho.sum()
         if not (np.isfinite(total.real) and np.isfinite(total.imag)):
             bad = np.where(~np.isfinite(rho.reshape(n_traj, -1)).all(axis=1))[0]
@@ -364,15 +397,15 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
                 f"non-finite state after step_sme at step {k} (seed {seeds[bad[0]]})",
                 step_index=k, t=float(times[k + 1]))
 
-        y[:, k + 1] = y[:, k] + dy
-        w_path[:, k + 1] = w_path[:, k] + dW
+        np.add(y[k], dy, out=y[k + 1])
+        w[k + 1] += w[k]
         if keep_states:
             states[:, k + 1] = rho
 
-    controls[:, n] = _policy_controls(policy, model, rho, times, y, w_path, n)
+    controls[:, n] = _policy_controls(policy, model, rho, times, y, w, n)
     if not keep_states:
         states = rho[:, None]
-    return times, states, controls, y, w_path
+    return times, states, controls, y.T, w.T
 
 
 def trajectory_cost(traj, cost):

@@ -117,6 +117,18 @@ class TestNoiseIncrements:
         with pytest.raises(RejectedInputError, match="seed"):
             bel.noise_increments(seed, 5, 0.01)
 
+    def test_ensemble_rows_are_each_seeds_stream(self):
+        # The ensemble draws every seed's noise from one generator whose Philox
+        # state it resets per seed: each row of W is still that seed's own
+        # stream, accumulated in step order, whatever seeds came before it.
+        cfg, seeds = bel.SmeConfig(dt=1e-2, T=0.5), [11, 0, 2**64 - 1]
+        w = bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, seeds)[4]
+        for row, seed in zip(w, seeds):
+            want = np.zeros(cfg.n_steps + 1)
+            for k, dw in enumerate(bel.noise_increments(seed, cfg.n_steps, cfg.dt)):
+                want[k + 1] = want[k] + dw
+            assert np.array_equal(row, want)
+
 
 class TestStepSme:
     def test_frozen_model(self):
@@ -491,6 +503,10 @@ class TestKrausPhysicality:
         "closed_loop_qubit": (ops.QuantumModel(H0=np.zeros((2, 2)),
                                                L=np.sqrt(0.5) * ops.SIGMA_Z, Hc=(ops.SIGMA_Y,)),
                               0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X + 0.2 * ops.SIGMA_Z)),
+        # The ensemble workload's filter: QND measurement with H = 0 and no
+        # control, so a diagonal M and no control rows to compare.
+        "qnd_qubit": (ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(0.5) * ops.SIGMA_Z),
+                      0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X + 0.2 * ops.SIGMA_Z)),
     }
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -533,9 +549,9 @@ class TestKrausPhysicality:
 
     @pytest.mark.parametrize("name, feedback", [
         ("oscillator", "record"), ("qubit", "record"), ("qubit", "state"),
-        ("closed_loop_qubit", "record"), ("closed_loop_qubit", "state")],
+        ("closed_loop_qubit", "record"), ("closed_loop_qubit", "state"), ("qnd_qubit", "record")],
         ids=["oscillator", "qubit", "qubit_state_feedback", "closed_loop_qubit",
-             "closed_loop_qubit_state_feedback"])
+             "closed_loop_qubit_state_feedback", "qnd_qubit"])
     def test_batch_equals_single_runs_bitwise(self, name, feedback):
         model, rho0 = self.MODELS[name]
         seeds = [3, 4, 5, 6]
