@@ -10,17 +10,18 @@ These images are read off the model's kernel once (`operators.BlochGenerator`,
 held as `model.bloch`); `bloch_dynamics`, the grid solver and the Hamiltonian
 of `pontryagin` all evaluate them.
 
-The value function is computed by explicit backward Euler on a cubic grid
-masked to the ball.  Each grid size has one cached stencil, a tap table: for
-every inside node the positions of its 19 taps (itself, 6 face and 12 edge
-neighbours) and per-node weights that encode its rule, central differences
-where both sides are inside and one-sided first (zero second) differences
-where a tap leaves the ball.  A sweep step gathers the 6 face taps and
-takes each cross difference as a difference of their central differences;
-b being affine in u, it contracts the drift once per control direction.
-The value grid holds the inside nodes only, in C order; the stencil owns
-the grid's geometry.  The costate lookup reads all 19 taps at the inside
-grid corners it interpolates between, for a whole batch of points at once.
+The value function is computed by explicit backward Euler on a cubic grid masked
+to the ball.  Each grid size has one cached stencil, a tap table: for every inside
+node the positions of its 19 taps (itself, 6 face and 12 edge neighbours) and
+per-node weights that encode its rule, central differences where both sides are
+inside and one-sided first (zero second) differences where a tap leaves the ball.
+A sweep step reads the 6 face taps, the +-z ones as shifted rows (in C order the
+next and previous node), and takes each cross difference as a difference of
+central differences; b being affine in u, it contracts the drift once per control
+direction and folds the minimum over u_grid one control row at a time.  The value
+grid holds the inside nodes only, in C order; the stencil owns the grid's
+geometry.  The costate lookup reads all 19 taps at the inside grid corners it
+interpolates between, for a whole batch of points at once.
 
 Each input rule has one owner, which `pontryagin` calls: `check_bloch` (the ball),
 `bloch_from_density` (a qubit), `cost_chart` (2 x 2 Hermitian cost operators),
@@ -28,13 +29,14 @@ Each input rule has one owner, which `pontryagin` calls: `check_bloch` (the ball
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import operators as ops
 from .errors import DimensionMismatchError, RejectedInputError, StabilityError
-from .io import write_csv
+from .io import fmt, write_csv
 
 BLOCH_NORM_TOL = 1e-9
 HORIZON_TOL = 1e-9  # how far a time may pass either end of a value grid's stored range
@@ -146,9 +148,10 @@ class ValueGrid:
                 f"got {np.shape(self.values)} and {np.shape(self.inside)}")
         if not np.array_equal(self.inside, stencil.inside):
             raise RejectedInputError(f"inside must be the ball mask of the {n}^3 grid")
-        if not np.all(np.isfinite(self.values)):
-            raise RejectedInputError("value grid contains non-finite entries")
         values = np.asarray(self.values, dtype=float)
+        # min and max propagate NaN and +-inf, without a (slices x nodes) mask.
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise RejectedInputError("value grid contains non-finite entries")
         self.values = values[:, stencil.inside] if values.ndim == 4 else values
 
     @property
@@ -189,8 +192,8 @@ class _BallStencil:
     node i's rule for derivative k: central where both sides are inside,
     one-sided where one is (first derivatives only), zero otherwise.  So
     derivative k at every inside node is scale[k] * (_PATTERN[k] @ v[taps]), as
-    `extract_costate` reads them.  The sweep reads only the face taps, then
-    `cross`: per pair (a, b), the a-differences at taps +b and -b in a flat (3 N_in).
+    `extract_costate` reads them.  The sweep reads only the face taps; the +-z tap of
+    node i is i +- 1 (C order) except at the row ends `z_ends` (+z, -z), where it is i.
     """
 
     def __init__(self, n):
@@ -219,7 +222,9 @@ class _BallStencil:
             np.where(both, 0.5 / h, np.where(ok[_PLUS] | ok[_MINUS], 1.0 / h, 0.0)),
             np.where(both, 1.0 / h ** 2, 0.0),
             np.where(ok[_EDGES].reshape(3, 4, n_in).all(axis=1), 0.25 / h ** 2, 0.0)])
-        self.cross = self.taps[[3, 4, 5, 6, 5, 6]] + n_in * np.array([0, 0, 0, 0, 1, 1])[:, None]
+        i = np.arange(n_in)
+        assert np.all(np.isin(np.concatenate([self.taps[5] - i, i - self.taps[6]]), (0, 1)))
+        self.z_ends = (np.flatnonzero(self.taps[5] == i), np.flatnonzero(self.taps[6] == i))
 
 
 @functools.cache
@@ -246,11 +251,12 @@ def expectation_fields(chart, r):
 class _Sweep:
     """The explicit step v + dt * min over u_grid of [running_u + diffusion + drift_u].
 
-    `differences` forms the rows of `_PATTERN @ v[taps]`, unscaled, from the face
-    taps: cross (a, b) is the a-difference at tap +b minus that at -b, which is the
-    4-point rule wherever `scale` keeps it (the ball is convex).  As b(r, u) =
-    b(r, 0) + sum_i u_i A_i r, only running_u + sum_i u_i (A_i r).scale d enter the
-    minimum.  Work arrays are reused, and `np.take` fills them unbuffered (mode="clip").
+    `differences` forms the rows of `_PATTERN @ v[taps]`, unscaled, from the +a and
+    -a taps of one axis at a time (`_tap`): cross (a, b) is the a-difference at tap +b
+    minus that at -b, which is the 4-point rule wherever `scale` keeps it (the ball is
+    convex).  As b(r, u) = b(r, 0) + sum_i u_i A_i r, only running_u + sum_i u_i
+    (A_i r).scale d enter the minimum, folded in one u row at a time.  The work
+    arrays are (N_in,) rows, reused; `np.take` fills them unbuffered (mode="clip").
     """
 
     def __init__(self, stencil, gen, u_grid, s):
@@ -260,24 +266,43 @@ class _Sweep:
         w_drift[0] += gen.c[:, None] * stencil.scale[:3]  # b(r, 0) = A_0 r + c
         self.w_rest = np.concatenate([w_drift[0], q * stencil.scale[3:]])
         self.w_control = w_drift[1:]
-        self.d, self.face, self.at_b, self.ham = np.split(
-            np.empty((21 + len(self.u_grid), len(s))), [9, 15, 21])
+        work = np.empty((12, len(s)))
+        self.d, (self.plus, self.minus, self.low) = work[:9], work[9:]
+
+    def _tap(self, x, t, out):
+        """x at tap t (1-6) of every node.  In C order the +z (-z) tap is the next
+        (previous) node, or the node itself at a row end (`stencil.z_ends`)."""
+        if t < 5:
+            return np.take(x, self.stencil.taps[t], out=out, mode="clip")
+        ends = self.stencil.z_ends[t - 5]
+        if t == 5:
+            out[:-1] = x[1:]
+        else:
+            out[1:] = x[:-1]
+        out[ends] = x[ends]
+        return out
 
     def differences(self, v):
-        d, face = self.d, np.take(v, self.stencil.taps[1:7], out=self.face, mode="clip")
-        np.subtract(face[0::2], face[1::2], out=d[:3])
-        np.add(face[0::2], face[1::2], out=d[3:6])
-        d[3:6] -= 2.0 * v
-        at_b = np.take(d[:3].ravel(), self.stencil.cross, out=self.at_b, mode="clip")
-        np.subtract(at_b[0::2], at_b[1::2], out=d[6:])
+        d, plus, minus = self.d, self.plus, self.minus
+        two_v = np.multiply(v, 2.0, out=self.low)
+        for a in range(3):
+            np.subtract(self._tap(v, 1 + 2 * a, plus), self._tap(v, 2 + 2 * a, minus), out=d[a])
+            np.subtract(np.add(plus, minus, out=d[3 + a]), two_v, out=d[3 + a])
+        for k, (a, b) in enumerate(_PAIRS):
+            np.subtract(self._tap(d[a], 1 + 2 * b, plus), self._tap(d[a], 2 + 2 * b, minus),
+                        out=d[6 + k])
         return d
 
     def __call__(self, v, running, dt, out=None):
-        d, ham = self.differences(v), running
-        for u_i, g_i in zip(self.u_grid.T, np.einsum("jan,an->jn", self.w_control, d[:3])):
-            ham = np.add(ham, u_i[:, None] * g_i, out=self.ham)
-        rest = np.einsum("kn,kn->n", self.w_rest, d)
-        return np.add(v, dt * (np.min(ham, axis=0) + rest), out=out)
+        d, low, row, term = self.differences(v), self.low, self.plus, self.minus  # free once d is formed
+        g = np.einsum("jan,an->jn", self.w_control, d[:3])
+        low.fill(np.inf)
+        for ham, u in zip(running, self.u_grid):
+            for u_i, g_i in zip(u, g):
+                ham = np.add(ham, np.multiply(g_i, u_i, out=term), out=row)
+            np.minimum(low, ham, out=low)
+        low += np.einsum("kn,kn->n", self.w_rest, d)
+        return np.add(v, np.multiply(low, dt, out=low), out=out)
 
 
 def solve_hjb_grid(model, cost, u_grid, spec):
@@ -372,7 +397,8 @@ def extract_costate(grid, t, r):
 def write_grid_csv(grid, path, times=None):
     """Flat CSV `t, rx, ry, rz, S`: for each requested time (default: the first
     stored one), the stored slice nearest to it, one row per inside node in C
-    order.  A time that is non-finite or outside the grid's range is refused.
+    order.  A time that is non-finite or outside the grid's range is refused.  The
+    axis is formatted once per call and t once per slice; only S is, per node.
     """
     tp = grid.time_points
     times = np.asarray([tp[0]] if times is None else times, dtype=float)
@@ -380,7 +406,10 @@ def write_grid_csv(grid, path, times=None):
         raise RejectedInputError("write_grid_csv needs at least one time")
     _check_times(grid, times)
     idx = [int(np.argmin(np.abs(tp - t))) for t in times]
-    pts = _stencil(grid.n_space).points_in
-    rows = np.concatenate([np.column_stack([np.full(len(pts), tp[k]), pts, grid.values[k]])
-                           for k in idx])
-    write_csv(path, ["t", "rx", "ry", "rz", "S"], map(np.ndarray.tolist, rows))
+    stencil = _stencil(grid.n_space)
+    axis = [fmt(a) for a in stencil.axes[0].tolist()]
+    nodes = np.unravel_index(stencil.inside_idx, stencil.inside.shape)
+    xyz = [[axis[j] for j in ix] for ix in nodes]
+    rows = (row for k in idx
+            for row in zip(itertools.repeat(fmt(tp[k])), *xyz, grid.values[k].tolist()))
+    write_csv(path, ["t", "rx", "ry", "rz", "S"], rows)

@@ -10,11 +10,12 @@ import numpy as np
 from .errors import RejectedInputError
 
 
-# Exact-type fast path for the Python scalars that `tolist()` rows hold; it
-# gives the same text as the isinstance chain below, which serves the rest.
+# Exact-type fast path for the Python scalars that `tolist()` rows hold and for text
+# (unchanged); it gives the same text as the isinstance chain below, which serves the rest.
 _FMT_EXACT = {
     float: repr,
     int: str,
+    str: str,
     bool: lambda x: "true" if x else "false",
 }
 

@@ -1,12 +1,14 @@
 """Reference formulas the tests compare the library against, written apart from its kernel,
-the one-seed record the tests pack from `simulate_ensemble`, and the exact QND oracle
-ladders that the tests and `scripts/orders.py` run."""
+the one-seed record the tests pack from `simulate_ensemble`, the exact QND oracle
+ladders that the tests and `scripts/orders.py` run, and the stacked HJB step and the
+value-by-value grid CSV that the sweep and the grid writer must match bit for bit."""
 
 import numpy as np
 
 from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
+from mqoc.io import fmt
 
 
 def record(model, policy, cfg, rho0, seed):
@@ -134,3 +136,52 @@ def hjb_grid_values(model, cost, u_grid, spec):
         v = v + spec.dt * np.min(ham, axis=0)
         stored[spec.n_time - step - 1] = v
     return stored
+
+
+class StackedSweep:
+    """The explicit HJB step as stacked passes, the sweep's bitwise reference: the 6
+    face taps in one (6, N) gather, the cross differences as one more (6, N) gather of
+    the a-differences at taps +b and -b, and every control's Hamiltonian formed as one
+    (n_u, N) stack before the minimum.  Per node, the same arithmetic in the same order
+    as `hjb_bloch._Sweep`."""
+
+    def __init__(self, stencil, gen, u_grid, s):
+        self.u_grid, self.taps = np.asarray(u_grid, dtype=float), stencil.taps
+        q = np.concatenate([0.5 * s.T ** 2, [s[:, a] * s[:, b] for a, b in hjb._PAIRS]])
+        w_drift = (gen.A @ stencil.points_in.T) * stencil.scale[:3]
+        w_drift[0] += gen.c[:, None] * stencil.scale[:3]
+        self.w_rest = np.concatenate([w_drift[0], q * stencil.scale[3:]])
+        self.w_control = w_drift[1:]
+        # Per pair (a, b): rows of the flat (3 N) a-differences at taps +b and -b.
+        offset = len(stencil.points_in) * np.array([0, 0, 0, 0, 1, 1])[:, None]
+        self.cross = stencil.taps[[3, 4, 5, 6, 5, 6]] + offset
+
+    def differences(self, v):
+        d, face = np.empty((9, len(v))), v[self.taps[1:7]]
+        np.subtract(face[0::2], face[1::2], out=d[:3])
+        np.add(face[0::2], face[1::2], out=d[3:6])
+        d[3:6] -= 2.0 * v
+        at_b = d[:3].ravel()[self.cross]
+        np.subtract(at_b[0::2], at_b[1::2], out=d[6:])
+        return d
+
+    def __call__(self, v, running, dt):
+        d, ham = self.differences(v), running
+        for u_i, g_i in zip(self.u_grid.T, np.einsum("jan,an->jn", self.w_control, d[:3])):
+            ham = ham + u_i[:, None] * g_i
+        rest = np.einsum("kn,kn->n", self.w_rest, d)
+        return v + dt * (np.min(ham, axis=0) + rest)
+
+
+def grid_csv_reference(grid, path, times):
+    """`hjb_bloch.write_grid_csv`'s file written value by value: one (N_in, 5) block of
+    (t, rx, ry, rz, S) per time, the stored slice nearest to it, each number through
+    `io.fmt`."""
+    tp = grid.time_points
+    pts = hjb._stencil(grid.n_space).points_in
+    with open(path, "w") as fh:
+        fh.write("t,rx,ry,rz,S\n")
+        for t in times:
+            k = int(np.argmin(np.abs(tp - t)))
+            for row in np.column_stack([np.full(len(pts), tp[k]), pts, grid.values[k]]):
+                fh.write(",".join(fmt(x) for x in row) + "\n")

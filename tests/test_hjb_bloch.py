@@ -10,7 +10,7 @@ from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc.errors import DimensionMismatchError, RejectedInputError, StabilityError
-from reference import hjb_grid_values
+from reference import StackedSweep, grid_csv_reference, hjb_grid_values
 
 KAPPA = 0.5
 DEPHASING = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(KAPPA) * ops.SIGMA_Z)
@@ -336,6 +336,49 @@ class TestSweepMatchesReference:
         assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
+class TestSweepMatchesStackedPasses:
+    """The row-by-row sweep against `reference.StackedSweep`, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(model, u_grid, n):
+        stencil, gen = hjb._stencil(n), model.bloch
+        s = gen.diffusion(stencil.points_in)
+        sweep, ref = hjb._Sweep(stencil, gen, u_grid, s), StackedSweep(stencil, gen, u_grid, s)
+        rng = np.random.default_rng(n)
+        v = w = rng.normal(size=len(s))
+        running = rng.normal(size=(len(u_grid), len(s)))
+        assert np.array_equal(sweep.differences(v), ref.differences(v))
+        for _ in range(30):
+            v, w = sweep(v, running, 1e-4), ref(w, running, 1e-4)
+            assert np.array_equal(v, w)
+
+    @pytest.mark.parametrize("n", [5, 6, 11, 20, 21])
+    @pytest.mark.parametrize("rows", [None, 1], ids=["u_grid", "one_row"])
+    @pytest.mark.parametrize("setup", sorted(SWEEP_SETUPS))
+    def test_differences_and_a_30_step_chain(self, setup, rows, n):
+        model, _, u_grid = SWEEP_SETUPS[setup]
+        self.assert_bitwise(model, u_grid[:rows], n)
+
+    @pytest.mark.parametrize("n", [5, 6, 11, 20, 21])
+    def test_without_controls(self, n):
+        self.assert_bitwise(DEPHASING, [np.zeros(0)], n)
+
+
+class TestBallStencil:
+    @pytest.mark.parametrize("n", [5, 6, 11, 20, 21, 41])
+    def test_z_taps_are_the_next_and_previous_node(self, n):
+        stencil = hjb._stencil(n)
+        i = np.arange(len(stencil.points_in))
+        nodes = np.unravel_index(stencil.inside_idx, stencil.inside.shape)
+        padded = np.pad(stencil.inside, 1)  # beyond the cube is outside the ball
+        for t, step, ends in zip((5, 6), (1, -1), stencil.z_ends):
+            tap = stencil.taps[t]
+            assert np.all((tap == i) | (tap == i + step))
+            assert np.array_equal(ends, np.flatnonzero(tap == i))
+            outside = ~padded[nodes[0] + 1, nodes[1] + 1, nodes[2] + 1 + step]
+            assert np.array_equal(ends, np.flatnonzero(outside))
+
+
 class TestExtractCostate:
     def test_zero_field(self):
         grid = analytic_grid(lambda pts: np.zeros(len(pts)))
@@ -490,8 +533,8 @@ class TestValueGridShape:
         fields = dict(axes=(axis, axis, axis), h=float(axis[1] - axis[0]),
                       convention=hjb.SIGN_STANDARD, inside=hjb._stencil(inside_n).inside)
         fields.update(geometry)
-        return hjb.ValueGrid(time_points=np.array(time_points),
-                             values=np.zeros((n_slices, n, n, n)), **fields)
+        fields.setdefault("values", np.zeros((n_slices, n, n, n)))
+        return hjb.ValueGrid(time_points=np.array(time_points), **fields)
 
     def test_accepts_matching_shapes(self):
         assert self.make().n_space == 20
@@ -544,6 +587,22 @@ class TestValueGridShape:
         assert isinstance(grid.time_points, np.ndarray)
         p, _ = hjb.extract_costate(grid, 0.5, [0.1, 0.0, 0.0])
         assert np.allclose(p, [0.2, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cube", [False, True], ids=["compact", "cube"])
+    def test_rejects_non_finite_values(self, cube, bad):
+        stencil = hjb._stencil(20)
+        values = np.zeros((2,) + (stencil.inside.shape if cube else (len(stencil.points_in),)))
+        values[(1, 10, 10, 10) if cube else (1, 7)] = bad
+        with pytest.raises(RejectedInputError, match="value grid contains non-finite entries"):
+            self.make(values=values)
+
+    def test_rejects_nan_outside_the_ball_in_a_cube(self):
+        values = np.zeros((2, 20, 20, 20))
+        values[0, 0, 0, 0] = np.nan
+        assert not hjb._stencil(20).inside[0, 0, 0]
+        with pytest.raises(RejectedInputError, match="value grid contains non-finite entries"):
+            self.make(values=values)
 
     @pytest.mark.parametrize("time_points", [(0.0,), (0.0, np.nan), (0.0, np.inf),
                                              (1.0, 0.0), (0.0, 0.0)])
@@ -616,6 +675,31 @@ class TestGridCsv:
             assert np.all(half[:, 0] == grid.time_points[k])
             assert np.array_equal(half[:, 1:4], pts)
             assert np.array_equal(half[:, 4], grid.values[k])
+
+    @pytest.mark.parametrize("n", [5, 6, 11])
+    def test_bytes_match_the_value_by_value_writer(self, tmp_path, n):
+        # n = 6 has no 0.0 node; the times repeat a slice and fall between slices.
+        cost = bel.CostSpec(running_op=lambda t, u: 0.3 * ops.SIGMA_X,
+                            terminal_op=np.diag([0.0, 1.0]).astype(complex))
+        grid = hjb.solve_hjb_grid(DEPHASING, cost, [np.zeros(0)],
+                                  hjb.GridSpec(T=0.05, n_space=n, n_time=20))
+        times = [0.05, 0.0, 0.0126, 0.05, 0.031]
+        hjb.write_grid_csv(grid, tmp_path / "grid.csv", times=times)
+        grid_csv_reference(grid, tmp_path / "ref.csv", times)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_bytes_match_on_signed_zero_subnormal_and_large_values(self, tmp_path):
+        stencil = hjb._stencil(6)
+        values = np.random.default_rng(6).normal(size=(3, len(stencil.points_in))) * 1e3
+        values[1, :5] = [-0.0, 5e-324, 1e16, -2.5, -1e-300]
+        grid = hjb.ValueGrid(time_points=[0.0, 0.1, 0.3], axes=stencil.axes, values=values,
+                             h=stencil.h, convention=hjb.SIGN_STANDARD, inside=stencil.inside)
+        times = [0.1, 0.0, 0.3]
+        hjb.write_grid_csv(grid, tmp_path / "grid.csv", times=times)
+        grid_csv_reference(grid, tmp_path / "ref.csv", times)
+        text = (tmp_path / "grid.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        assert ",-0.0\n" in text and ",5e-324\n" in text and ",1e+16\n" in text
 
     def test_rejects_empty_times(self, tmp_path):
         # Before: a bare ValueError from np.concatenate.
