@@ -2,39 +2,30 @@
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/feedback_run.py --dim 12 --traj 200 --steps 500
 
-H0 = a^dag a, Hc = (x, p), L = sqrt(0.5) a, u = -0.3 (<p>, <x>) read from
-each trajectory's state at every step, dt = 1e-3, from a displaced thermal
-state (alpha = 0.8 + 0.4i, nbar = 0.5).  Every trajectory gets a new control
-row at every step, so this is the filter's per-state Cayley half step.
-Prints the wall time of `simulate_ensemble` (keep_states=False), the
-process's peak resident set (`ru_maxrss`; run one case per process) and a
-hash of the final states, so two versions of the filter can be compared bit
-for bit.
+The driven oscillator of `tests/reference.py` (H0 = a^dag a, Hc = (x, p),
+L = sqrt(0.5) a, from a displaced thermal state, alpha = 0.8 + 0.4i and
+nbar = 0.5), under u = -0.3 (<p>, <x>) read from each trajectory's state at
+every step, dt = 1e-3.  Every trajectory gets a new control row at every
+step, so this is the filter's per-state Cayley half step.  Prints the wall
+time of `simulate_ensemble` (keep_states=False), the process's peak
+resident set (`ru_maxrss`; run one case per process) and a hash of the
+final states, so two versions of the filter can be compared bit for bit.
 Not part of the test suite or the benchmark.
 """
 
 import argparse
 import hashlib
 import resource
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from mqoc import belavkin as bel
-from mqoc import operators as ops
 
-
-def oscillator(dim):
-    a = ops.annihilation(dim)
-    ad = ops.dagger(a)
-    x, p = (a + ad) / np.sqrt(2), 1j * (ad - a) / np.sqrt(2)
-    model = ops.QuantumModel(H0=ad @ a, L=np.sqrt(0.5) * a, Hc=(x, p))
-    alpha = 0.8 + 0.4j
-    w, v = np.linalg.eigh(-1j * (alpha * ad - np.conj(alpha) * a))
-    disp = (v * np.exp(1j * w)[None, :]) @ ops.dagger(v)
-    pn = 0.5 ** np.arange(dim) / 1.5 ** np.arange(1, dim + 1)
-    rho0 = ops.project_physical(disp @ np.diag(pn / pn.sum()) @ ops.dagger(disp))
-    return model, rho0, np.stack([p, x])
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference import oscillator  # noqa: E402
 
 
 def main():
@@ -43,7 +34,8 @@ def main():
     parser.add_argument("--traj", type=int, default=200)
     parser.add_argument("--steps", type=int, default=500)
     args = parser.parse_args()
-    model, rho0, px = oscillator(args.dim)
+    model, rho0, quadratures = oscillator(args.dim, driven=True)[:3]
+    px = quadratures[::-1]
 
     def policy(t, rho, past):
         return -0.3 * np.real(np.einsum("nij,qji->nq", rho, px))

@@ -9,19 +9,19 @@ Each step is a Strang split around the Rouchon-Ralph Kraus map (Phys. Rev.
 A 91, 012118, 2015), written once in `_KrausStep`: rho <- U rho U^dag with
 the Cayley half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar)
 (`operators.cayley`), then the measurement map `_KrausStep.measure`, then U
-again, then the Hermitian part; a diagonal H(u), as H0 = omega a^dag a,
-gives a closed-form diagonal U (`_half_step`).  At every d the map forms each
-state's Kraus operator M and applies it as M rho M^dag; only the product
-(`_product`) picks its kernel: elementwise when M is diagonal, as under a QND
-measurement, else by d.  Around the products no ufunc broadcasts a per-state
-scalar over the stack: dy and the normalisation run on real views, and a
-diagonal M^dag is formed batch-last.  The mean in dy is taken at the state
-the Kraus map measures, after the first half step, and the record gets that
-same dy.  Every state is positive semidefinite with unit trace by
-construction, up to rounding; nothing is projected.  `simulate_ensemble`, the
-one trajectory generator, and `step_sme` run this step, keeping no state on
-the model; a `TrajectoryRecord` is packed from the generator's output, and
-`trajectory_cost` checks every running operator it reads.
+again; a diagonal H(u), as H0 = omega a^dag a, gives a diagonal U
+(`_half_step`).  A diagonal Kraus operator M, as under a QND measurement,
+acts entry by entry, M rho M^dag = rho * m m^dag; any other M by `_product`.
+Elementwise products with exactly Hermitian factors (`_hermitian_outer`)
+keep rho exactly Hermitian, so the Hermitian part is taken only after a
+dense product (a dense M or U, or an extra channel), and of the start state.
+No ufunc broadcasts a per-state scalar over the stack.  The mean in dy is
+taken at the state the Kraus map measures, after the first half step, and
+the record gets that same dy.  Every state is positive semidefinite with
+unit trace by construction, up to rounding; nothing is projected.
+`simulate_ensemble`, the one trajectory generator, and `step_sme` run this
+step, keeping no state on the model; a `TrajectoryRecord` is packed from
+the generator's output, and `trajectory_cost` checks every running operator.
 """
 
 from collections import namedtuple
@@ -188,19 +188,33 @@ def _conjugate(rho, ud):
 
 
 def _product(a, b, out=None):
-    """a @ b for a stack a (n, d, d), by the shape of b.  A b (n, d) holds diagonals,
-    and a @ diag(b) = a * b[:, None, :] scales the columns of a, into a new array.
-    A stack b (n, d, d) goes into out if given: one batched matmul from d = MATMUL_DIM
-    up; below it, where a batched matmul costs about 0.4 us a matrix, the sum over j
-    of the outer products of column j of a with row j of b.  Below MATMUL_DIM no rule
-    calls BLAS per matrix, so each state's product is the same in any batch."""
-    if b.ndim == 2:
-        return a * b[:, None, :]
+    """a @ b for stacks a and b (n, d, d), into out if given: one batched matmul from
+    d = MATMUL_DIM up; below it, where a batched matmul costs about 0.4 us a matrix, the
+    sum over j of the outer products of column j of a with row j of b.  Below MATMUL_DIM
+    no rule calls BLAS per matrix, so each state's product is the same in any batch."""
     if a.shape[-1] >= MATMUL_DIM:
         return np.matmul(a, b, out=out)
     out = np.multiply(a[:, :, :1], b[:, None, 0], out=out)
     for j in range(1, a.shape[-1]):
         out += a[:, :, j : j + 1] * b[:, None, j]
+    return out
+
+
+def _hermitian_outer(m, out=None):
+    """P[i, j] = m[i] conj(m[j]) for m (d, ...), into out if given.  As numpy's complex product
+    is fused (FMA), P is made exactly Hermitian: lower triangle = conj(upper), real diagonal."""
+    p = np.multiply(m[:, None], np.conj(m[None]), out=out)
+    for i in range(len(m)):
+        np.conjugate(p[:i, i], out=p[i, :i])
+        p[i, i, ...].imag = 0.0
+    return p
+
+
+def _hermitian_part(rho):
+    """(rho + rho^dag) / 2 as a new C-ordered array, exactly Hermitian; rho if it is."""
+    out = np.conjugate(np.swapaxes(rho, -1, -2), order="C")
+    out += rho
+    out *= 0.5
     return out
 
 
@@ -213,14 +227,14 @@ def _half_step(h, s):
     """rho -> U rho U^dag for U = `ops.cayley`(h, s) and h (d, d) or (n, d, d),
     or None when h = 0, where U is exactly I.  A diagonal h gives a diagonal U,
     u_j = (1 - i s h_jj) / (1 + i s h_jj), and U rho U^dag is rho times the
-    phase matrix u_j conj(u_k): no solve and no GEMM.  Any other h takes the
-    dense solve and `_conjugate`."""
+    phase matrix u_j conj(u_k), exactly Hermitian (`_hermitian_outer`): no solve
+    and no GEMM.  Any other h takes the dense solve and `_conjugate`, a partial."""
     if not h.any():
         return None
     if _is_diagonal(h):
         diag = np.diagonal(h, axis1=-2, axis2=-1)
         u = (1.0 - 1j * s * diag) / (1.0 + 1j * s * diag)
-        phase = u[..., :, None] * np.conj(u[..., None, :])
+        phase = np.moveaxis(_hermitian_outer(np.moveaxis(u, -1, 0)), (0, 1), (-2, -1))
         return lambda rho: rho * phase
     return partial(_conjugate, ud=ops.dagger(ops.cayley(h, s)))
 
@@ -234,12 +248,11 @@ class _KrausStep:
     """The filter step (module docstring) of one call on a stack of n states.
 
     The last step's control rows and half step are reused while the rows
-    repeat, and never compared without controls.  The measurement map's shared
-    operators L^dag, L^dag^2 and a0 = I + dt loss are built once: as columns
-    (d, 1) when all three are diagonal, with the work arrays md and rho_md
-    (n, d) views of (d, n) ones, else as the (2 d^2, 3) table of their real
-    views, with md and rho_md (n, d, d), held because at d = 21 fresh pages
-    cost more than the products themselves.
+    repeat, and never compared without controls.  The map's operators L^dag,
+    L^dag^2 and a0 = I + dt loss are built once: if all are diagonal, as M's
+    coefficient columns l, l2, a0 (d, 1) and dy's weights w = 2 dt Re l, with work
+    arrays m (d, n) and p (d, d, n); else as the (2 d^2, 3) table of their real
+    views, with md and rho_md (n, d, d), held as fresh pages cost more at d = 21.
     """
 
     def __init__(self, model, dt, n):
@@ -248,14 +261,13 @@ class _KrausStep:
         d, ld = model.dim, ops.dagger(model.L)
         loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())  # over every channel
         shared = (ld, ld @ ld, np.eye(d) + dt * loss)
-        self.ld_floats = _floats(ld[None])[0]
         self.kd = [ops.dagger(K) for K in model.L_extra]
         if all(map(_is_diagonal, shared)):
-            self.ld, self.ld2, self.a0 = (np.diagonal(x)[:, None] for x in shared)
-            self.table = None
-            self.md, self.rho_md = np.empty((2, d, n), dtype=complex).transpose(0, 2, 1)
+            self.l, self.l2, self.a0 = (np.conj(np.diagonal(x))[:, None] for x in shared)
+            self.w, self.table = 2.0 * dt * self.l[:, 0].real, None
+            self.m, self.p = np.empty((d, n), dtype=complex), np.empty((d, d, n), dtype=complex)
         else:
-            self.table = _floats(np.stack(shared)).T
+            self.table, self.ld_floats = _floats(np.stack(shared)).T, _floats(ld[None])[0]
             self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
 
     def half_step(self, u):
@@ -279,29 +291,32 @@ class _KrausStep:
 
             rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
 
-        positive semidefinite by construction.  Re tr(L rho) is one real
-        `np.vecdot` of the float views of rho and L^dag.  M^dag = a0 + dy L^dag
-        + (1/2) (dy^2 - dt) L^dag^2 is formed per state, as (d, n) rows if
-        diagonal, else by one `np.einsum` with the float table.  Then
-        M rho M^dag = (rho M^dag)^dag M^dag is two calls of `_product`: 2 d^3
-        multiply-adds, 2 d^2 for a diagonal M.  K rho K^dag = (rho K^dag)^dag
-        K^dag is two shared GEMMs per extra channel (`_conjugate`).  1 / tr
-        scales the float view, as numpy's complex-by-real division does.
-        Returns (rho', dy) with dy (n,); rho' is a new array.
+        positive semidefinite by construction.  For a diagonal M, dy reads rho's
+        diagonal alone, m is formed as (d, n) rows, and M rho M^dag is one product
+        rho * P, P = m m^dag batch-last (`_hermitian_outer`).  Else Re tr(L rho) is
+        one `np.vecdot` of float views, M^dag is formed per state by one `np.einsum`
+        with the float table, and M rho M^dag = (rho M^dag)^dag M^dag is two calls
+        of `_product`.  K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs per
+        extra channel (`_conjugate`).  1 / tr scales the float view.  Returns
+        (rho', dy) with dy (n,); rho' is a new array.
         """
-        dt, md = self.dt, self.md
-        dy = 2.0 * np.vecdot(_floats(rho), self.ld_floats) * dt + dW
+        dt = self.dt
+        if self.table is None:  # Re tr(L rho) = sum_i Re(l_i) rho_ii
+            diagonal = _floats(rho)[:, :: 2 * len(self.w) + 2].T
+            dy = sum((w * x for w, x in zip(self.w, diagonal)), dW)
+        else:
+            dy = 2.0 * np.vecdot(_floats(rho), self.ld_floats) * dt + dW
         c2 = 0.5 * (dy * dy - dt)
         if self.table is None:
-            rows = md.T
-            np.multiply(self.ld, dy, out=rows)
-            rows += np.multiply(self.ld2, c2, out=self.rho_md.T)
-            rows += self.a0
+            m = np.multiply(self.l, dy, out=self.m)
+            m += self.l2 * c2
+            m += self.a0
+            out = rho * _hermitian_outer(m, self.p).transpose(2, 0, 1)
         else:
             coef = np.stack((dy, c2, np.ones_like(dy)), axis=1)
-            np.einsum("nk,mk->nm", coef, self.table, out=_floats(md))
-        rho_md = _product(rho, md, self.rho_md)
-        out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), md)
+            np.einsum("nk,mk->nm", coef, self.table, out=_floats(self.md))
+            rho_md = _product(rho, self.md, self.rho_md)
+            out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), self.md)
         for kd in self.kd:
             out += dt * _conjugate(rho, kd)
         scaled = (out if out.flags.c_contiguous else out.transpose(0, 2, 1)).view(float)
@@ -309,15 +324,14 @@ class _KrausStep:
         return out, dy
 
     def __call__(self, u, rho, dW):
-        """Returns (rho', dy) with the mean in dy taken at the measured state;
-        rho' is C-ordered whatever the layout the map's product left."""
+        """(rho', dy), dy's mean taken at the measured state; rho' C-ordered and exactly
+        Hermitian, as the Hermitian part only after a dense product (module docstring)."""
         conjugate = self.half_step(u) or (lambda r: r)
         rho, dy = self.measure(conjugate(rho), dW)
         rho = conjugate(rho)
-        out = np.conjugate(rho.transpose(0, 2, 1), order="C")
-        out += rho
-        out *= 0.5
-        return out, dy
+        if self.table is not None or self.kd or isinstance(conjugate, partial):
+            rho = _hermitian_part(rho)
+        return rho, dy
 
 
 def step_sme(rho, u, dW, model, cfg):
@@ -330,7 +344,7 @@ def step_sme(rho, u, dW, model, cfg):
         raise RejectedInputError(f"dW must be one finite real number, got {dW!r}")
     u, rho = ops.check_drift_inputs(model, u, rho)
     u = np.broadcast_to(u, (1, model.n_controls))
-    out = _KrausStep(model, cfg.dt, 1)(u, rho[None], dW[None])[0][0]
+    out = _KrausStep(model, cfg.dt, 1)(u, _hermitian_part(rho)[None], dW[None])[0][0]
     if not np.all(np.isfinite(out)):
         raise NumericalBlowupError("non-finite state after step_sme")
     return out
@@ -364,7 +378,7 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     trajectory's noise is its seed's `noise_increments` stream, so results do
     not depend on batch composition or execution order.
     """
-    rho0 = ops.check_density(rho0)
+    rho0 = _hermitian_part(ops.check_density(rho0))
     if rho0.shape[-1] != model.dim:
         raise DimensionMismatchError("rho0 dimension does not match model")
     seeds = _seed_list(seeds)

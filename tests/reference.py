@@ -1,14 +1,22 @@
 """Reference formulas the tests compare the library against, written apart from its kernel,
 the one-seed record the tests pack from `simulate_ensemble`, the exact QND oracle
-ladders that the tests and `scripts/orders.py` run, and the stacked HJB step and the
-value-by-value grid CSV that the sweep and the grid writer must match bit for bit."""
+ladders that the tests and `scripts/orders.py` run, the damped oscillator that the tests
+and `scripts/feedback_run.py` share with its coherent-state oracle, and the stacked HJB
+step and the value-by-value grid CSV that the sweep and the grid writer must match bit for
+bit."""
+
+from collections import namedtuple
+from math import factorial
 
 import numpy as np
 
 from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
+from mqoc import moments as mom
 from mqoc import operators as ops
 from mqoc.io import fmt
+
+Oscillator = namedtuple("Oscillator", ["model", "rho0", "quadratures", "linear", "state0"])
 
 
 def record(model, policy, cfg, rho0, seed):
@@ -77,6 +85,63 @@ def tanh_oracle_error(dt):
     z = np.real(states[..., 0, 0] - states[..., 1, 1])
     exact = np.tanh(np.arctanh(r0[2]) + 2.0 * np.sqrt(kappa) * y)
     return float(np.mean(np.max(np.abs(z - exact), axis=1)))
+
+
+def damped_oscillator_model(omega=1.0, kappa=0.5, B=((0.0,), (0.0,))):
+    """The `LinearModel` of H0 = omega a^dag a and L = sqrt(kappa) a in the quadratures
+    (x, p), with the controls' input matrix B."""
+    return mom.LinearModel(
+        A=np.array([[-kappa / 2, omega], [-omega, -kappa / 2]]),
+        B=np.array(B),
+        C=np.array([[np.sqrt(2 * kappa), 0.0]]),
+        F=np.sqrt(kappa / 2) * np.eye(2),
+        M_cov=np.array([[-np.sqrt(kappa / 2)], [0.0]]),
+    )
+
+
+def oscillator(dim=21, driven=False):
+    """The damped oscillator H0 = a^dag a, L = sqrt(0.5) a on dim Fock levels, from a
+    displaced thermal state (alpha = 0.8 + 0.4i, nbar = 0.5); driven adds Hc = (x, p).
+    An `Oscillator`: the Fock model, rho0 and the quadratures (x, p), and their moment
+    twins, the `LinearModel` (B = [[0, 1], [-1, 0]] when driven) and rho0's `MomentState`."""
+    a = ops.annihilation(dim)
+    ad = ops.dagger(a)
+    x, p = (a + ad) / np.sqrt(2), 1j * (ad - a) / np.sqrt(2)
+    model = ops.QuantumModel(H0=ad @ a, L=np.sqrt(0.5) * a, Hc=(x, p) if driven else ())
+    alpha, nbar = 0.8 + 0.4j, 0.5
+    w, v = np.linalg.eigh(-1j * (alpha * ad - np.conj(alpha) * a))
+    disp = (v * np.exp(1j * w)[None, :]) @ ops.dagger(v)
+    pn = np.array([nbar ** k / (1 + nbar) ** (k + 1) for k in range(dim)])
+    rho0 = ops.project_physical(disp @ np.diag(pn / pn.sum()) @ ops.dagger(disp))
+    linear = damped_oscillator_model(B=[[0.0, 1.0], [-1.0, 0.0]] if driven else [[0.0], [0.0]])
+    state0 = mom.MomentState(xhat=np.sqrt(2) * np.array([alpha.real, alpha.imag]),
+                             sigma=(nbar + 0.5) * np.eye(2))
+    return Oscillator(model, rho0, np.stack([x, p]), linear, state0)
+
+
+def coherent_oracle_error(dim, dt, drive, n_seeds=16):
+    """Mean over seeds 0..n_seeds-1 of the worst entry of |rho_T - |alpha_T><alpha_T||, T = 1,
+    for the driven `oscillator` (kappa = 0.5) under the constant control u = (drive, 0), that
+    is H = a^dag a + u x, from the coherent state |alpha_0>, alpha_0 = 0.8 + 0.4i, on dim
+    levels.  L |alpha> = sqrt(kappa) alpha |alpha>, so the measurement's fluctuation vanishes
+    and the state stays coherent on every record, with d alpha / dt = -(i + kappa / 2) alpha
+    - i u / sqrt(2).  This checks the damping, the half step (the dense Cayley solve when
+    driven, the diagonal phase when not) with an H that does not commute with L, and the
+    dense products.  Its blind spot: the dy terms of M, L dy and (1/2) L^2 (dy^2 - dt), only
+    rescale the ket, so this oracle cannot see them."""
+    z, alpha0 = 1j + 0.25, 0.8 + 0.4j
+    alpha_T = alpha0 * np.exp(-z) - 1j * drive / np.sqrt(2) * (1.0 - np.exp(-z)) / z
+
+    def ket(alpha):
+        c = np.array([alpha ** k / np.sqrt(factorial(k)) for k in range(dim)])
+        return c / np.linalg.norm(c)
+
+    _, states, _, _, _ = bel.simulate_ensemble(
+        oscillator(dim, driven=True).model, lambda t, rho, past: [drive, 0.0],
+        bel.SmeConfig(dt=dt, T=1.0), np.outer(ket(alpha0), np.conj(ket(alpha0))),
+        range(n_seeds), keep_states=False)
+    exact = np.outer(ket(alpha_T), np.conj(ket(alpha_T)))
+    return float(np.mean(np.max(np.abs(states[:, -1] - exact), axis=(1, 2))))
 
 
 def kraus_map_reference(model, dt, rho, dW):

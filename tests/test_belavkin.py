@@ -8,8 +8,8 @@ from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, RejectedInputError
-from reference import (adjoint_generator, kraus_map_reference, qnd_oracle_error, record,
-                       tanh_oracle_error, trajectory_cost_loop)
+from reference import (adjoint_generator, coherent_oracle_error, kraus_map_reference, oscillator,
+                       qnd_oracle_error, record, tanh_oracle_error, trajectory_cost_loop)
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -203,7 +203,7 @@ class TestStepSme:
             model = TestKrausPhysicality.MODELS["qubit"][0]
             rho0, u, n = 0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X - 0.4 * ops.SIGMA_Z), [0.7], 200
         else:
-            (model, rho0, _), u, n = oscillator(), [], 50
+            (model, rho0), u, n = oscillator()[:2], [], 50
         cfg, seed = bel.SmeConfig(dt=1e-2, T=n * 1e-2), 7
         _, states, _, _, _ = bel.simulate_ensemble(model, lambda t, rho, past: u, cfg, rho0,
                                                    [seed])
@@ -389,26 +389,34 @@ class TestKrausQndOracle:
 
 
 def product_kernels(monkeypatch):
-    """The kernel of every `bel._product` call from here on: "matmul" when it calls
-    `np.matmul`, else "diagonal" for a b of diagonals (n, d), else "sum"."""
+    """The kernel of every product of the filter step from here on: "diagonal" for each
+    `bel._hermitian_outer` call (a diagonal M's map makes one per call of `measure`, and
+    a diagonal half step one per new phase matrix), else for each `bel._product` call
+    "matmul" when it calls `np.matmul` and "sum" when it does not."""
     kernels, calls = [], matmul_calls(monkeypatch)
-    product = bel._product
+    product, outer = bel._product, bel._hermitian_outer
 
     def counted(a, b, out=None):
         before = len(calls)
         result = product(a, b, out)
-        kernels.append("matmul" if len(calls) > before else "diagonal" if b.ndim == 2 else "sum")
+        kernels.append("matmul" if len(calls) > before else "sum")
         return result
 
+    def counted_outer(m, out=None):
+        kernels.append("diagonal")
+        return outer(m, out)
+
     monkeypatch.setattr(bel, "_product", counted)
+    monkeypatch.setattr(bel, "_hermitian_outer", counted_outer)
     return kernels
 
 
 class TestKrausQndOracleAnyDim:
     """H = n^ and L = sqrt(kappa) n^ from a mixed state with coherences: the filter on
     its own record against `qnd_filter_exact` (`qnd_oracle_error`).  Diagonal, M is
-    diagonal and `bel._product` acts elementwise; rotated by a fixed random unitary, M
-    is dense, and d = 3 runs the sum of outer products, d = 8 the batched matmul."""
+    diagonal and the map is one elementwise product with `bel._hermitian_outer`; rotated
+    by a fixed random unitary, M is dense, and d = 3 runs the sum of outer products, d = 8
+    the batched matmul."""
 
     KERNELS = {(3, False): "diagonal", (8, False): "diagonal", (3, True): "sum",
                (8, True): "matmul"}
@@ -434,20 +442,6 @@ class TestKrausQndOracleAnyDim:
         fine = qnd_oracle_error(21, 0.005, 1e-3, 64)
         assert fine <= 2.5e-4
         assert 0.8 <= np.log10(coarse / fine) <= 1.2
-
-
-def oscillator(dim=21):
-    """Damped oscillator, L = sqrt(0.5) a, from a displaced thermal state."""
-    a = ops.annihilation(dim)
-    ad = ops.dagger(a)
-    model = ops.QuantumModel(H0=ad @ a, L=np.sqrt(0.5) * a)
-    alpha = 0.8 + 0.4j
-    w, v = np.linalg.eigh(-1j * (alpha * ad - np.conj(alpha) * a))
-    disp = (v * np.exp(1j * w)[None, :]) @ ops.dagger(v)
-    pn = np.array([0.5 ** k / 1.5 ** (k + 1) for k in range(dim)])
-    rho0 = ops.project_physical(disp @ np.diag(pn / pn.sum()) @ ops.dagger(disp))
-    quadratures = np.stack([(a + ad) / np.sqrt(2), 1j * (ad - a) / np.sqrt(2)])
-    return model, rho0, quadratures
 
 
 def euler_step(rho, dw, model, dt):
@@ -478,7 +472,7 @@ class TestKrausOscillator:
         # Coarse dt = 1e-3 against dt = 1e-4 on one Brownian path: measured
         # 1.2e-4 to 2.1e-4 relative for the split Kraus step, 6e-4 to 6.5e-3
         # for Euler-Maruyama plus projection.
-        model, rho0, quads = oscillator()
+        model, rho0, quads = oscillator()[:3]
         T, fine, ratio = 0.3, 1e-4, 10
         for seed in range(3):
             dW = np.random.default_rng(seed).normal(0.0, np.sqrt(fine), int(round(T / fine)))
@@ -638,11 +632,12 @@ def matmul_calls(monkeypatch):
 
 
 class TestMeasureFormulations:
-    """`_KrausStep.measure` is one map, M rho M^dag through `bel._product`: elementwise
-    for a diagonal M, else a batched matmul from d = MATMUL_DIM up and a sum of outer
-    products below it; under each product it is `kraus_map_reference`.  diagonal_8's
-    extra channel K = 0.4 a has a diagonal K^dag K, so M stays diagonal; dense_loss_8's
-    L is diagonal too, but K = 0.3 (a + a^dag) makes I + dt loss dense, and so M.
+    """`_KrausStep.measure` is one map, M rho M^dag: for a diagonal M one elementwise
+    product rho * P (`bel._hermitian_outer`), else two calls of `bel._product`, a batched
+    matmul from d = MATMUL_DIM up and a sum of outer products below it; under each
+    kernel it is `kraus_map_reference`.  diagonal_8's extra channel K = 0.4 a has a
+    diagonal K^dag K, so M stays diagonal; dense_loss_8's L is diagonal too, but
+    K = 0.3 (a + a^dag) makes I + dt loss dense, and so M.
     complex_diagonal_3's L is diagonal but not Hermitian, so M rho M^dag differs from
     M^dag rho M there."""
 
@@ -677,7 +672,7 @@ class TestMeasureFormulations:
             monkeypatch.setattr(bel, "MATMUL_DIM", matmul_dim)
             kernels.clear()
             got, dy = bel._KrausStep(model, 1e-2, 5).measure(rho, dW)
-            assert kernels == ["diagonal" if name in self.DIAGONAL else dense] * 2
+            assert kernels == (["diagonal"] if name in self.DIAGONAL else [dense] * 2)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert np.max(np.abs(dy - want_dy)) <= 1e-13
 
@@ -686,18 +681,96 @@ class TestMeasureFormulations:
         # A dense M (L = a) takes the sum of outer products below MATMUL_DIM and the
         # batched matmul from it, and the step holds two (n, d, d) work arrays.  A
         # diagonal M (L = n^, QND as in the d = 2 workloads) takes neither at any d,
-        # and its two work arrays are (n, d).
-        calls = matmul_calls(monkeypatch)
-        for L, shape, n_matmul in ((ops.annihilation(dim), (3, dim, dim), 2 * matmul),
-                                   (np.diag(np.arange(dim, dtype=float)), (3, dim), 0)):
-            step = bel._KrausStep(ops.QuantumModel(H0=np.zeros((dim, dim)), L=L), 1e-2, 3)
-            work = {k: np.shape(v) for k, v in vars(step).items() if np.shape(v)[:1] == (3,)}
-            assert work == {"md": shape, "rho_md": shape}
+        # and holds its diagonal m (d, n) and P = m m^dag (d, d, n), batch-last.
+        calls, n = matmul_calls(monkeypatch), 4
+        kernels = product_kernels(monkeypatch)
+        for L, work_shapes, kernel in (
+                (ops.annihilation(dim), {"md": (n, dim, dim), "rho_md": (n, dim, dim)},
+                 "matmul" if matmul else "sum"),
+                (np.diag(np.arange(dim, dtype=float)), {"m": (dim, n), "p": (dim, dim, n)},
+                 "diagonal")):
+            step = bel._KrausStep(ops.QuantumModel(H0=np.zeros((dim, dim)), L=L), 1e-2, n)
+            work = {k: v.shape for k, v in vars(step).items()
+                    if isinstance(v, np.ndarray) and n in v.shape}
+            assert work == work_shapes
             calls.clear()
-            rho, _ = step.measure(np.broadcast_to(np.eye(dim) / dim, (3, dim, dim)).copy(),
-                                  np.ones(3))
-            assert calls == [(3, dim, dim)] * n_matmul
+            kernels.clear()
+            rho, _ = step.measure(np.broadcast_to(np.eye(dim) / dim, (n, dim, dim)).copy(),
+                                  np.ones(n))
+            assert calls == [(n, dim, dim)] * (2 * (kernel == "matmul"))
+            assert kernels == [kernel] * (1 if kernel == "diagonal" else 2)
             assert np.allclose(np.einsum("nii->n", rho), 1.0)
+
+
+class TestExactlyHermitian:
+    """Every state the filter returns is exactly Hermitian, `array_equal(rho, rho^dag)`:
+    elementwise steps by construction (`bel._hermitian_outer`), a step with a dense product
+    as its Hermitian part, and the start state made so once at entry."""
+
+    QND_8 = ops.QuantumModel(H0=np.diag(np.arange(8.0)), L=np.sqrt(0.05) * np.diag(np.arange(8.0)))
+
+    @staticmethod
+    def skewed(rho):
+        """rho plus an anti-Hermitian, trace-free defect: herm_defect 5e-13, which
+        `ops.check_density` accepts (HERMITIAN_TOL = 1e-12)."""
+        g = np.random.default_rng(len(rho)).normal(size=rho.shape)
+        s = g + g.T - 2.0 * np.diag(np.diag(g))
+        return rho + 2.5e-13j * s / np.max(np.abs(s))
+
+    @pytest.mark.parametrize("name", ["qnd_qubit", "qnd_8", "complex_diagonal_3"])
+    def test_exact_from_a_skewed_start(self, name):
+        # Before: the start state was stored as given, 5e-13 from Hermitian, and
+        # carried into the first step.
+        model, rho0 = {
+            "qnd_qubit": TestKrausPhysicality.MODELS["qnd_qubit"],
+            "qnd_8": (self.QND_8, TestDiagonalHalfStep.states(8, 1, 8)[0]),
+            "complex_diagonal_3": (TestMeasureFormulations.MODELS["complex_diagonal_3"],
+                                   TestDiagonalHalfStep.states(3, 1, 3)[0]),
+        }[name]
+        start = self.skewed(rho0)
+        assert np.max(ops.herm_defect(start)) == pytest.approx(5e-13, rel=1e-3)
+        cfg = bel.SmeConfig(dt=1e-2, T=0.5)
+        _, states, _, _, _ = bel.simulate_ensemble(model, None, cfg, start, range(4))
+        assert np.array_equal(states, ops.dagger(states))
+        one = bel.step_sme(start, [], 0.1, model, cfg)
+        assert np.array_equal(one, ops.dagger(one))
+
+    @pytest.mark.parametrize("name, kernels, cayley", [
+        ("qnd_qubit", {"diagonal"}, False), ("closed_loop_qubit", {"diagonal"}, True),
+        ("qubit", {"sum"}, True), ("oscillator", {"diagonal", "matmul"}, False)])
+    def test_every_kernel_path(self, name, kernels, cayley, monkeypatch):
+        # The diagonal M alone; a diagonal M with per-state dense half steps; a
+        # dense M by the sum of outer products, with an extra channel; a dense M by
+        # the batched matmul, with the diagonal half step of H0 = a^dag a.
+        model, rho0 = TestKrausPhysicality.MODELS[name]
+        seen, solves = product_kernels(monkeypatch), []
+        solve = ops.cayley
+        monkeypatch.setattr(ops, "cayley", lambda h, s: solves.append(h.shape) or solve(h, s))
+        policy = None
+        if model.n_controls:
+            def policy(t, rho, past):
+                return np.where(past.y[:, -1] > 0.0, 0.5, -1.0)[:, None]
+        _, states, _, _, _ = bel.simulate_ensemble(model, policy, bel.SmeConfig(dt=1e-2, T=0.5),
+                                                   rho0, range(6))
+        assert set(seen) == kernels and bool(solves) == cayley
+        assert np.array_equal(states, ops.dagger(states))
+        assert states.flags.c_contiguous
+
+
+class TestCoherentOracle:
+    """The damped, driven oscillator from a coherent state against its exact coherent
+    path (`coherent_oracle_error`): the dense M's products with the diagonal half step
+    (no drive) or the dense Cayley solve (u = 0.7).  It cannot see the dy terms of M."""
+
+    @pytest.mark.parametrize("drive", [0.0, 0.7])
+    def test_error_bound_and_strong_order(self, drive):
+        # Measured, d = 12, 16 seeds, dt = 1e-2 and 1e-3 (order): no drive 6.4e-4 and
+        # 6.2e-5 (1.01); u = 0.7: 5.8e-4 and 6.3e-5 (0.97).  The bound is 2.4 times the
+        # measured fine error.
+        coarse = coherent_oracle_error(12, 1e-2, drive)
+        fine = coherent_oracle_error(12, 1e-3, drive)
+        assert fine <= 1.5e-4
+        assert 0.8 <= np.log10(coarse / fine) <= 1.2
 
 
 def refuse_cayley(h, s):
@@ -725,7 +798,7 @@ class TestDiagonalHalfStep:
     @pytest.mark.parametrize("case", ["oscillator_shared", "qubit_per_state"])
     def test_matches_dense_cayley(self, case, monkeypatch):
         if case == "oscillator_shared":
-            model, rho0, _ = oscillator()
+            model, rho0 = oscillator()[:2]
             u = np.zeros((4, 0))
             rho = np.concatenate([rho0[None], self.states(21, 3, 1)])
         else:

@@ -4,13 +4,12 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from mqoc import belavkin as bel
 from mqoc import moments as mom
 from mqoc import operators as ops
 from mqoc.errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
-from reference import adjoint_generator
+from reference import adjoint_generator, damped_oscillator_model, oscillator
 
 
 def oscillator_R(omega, hbar=1.0):
@@ -291,16 +290,6 @@ class TestCovarianceStep:
         sigmas, _ = sigma_path(0.5 * np.eye(2), A, C, F=np.sqrt(0.5) * np.eye(2), dt=0.01,
                                n_steps=200)
         assert np.min(np.linalg.eigvalsh(sigmas)) >= 0.0
-
-
-def damped_oscillator_model(omega=1.0, kappa=0.5):
-    return mom.LinearModel(
-        A=np.array([[-kappa / 2, omega], [-omega, -kappa / 2]]),
-        B=np.zeros((2, 1)),
-        C=np.array([[np.sqrt(2 * kappa), 0.0]]),
-        F=np.sqrt(kappa / 2) * np.eye(2),
-        M_cov=np.array([[-np.sqrt(kappa / 2)], [0.0]]),
-    )
 
 
 class TestRiccatiOrder:
@@ -621,32 +610,12 @@ class TestBelavkinAgreement:
     def test_first_moments_track_fock_filter(self):
         # Ground truth: dense filter on a cutoff-20 Fock space, fed to the
         # Gaussian moment filter through the shared innovation sequence.
-        dim = 21
-        a = ops.annihilation(dim)
-        ad = a.conj().T
-        omega, kappa = 1.0, 0.5
-        nbar, alpha = 0.5, 0.8 + 0.4j
-        qmodel = ops.QuantumModel(H0=omega * (ad @ a), L=np.sqrt(kappa) * a)
-        pn = np.array([nbar ** n / (1 + nbar) ** (n + 1) for n in range(dim)])
-        rho_th = np.diag(pn / pn.sum()).astype(complex)
-        disp = expm(alpha * ad - np.conj(alpha) * a)
-        rho0 = ops.project_physical(disp @ rho_th @ disp.conj().T)
-
+        fock = oscillator(21)
         cfg = bel.SmeConfig(dt=1e-3, T=1.0)
-        _, states, _, _, w = bel.simulate_ensemble(qmodel, None, cfg, rho0, [7])
-        x_op = (a + ad) / np.sqrt(2)
-        p_op = 1j * (ad - a) / np.sqrt(2)
-        ref = np.stack([
-            np.real(np.einsum("tij,ji->t", states[0], x_op)),
-            np.real(np.einsum("tij,ji->t", states[0], p_op)),
-        ], axis=1)
-
-        lin = damped_oscillator_model(omega, kappa)
-        state0 = mom.MomentState(
-            xhat=[np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag],
-            sigma=(nbar + 0.5) * np.eye(2))
+        _, states, _, _, w = bel.simulate_ensemble(fock.model, None, cfg, fock.rho0, [7])
+        ref = np.real(np.einsum("tij,qji->tq", states[0], fock.quadratures))
         xs, _ = mom.run_moment_filter(
-            state0, lin, cfg.dt, cfg.n_steps,
+            fock.state0, fock.linear, cfg.dt, cfg.n_steps,
             innovations=np.diff(w[0])[:, None])
         rel = np.max(np.abs(ref - xs)) / np.max(np.abs(ref))
         assert rel <= 0.05
