@@ -11,7 +11,9 @@ the Cayley half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar)
 (`operators.cayley`), then the measurement map `_KrausStep.measure`, then U
 again; a diagonal H(u), as H0 = omega a^dag a, gives a diagonal U
 (`_half_step`).  A diagonal Kraus operator M, as under a QND measurement,
-acts entry by entry, M rho M^dag = rho * m m^dag; any other M by `_product`.
+and a diagonal U act entry by entry, so the step holds such a batch as
+rho = base * a a^dag with amplitudes a (d, n), formed only when read or
+before a dense product (`_KrausStep.state`); any other M acts by `_product`.
 Elementwise products with exactly Hermitian factors (`_hermitian_outer`)
 keep rho exactly Hermitian, so the Hermitian part is taken only after a
 dense product (a dense M or U, or an extra channel), and of the start state.
@@ -218,24 +220,30 @@ def _hermitian_part(rho):
     return out
 
 
+def _normalised(out):
+    """(out, tr): the stack out (n, d, d) scaled in place by 1 / tr, its traces tr (n,)."""
+    tr = np.einsum("nii->n", out).real
+    scaled = (out if out.flags.c_contiguous else out.transpose(0, 2, 1)).view(float)
+    scaled *= (1.0 / tr)[:, None, None]
+    return out, tr
+
+
 def _is_diagonal(x):
     """True when x (..., d, d) has no nonzero entry off its diagonals."""
     return np.count_nonzero(x) == np.count_nonzero(np.diagonal(x, axis1=-2, axis2=-1))
 
 
 def _half_step(h, s):
-    """rho -> U rho U^dag for U = `ops.cayley`(h, s) and h (d, d) or (n, d, d),
-    or None when h = 0, where U is exactly I.  A diagonal h gives a diagonal U,
-    u_j = (1 - i s h_jj) / (1 + i s h_jj), and U rho U^dag is rho times the
-    phase matrix u_j conj(u_k), exactly Hermitian (`_hermitian_outer`): no solve
-    and no GEMM.  Any other h takes the dense solve and `_conjugate`, a partial."""
+    """U = `ops.cayley`(h, s) for h (d, d) or (n, d, d), or None when h = 0, where U
+    is exactly I.  A diagonal h gives a diagonal U, returned as its phases
+    u_j = (1 - i s h_jj) / (1 + i s h_jj) batch-last, (d, 1) or (d, n): no solve
+    and no GEMM.  Any other h gives rho -> U rho U^dag by the dense solve and
+    `_conjugate`, a partial."""
     if not h.any():
         return None
     if _is_diagonal(h):
-        diag = np.diagonal(h, axis1=-2, axis2=-1)
-        u = (1.0 - 1j * s * diag) / (1.0 + 1j * s * diag)
-        phase = np.moveaxis(_hermitian_outer(np.moveaxis(u, -1, 0)), (0, 1), (-2, -1))
-        return lambda rho: rho * phase
+        diag = np.diagonal(h, axis1=-2, axis2=-1).T.reshape(h.shape[-1], -1)
+        return (1.0 - 1j * s * diag) / (1.0 + 1j * s * diag)
     return partial(_conjugate, ud=ops.dagger(ops.cayley(h, s)))
 
 
@@ -245,73 +253,108 @@ def _floats(x):
 
 
 class _KrausStep:
-    """The filter step (module docstring) of one call on a stack of n states.
+    """The filter step (module docstring) on a stack rho (n, d, d) of states it holds.
 
-    The last step's control rows and half step are reused while the rows
-    repeat, and never compared without controls.  The map's operators L^dag,
-    L^dag^2 and a0 = I + dt loss are built once: if all are diagonal, as M's
-    coefficient columns l, l2, a0 (d, 1) and dy's weights w = 2 dt Re l, with work
-    arrays m (d, n) and p (d, d, n); else as the (2 d^2, 3) table of their real
-    views, with md and rho_md (n, d, d), held as fresh pages cost more at d = 21.
+    L^dag, L^dag^2 and a0 = I + dt loss are built once.  If all are diagonal, as M's
+    columns l, l2, a0 (d, 1) and dy's weights w = 2 dt Re l, the states are
+    rho * a a^dag, a (d, n) None meaning 1: a measurement scales a by m / sqrt(tr),
+    a diagonal half step by its phases, and dy and tr read the populations q |a|^2,
+    q (d, n) rho's diagonal.  `state` forms the stack, into the work array p (d, d, n),
+    for a reader (a policy, stored states, the run's end, `step_sme`), a dense half
+    step or an extra channel.  Else they are the (2 d^2, 3) table of their real views,
+    with work arrays md and rho_md (n, d, d), as fresh pages cost more at d = 21.
+    The last control rows and half step are reused while the rows repeat.
     """
 
-    def __init__(self, model, dt, n):
-        self.model, self.dt = model, dt
-        self.rows = self.conjugate = None
-        d, ld = model.dim, ops.dagger(model.L)
+    def __init__(self, model, dt, rho):
+        n, d = rho.shape[:2]
+        self.model, self.dt, self.rho, self.a, self.q = model, dt, rho, None, None
+        self.rows = self.turn = None
+        ld = ops.dagger(model.L)
         loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())  # over every channel
         shared = (ld, ld @ ld, np.eye(d) + dt * loss)
         self.kd = [ops.dagger(K) for K in model.L_extra]
         if all(map(_is_diagonal, shared)):
-            self.l, self.l2, self.a0 = (np.conj(np.diagonal(x))[:, None] for x in shared)
+            cols = [np.conj(np.diagonal(x))[:, None] for x in shared]
+            self.l, self.l2, self.a0 = cols if any(c.imag.any() for c in cols) else np.real(cols)
             self.w, self.table = 2.0 * dt * self.l[:, 0].real, None
-            self.m, self.p = np.empty((d, n), dtype=complex), np.empty((d, d, n), dtype=complex)
+            self.p = np.empty((d, d, n), dtype=complex)
         else:
             self.table, self.ld_floats = _floats(np.stack(shared)).T, _floats(ld[None])[0]
             self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
 
+    def state(self):
+        """The states (n, d, d), exactly Hermitian after `advance`.  Amplitudes are formed
+        here, rho * a a^dag over its own trace, which becomes the base with a = 1."""
+        if self.a is not None:
+            self.rho = _normalised(self._formed())[0]
+            self.a = self.q = None
+        return self.rho
+
+    def _formed(self):
+        """rho * a a^dag (n, d, d), exactly Hermitian (`_hermitian_outer`), unnormalised."""
+        return self.rho * _hermitian_outer(self.a, self.p).transpose(2, 0, 1)
+
     def half_step(self, u):
-        """`_half_step` for controls u (n, k): shared when every row equals the
-        first, else one per state; None when H(u) = 0 for every row."""
+        """`_half_step` for controls u (n, k): shared when every row equals the first, else
+        one per state; None when H(u) = 0 for every row.  With a dense M a diagonal U acts
+        on the stack, as rho times the phase matrix u_j conj(u_k) (`_hermitian_outer`)."""
         if self.rows is not None and not u.shape[-1]:
-            return self.conjugate
+            return self.turn
         if (u == u[:1]).all():
             u = u[0]
         if self.rows is None or not np.array_equal(u, self.rows):
-            h = self.model.hamiltonian(u)
             self.rows = u.copy()
-            self.conjugate = _half_step(h, self.dt / (4.0 * self.model.hbar))
-        return self.conjugate
+            turn = _half_step(self.model.hamiltonian(u), self.dt / (4.0 * self.model.hbar))
+            if isinstance(turn, np.ndarray) and self.table is not None:
+                phase = np.moveaxis(_hermitian_outer(turn), (0, 1), (-2, -1))
+                turn = lambda rho: rho * phase
+            self.turn = turn
+        return self.turn
 
-    def measure(self, rho, dW):
-        """Rouchon-Ralph measurement map of the n Hermitian states rho (n, d, d).
+    def _turn(self, turn):
+        """U rho U^dag: a diagonal U's phases scale the amplitudes, else turn acts on the stack."""
+        if isinstance(turn, np.ndarray):
+            self.a = turn if self.a is None else self.a * turn
+        elif turn is not None:
+            self.rho = turn(self.state())
+
+    def measure(self, dW):
+        """Rouchon-Ralph measurement map of the held states; returns (dy, tr), each (n,).
 
         With dy = <L + L^dag> dt + dW at rho and the Kraus operator
         M = I - (1/2) sum L^dag L dt + L dy + (1/2) L^2 (dy^2 - dt),
 
-            rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr(...),
+            rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr,  tr = tr(...),
 
-        positive semidefinite by construction.  For a diagonal M, dy reads rho's
-        diagonal alone, m is formed as (d, n) rows, and M rho M^dag is one product
-        rho * P, P = m m^dag batch-last (`_hermitian_outer`).  Else Re tr(L rho) is
-        one `np.vecdot` of float views, M^dag is formed per state by one `np.einsum`
-        with the float table, and M rho M^dag = (rho M^dag)^dag M^dag is two calls
-        of `_product`.  K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs per
-        extra channel (`_conjugate`).  1 / tr scales the float view.  Returns
-        (rho', dy) with dy (n,); rho' is a new array.
+        positive semidefinite by construction.  For a diagonal M, dy and tr read the
+        populations alone and a <- a m / sqrt(tr), m = diag(M) (d, n); with an extra
+        channel the stack is formed first, and M rho M^dag = rho * m m^dag.  Else
+        Re tr(L rho) is one `np.vecdot` of float views, M^dag is formed per state by one
+        `np.einsum` with the float table, and M rho M^dag = (rho M^dag)^dag M^dag is two
+        calls of `_product`.  K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs
+        per extra channel (`_conjugate`).  tr is as computed, non-finite if a state is.
         """
         dt = self.dt
-        if self.table is None:  # Re tr(L rho) = sum_i Re(l_i) rho_ii
-            diagonal = _floats(rho)[:, :: 2 * len(self.w) + 2].T
-            dy = sum((w * x for w, x in zip(self.w, diagonal)), dW)
+        rho = self.state() if self.kd else self.rho
+        if self.table is None:  # Re tr(L rho) = sum_i Re(l_i) rho_ii |a_i|^2
+            if self.q is None:
+                self.q = np.ascontiguousarray(_floats(rho)[:, :: 2 * len(self.w) + 2].T)
+            q = self.q if self.a is None else self.q * (self.a * self.a.conj()).real
+            dy = sum((w * x for w, x in zip(self.w, q)), dW)
         else:
             dy = 2.0 * np.vecdot(_floats(rho), self.ld_floats) * dt + dW
         c2 = 0.5 * (dy * dy - dt)
         if self.table is None:
-            m = np.multiply(self.l, dy, out=self.m)
-            m += self.l2 * c2
-            m += self.a0
-            out = rho * _hermitian_outer(m, self.p).transpose(2, 0, 1)
+            m = self.l * dy + self.l2 * c2 + self.a0
+            if not self.kd:
+                weights = q * (m * m.conj()).real
+                tr = sum(weights[1:], weights[0])
+                m *= 1.0 / np.sqrt(tr)
+                self.a = m if self.a is None else self.a * m
+                return dy, tr
+            self.a = m
+            out = self._formed()
         else:
             coef = np.stack((dy, c2, np.ones_like(dy)), axis=1)
             np.einsum("nk,mk->nm", coef, self.table, out=_floats(self.md))
@@ -319,19 +362,19 @@ class _KrausStep:
             out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), self.md)
         for kd in self.kd:
             out += dt * _conjugate(rho, kd)
-        scaled = (out if out.flags.c_contiguous else out.transpose(0, 2, 1)).view(float)
-        scaled *= (1.0 / np.einsum("nii->n", out).real)[:, None, None]
-        return out, dy
+        (self.rho, tr), self.a, self.q = _normalised(out), None, None
+        return dy, tr
 
-    def __call__(self, u, rho, dW):
-        """(rho', dy), dy's mean taken at the measured state; rho' C-ordered and exactly
-        Hermitian, as the Hermitian part only after a dense product (module docstring)."""
-        conjugate = self.half_step(u) or (lambda r: r)
-        rho, dy = self.measure(conjugate(rho), dW)
-        rho = conjugate(rho)
-        if self.table is not None or self.kd or isinstance(conjugate, partial):
-            rho = _hermitian_part(rho)
-        return rho, dy
+    def advance(self, u, dW):
+        """One step under controls u (n, k); returns `measure`'s (dy, tr).  A dense
+        product is followed by the Hermitian part (module docstring)."""
+        turn = self.half_step(u)
+        self._turn(turn)
+        dy, tr = self.measure(dW)
+        self._turn(turn)
+        if self.table is not None or self.kd or isinstance(turn, partial):
+            self.rho = _hermitian_part(self.rho)
+        return dy, tr
 
 
 def step_sme(rho, u, dW, model, cfg):
@@ -343,21 +386,12 @@ def step_sme(rho, u, dW, model, cfg):
     if dW.ndim or dW.dtype.kind not in "iuf" or not np.isfinite(dW):
         raise RejectedInputError(f"dW must be one finite real number, got {dW!r}")
     u, rho = ops.check_drift_inputs(model, u, rho)
-    u = np.broadcast_to(u, (1, model.n_controls))
-    out = _KrausStep(model, cfg.dt, 1)(u, _hermitian_part(rho)[None], dW[None])[0][0]
+    step = _KrausStep(model, cfg.dt, _hermitian_part(rho)[None])
+    step.advance(np.broadcast_to(u, (1, model.n_controls)), dW[None])
+    out = step.state()[0]
     if not np.all(np.isfinite(out)):
         raise NumericalBlowupError("non-finite state after step_sme")
     return out
-
-
-def _policy_controls(policy, model, rho, times, y, w, k):
-    """The checked controls of the batch rho (n_traj, d, d) at step k, shared or
-    one row per trajectory; y and w are time-major and the policy contract is
-    `simulate_ensemble`'s."""
-    if policy is None:
-        return np.zeros(model.n_controls)
-    past = RecordView(times[: k + 1], y[: k + 1].T, w[: k + 1].T)
-    return ops.check_control(model, policy(times[k], rho, past), (len(rho),))
 
 
 def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
@@ -376,7 +410,8 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     (n_traj, n_steps+1, d, d) if keep_states else the final slice only.
     record_y and innovations_W are transposed views of time-major arrays.  Each
     trajectory's noise is its seed's `noise_increments` stream, so results do
-    not depend on batch composition or execution order.
+    not depend on batch composition or execution order.  A step whose trace
+    before normalisation is not finite and positive raises NumericalBlowupError.
     """
     rho0 = _hermitian_part(ops.check_density(rho0))
     if rho0.shape[-1] != model.dim:
@@ -393,32 +428,35 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     for i, dw in enumerate(_philox_normals(seeds, n, cfg.dt)):
         w[1:, i] = dw
 
-    rho = np.broadcast_to(rho0, (n_traj, d, d)).copy()
     y = np.zeros((n + 1, n_traj))
     controls = np.zeros((n_traj, n + 1, model.n_controls))
     if keep_states:
         states = np.empty((n_traj, n + 1, d, d), dtype=complex)
-        states[:, 0] = rho
+        states[:, 0] = rho0
 
-    step = _KrausStep(model, cfg.dt, n_traj)
-    for k in range(n):
-        controls[:, k] = _policy_controls(policy, model, rho, times, y, w, k)
-        rho, dy = step(controls[:, k], rho, w[k + 1])
-        total = rho.sum()
-        if not (np.isfinite(total.real) and np.isfinite(total.imag)):
-            bad = np.where(~np.isfinite(rho.reshape(n_traj, -1)).all(axis=1))[0]
+    step = _KrausStep(model, cfg.dt, np.broadcast_to(rho0, (n_traj, d, d)).copy())
+    for k in range(n + 1):  # the controls at every k, and a step from each k < n
+        if policy is not None:  # y and w are time-major
+            past = RecordView(times[: k + 1], y[: k + 1].T, w[: k + 1].T)
+            controls[:, k] = ops.check_control(model, policy(times[k], step.state(), past),
+                                               (n_traj,))
+        if k == n:
+            break
+        dy, tr = step.advance(controls[:, k], w[k + 1])
+        # tr itself, not 1 / tr, which is 0 and finite at tr = inf
+        if not 0.0 < tr.min() <= tr.max() < np.inf:
+            bad = np.flatnonzero(~((tr > 0.0) & (tr < np.inf)))[0]
             raise NumericalBlowupError(
-                f"non-finite state after step_sme at step {k} (seed {seeds[bad[0]]})",
+                f"non-finite state after step_sme at step {k} (seed {seeds[bad]})",
                 step_index=k, t=float(times[k + 1]))
 
         np.add(y[k], dy, out=y[k + 1])
         w[k + 1] += w[k]
         if keep_states:
-            states[:, k + 1] = rho
+            states[:, k + 1] = step.state()
 
-    controls[:, n] = _policy_controls(policy, model, rho, times, y, w, n)
     if not keep_states:
-        states = rho[:, None]
+        states = step.state()[:, None]
     return times, states, controls, y.T, w.T
 
 

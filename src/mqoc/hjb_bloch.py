@@ -29,14 +29,13 @@ Each input rule has one owner, which `pontryagin` calls: `check_bloch` (the ball
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import operators as ops
 from .errors import DimensionMismatchError, RejectedInputError, StabilityError
-from .io import fmt, write_csv
+from .io import fmt
 
 BLOCH_NORM_TOL = 1e-9
 HORIZON_TOL = 1e-9  # how far a time may pass either end of a value grid's stored range
@@ -398,7 +397,9 @@ def write_grid_csv(grid, path, times=None):
     """Flat CSV `t, rx, ry, rz, S`: for each requested time (default: the first
     stored one), the stored slice nearest to it, one row per inside node in C
     order.  A time that is non-finite or outside the grid's range is refused.  The
-    axis is formatted once per call and t once per slice; only S is, per node.
+    axis is formatted once per call and t once per slice; only S is, per node.  Each
+    row is one f-string, streamed: a list of per-node prefixes would cost 3 MB at 41^3.
+    The text is `io.fmt`'s.
     """
     tp = grid.time_points
     times = np.asarray([tp[0]] if times is None else times, dtype=float)
@@ -407,9 +408,12 @@ def write_grid_csv(grid, path, times=None):
     _check_times(grid, times)
     idx = [int(np.argmin(np.abs(tp - t))) for t in times]
     stencil = _stencil(grid.n_space)
-    axis = [fmt(a) for a in stencil.axes[0].tolist()]
+    axis = [fmt(a) + "," for a in stencil.axes[0].tolist()]
     nodes = np.unravel_index(stencil.inside_idx, stencil.inside.shape)
-    xyz = [[axis[j] for j in ix] for ix in nodes]
-    rows = (row for k in idx
-            for row in zip(itertools.repeat(fmt(tp[k])), *xyz, grid.values[k].tolist()))
-    write_csv(path, ["t", "rx", "ry", "rz", "S"], rows)
+    xyz = [[axis[j] for j in ix.tolist()] for ix in nodes]
+    with open(path, "w") as fh:
+        fh.write("t,rx,ry,rz,S\n")
+        for k in idx:
+            t = fmt(tp[k])
+            fh.writelines(f"{t},{x}{y}{z}{s!r}\n"
+                          for x, y, z, s in zip(*xyz, grid.values[k].tolist()))

@@ -13,9 +13,10 @@ and Sigma a Riccati recursion that never reads the record.  Its diffusion
 F F^T comes from the dissipator and always enters (F=None: none).  So
 `covariance_path` caches Sigma and Ktilde per model and inputs.  Against
 them, `MomentFilter` advances a batch of means one Euler step at a time,
-x <- x + (A x + B u) dt + Ktilde_k dy, and `run_moment_filter` runs the
-same step over whole records.  Model files are the package's key-value
-text (`save_linear_model`).
+x <- x + (A x + B u) dt + Ktilde_k dy, written as the affine map
+x <- Phi x + g with Phi = I + A dt and g = (B u) dt + Ktilde_k dy, and
+`run_moment_filter` runs the same step over whole records.  Model files
+are the package's key-value text (`save_linear_model`).
 """
 
 from dataclasses import dataclass
@@ -256,6 +257,13 @@ def _columns(rows, tail, name):
     return rows[..., None]
 
 
+def _forcing(bu, kdy, dt):
+    """g = (B u) dt + Ktilde dy from B u and Ktilde dy, None meaning zero; None if both are."""
+    if bu is None:
+        return kdy
+    return bu * dt if kdy is None else bu * dt + kdy
+
+
 def _batch(*shapes):
     try:
         return np.broadcast_shapes(*shapes)
@@ -267,23 +275,21 @@ class MomentFilter:
     """The moment filter (module docstring) advanced one step at a time.
 
     The Sigma/Ktilde path of `covariance_path` is fetched once, for n_steps
-    steps.  The means start at state.xhat and are kept as column vectors
-    (*batch, n, 1), the batch shape being whatever the inputs broadcast to.
+    steps, and Phi = I + A dt built once.  The means start at state.xhat and
+    are kept as column vectors (*batch, n, 1), the batch shape being whatever
+    the inputs broadcast to.
     """
 
     def __init__(self, state, model, dt, n_steps):
         self.sigmas, self.gains = covariance_path(model, state.sigma, dt, n_steps)
         self.model, self.dt, self.k = model, dt, 0
+        self.phi = np.eye(model.n) + model.A * dt
         self.x = state.xhat[:, None].copy()
 
-    def _advance(self, bu, kdy):
-        """x <- x + (A x + B u) dt + Ktilde_k dy, given B u and Ktilde_k dy (None: zero)."""
-        drift = self.model.A @ self.x
-        if bu is not None:
-            drift = drift + bu
-        self.x = self.x + drift * self.dt
-        if kdy is not None:
-            self.x = self.x + kdy
+    def _advance(self, g):
+        """x <- Phi x + g, given g = (B u) dt + Ktilde_k dy (None: zero)."""
+        x = self.phi @ self.x
+        self.x = x if g is None else x + g
         self.k += 1
 
     def step(self, dy=None, u=None):
@@ -296,8 +302,8 @@ class MomentFilter:
         dy = _columns(dy, (self.model.q,), "dy")
         u = _columns(u, (self.model.d,), "u")
         _batch(self.x.shape[:-2], *(v.shape[:-2] for v in (dy, u) if v is not None))
-        self._advance(None if u is None else self.model.B @ u,
-                      None if dy is None else self.gains[self.k] @ dy)
+        self._advance(_forcing(None if u is None else self.model.B @ u,
+                               None if dy is None else self.gains[self.k] @ dy, self.dt))
         if not np.all(np.isfinite(self.x)):
             raise NumericalBlowupError(f"non-finite mean at step {self.k} of MomentFilter")
         return self.x[..., 0]
@@ -323,14 +329,12 @@ def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None
     xs = np.empty(batch + (n_steps + 1, model.n))
     xs[..., 0, :] = state.xhat
     # A stacked matmul does one matrix-vector product per record and step,
-    # so a batch gives the bits of its records one by one, and B u and
-    # Ktilde dy take one stacked matmul for all steps.
+    # so a batch gives the bits of its records one by one, and g takes one
+    # stacked matmul each for B u and Ktilde dy over all steps.
     filt.x = np.broadcast_to(filt.x, batch + (model.n, 1)).copy()
-    bu = None if u is None else model.B @ u
-    kdy = None if dy is None else filt.gains @ dy
+    g = _forcing(None if u is None else model.B @ u, None if dy is None else filt.gains @ dy, dt)
     for k in range(n_steps):
-        filt._advance(None if bu is None else bu[..., k, :, :],
-                      None if kdy is None else kdy[..., k, :, :])
+        filt._advance(None if g is None else g[..., k, :, :])
         xs[..., k + 1, :] = filt.x[..., 0]
     if not np.all(np.isfinite(xs)):
         raise NumericalBlowupError("non-finite mean in run_moment_filter")

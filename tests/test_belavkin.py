@@ -7,9 +7,10 @@ from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
-from mqoc.errors import DimensionMismatchError, RejectedInputError
+from mqoc.errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
 from reference import (adjoint_generator, coherent_oracle_error, kraus_map_reference, oscillator,
-                       qnd_oracle_error, record, tanh_oracle_error, trajectory_cost_loop)
+                       qnd_filter_exact, qnd_oracle_error, record, tanh_oracle_error,
+                       trajectory_cost_loop)
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -87,7 +88,7 @@ class TestSeeds:
         def step(*args):
             raise AssertionError("the filter step ran")
 
-        monkeypatch.setattr(bel._KrausStep, "__call__", step)
+        monkeypatch.setattr(bel._KrausStep, "advance", step)
         with pytest.raises(RejectedInputError, match="seed"):
             make(self.CFG)
 
@@ -344,7 +345,7 @@ class TestPolicyControls:
         def step(*args):
             raise AssertionError("the filter step ran")
 
-        monkeypatch.setattr(bel._KrausStep, "__call__", step)
+        monkeypatch.setattr(bel._KrausStep, "advance", step)
         with pytest.raises(RejectedInputError, match="non-finite"):
             bel.simulate_ensemble(self.MODEL, lambda t, rho, past: [np.nan], self.CFG, MIXED,
                                   [0])
@@ -434,6 +435,24 @@ class TestKrausQndOracleAnyDim:
         assert fine <= 5e-4
         assert 0.8 <= np.log10(coarse / fine) <= 1.2
 
+    def test_ten_thousand_amplitude_steps(self, monkeypatch):
+        # H = n^ and L = sqrt(0.05) n^ at d = 8, dt = 1e-4, T = 1, 16 seeds: 10^4 steps
+        # on the amplitudes, formed once, at the end.  Measured: trace error at most
+        # 3.3e-16 and oracle error 1.9e-5, against the any-d bound of 5e-4 above.
+        kernels = product_kernels(monkeypatch)
+        h = np.arange(8.0)
+        l = np.sqrt(0.05) * h
+        rho0 = TestDiagonalHalfStep.states(8, 1, 8)[0]
+        model = ops.QuantumModel(H0=np.diag(h), L=np.diag(l))
+        _, states, _, y, _ = bel.simulate_ensemble(model, None, bel.SmeConfig(dt=1e-4, T=1.0),
+                                                   rho0, range(16), keep_states=False)
+        final = states[:, -1]
+        assert kernels == ["diagonal"]
+        assert np.max(np.abs(np.einsum("sii->s", final) - 1.0)) <= 1e-14
+        assert np.array_equal(final, ops.dagger(final))
+        exact = qnd_filter_exact(rho0, h, l, 1.0, y[:, -1])
+        assert np.mean(np.max(np.abs(final - exact), axis=(1, 2))) <= 5e-4
+
     def test_photon_number_at_d21(self):
         # L = sqrt(0.005) n^, 64 seeds: measured 9.7e-4 at dt = 1e-2 and 1.1e-4 at
         # dt = 1e-3, an order of 0.95; the bound is 2.3 times the measured fine error.
@@ -442,6 +461,43 @@ class TestKrausQndOracleAnyDim:
         fine = qnd_oracle_error(21, 0.005, 1e-3, 64)
         assert fine <= 2.5e-4
         assert 0.8 <= np.log10(coarse / fine) <= 1.2
+
+
+class TestBlowup:
+    """`simulate_ensemble` raises NumericalBlowupError at the first step whose trace
+    before normalisation is not finite and positive, naming that step, its time and the
+    first seed whose state failed.  numpy's overflow warnings on the way are silenced."""
+
+    @pytest.mark.parametrize("L", [1e100 * ops.SIGMA_Z, 1e100 * ops.SIGMA_X],
+                             ids=["diagonal", "dense"])
+    def test_overflowing_coupling_fails_at_the_first_step(self, L):
+        # M is finite, about 1e198, so the first step's trace overflows to +inf, where
+        # 1 / tr = 0 is finite: the check reads tr itself.
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=L)
+        cfg = bel.SmeConfig(dt=1e-2, T=0.1)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBlowupError,
+                                                      match=r"step 0 \(seed 11\)") as err:
+            bel.simulate_ensemble(model, None, cfg, MIXED, [11, 12], keep_states=False)
+        assert err.value.step_index == 0 and err.value.t == cfg.dt
+
+    @pytest.mark.parametrize("Hc, L", [(ops.SIGMA_Z, ops.SIGMA_Z), (ops.SIGMA_X, ops.SIGMA_Z),
+                                       (ops.SIGMA_X, ops.SIGMA_X)],
+                             ids=["diagonal_phases", "dense_half_step", "dense"])
+    def test_one_trajectory_failing_mid_run(self, Hc, L):
+        # From t = 0.03, trajectory 1's control 1e308 makes H(u) = 2e308 Hc = inf, so its
+        # half step is NaN: as phases on the amplitudes, as a dense U on the stack of a
+        # diagonal M, and with a dense M.  The first half step of step 3 already carries
+        # it into that step's trace.
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=L, Hc=(2.0 * Hc,))
+        cfg = bel.SmeConfig(dt=1e-2, T=0.1)
+
+        def policy(t, rho, past):
+            return np.where((np.arange(len(rho)) == 1) & (t > 0.025), 1e308, 0.0)[:, None]
+
+        with np.errstate(all="ignore"), pytest.raises(NumericalBlowupError,
+                                                      match=r"step 3 \(seed 12\)") as err:
+            bel.simulate_ensemble(model, policy, cfg, MIXED, [11, 12, 13], keep_states=False)
+        assert err.value.step_index == 3 and err.value.t == pytest.approx(0.04, abs=1e-15)
 
 
 def euler_step(rho, dw, model, dt):
@@ -455,10 +511,18 @@ def kraus_step(rho, dw, model, dt):
 
 
 def held_kraus_step(model, dt):
-    """`kraus_step` through one `_KrausStep` held for every call: the same
-    step, without building a new one per call."""
-    step, u = bel._KrausStep(model, dt, 1), np.zeros((1, 0))
-    return lambda rho, dw, model, dt: step(u, rho[None], np.array([dw]))[0][0]
+    """`kraus_step` through one `_KrausStep` held for every call, which carries the
+    state from each call to the next: the same step, without building a new one per
+    call.  Each call's rho is the state the previous call returned."""
+    held, u = [], np.zeros((1, 0))
+
+    def step(rho, dw, model, dt):
+        if not held:
+            held.append(bel._KrausStep(model, dt, rho[None]))
+        held[0].advance(u, np.array([dw]))
+        return held[0].state()[0]
+
+    return step
 
 
 class TestKrausOscillator:
@@ -501,6 +565,11 @@ class TestKrausPhysicality:
         # control, so a diagonal M and no control rows to compare.
         "qnd_qubit": (ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(0.5) * ops.SIGMA_Z),
                       0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X + 0.2 * ops.SIGMA_Z)),
+        # Fully diagonal with a control: M and every U(u) are diagonal, so the batch
+        # stays amplitudes between reads, the half steps acting as phases on them.
+        "diagonal_qubit": (ops.QuantumModel(H0=0.3 * ops.SIGMA_Z, L=np.sqrt(0.5) * ops.SIGMA_Z,
+                                            Hc=(ops.SIGMA_Z,)),
+                           0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X + 0.2 * ops.SIGMA_Z)),
     }
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -538,15 +607,21 @@ class TestKrausPhysicality:
         cfg = bel.SmeConfig(dt=1e-2, T=1.0)
         rho = 0.5 * (np.eye(2) + 0.3 * ops.SIGMA_X - 0.4 * ops.SIGMA_Z)
         out = bel.step_sme(rho, [0.0], 0.05, model, cfg)
-        kraus, _ = bel._KrausStep(model, cfg.dt, 1).measure(rho[None], np.array([0.05]))
+        step = bel._KrausStep(model, cfg.dt, rho[None])
+        step.measure(np.array([0.05]))
+        kraus = step.state()
         assert np.array_equal(out, ((kraus + ops.dagger(kraus)) / 2.0)[0])
 
-    @pytest.mark.parametrize("name, feedback", [
-        ("oscillator", "record"), ("qubit", "record"), ("qubit", "state"),
-        ("closed_loop_qubit", "record"), ("closed_loop_qubit", "state"), ("qnd_qubit", "record")],
+    @pytest.mark.parametrize("name, feedback, keep_states", [
+        ("oscillator", "record", True), ("qubit", "record", True), ("qubit", "state", True),
+        ("closed_loop_qubit", "record", True), ("closed_loop_qubit", "state", True),
+        ("qnd_qubit", "record", True), ("qnd_qubit", "record", False),
+        ("diagonal_qubit", "state", True), ("diagonal_qubit", "state", False)],
         ids=["oscillator", "qubit", "qubit_state_feedback", "closed_loop_qubit",
-             "closed_loop_qubit_state_feedback", "qnd_qubit"])
-    def test_batch_equals_single_runs_bitwise(self, name, feedback):
+             "closed_loop_qubit_state_feedback", "qnd_qubit", "qnd_qubit_final_only",
+             "diagonal_qubit_state_feedback", "diagonal_qubit_state_feedback_final_only"])
+    def test_batch_equals_single_runs_bitwise(self, name, feedback, keep_states):
+        # With keep_states False and no policy, nothing reads the states before the end.
         model, rho0 = self.MODELS[name]
         seeds = [3, 4, 5, 6]
         # Record feedback gives two distinct controls across the batch, state
@@ -558,9 +633,9 @@ class TestKrausPhysicality:
         if not model.n_controls:
             policy = None
         cfg = bel.SmeConfig(dt=1e-2, T=0.5)
-        batch = bel.simulate_ensemble(model, policy, cfg, rho0, seeds)
+        batch = bel.simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states)
         for i, seed in enumerate(seeds):
-            solo = bel.simulate_ensemble(model, policy, cfg, rho0, [seed])
+            solo = bel.simulate_ensemble(model, policy, cfg, rho0, [seed], keep_states)
             for got, want in zip(batch[1:], solo[1:]):
                 assert np.array_equal(got[i], want[0])
         if policy is not None:
@@ -671,7 +746,9 @@ class TestMeasureFormulations:
         for matmul_dim, dense in ((0, "matmul"), (10 ** 9, "sum")):
             monkeypatch.setattr(bel, "MATMUL_DIM", matmul_dim)
             kernels.clear()
-            got, dy = bel._KrausStep(model, 1e-2, 5).measure(rho, dW)
+            step = bel._KrausStep(model, 1e-2, rho)
+            dy, _ = step.measure(dW)
+            got = step.state()
             assert kernels == (["diagonal"] if name in self.DIAGONAL else [dense] * 2)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert np.max(np.abs(dy - want_dy)) <= 1e-13
@@ -679,27 +756,45 @@ class TestMeasureFormulations:
     @pytest.mark.parametrize("dim, matmul", [(2, False), (21, True)])
     def test_size_rule(self, dim, matmul, monkeypatch):
         # A dense M (L = a) takes the sum of outer products below MATMUL_DIM and the
-        # batched matmul from it, and the step holds two (n, d, d) work arrays.  A
-        # diagonal M (L = n^, QND as in the d = 2 workloads) takes neither at any d,
-        # and holds its diagonal m (d, n) and P = m m^dag (d, d, n), batch-last.
+        # batched matmul from it, and the step holds its stack and two (n, d, d) work
+        # arrays.  A diagonal M (L = n^, QND as in the d = 2 workloads) takes neither at
+        # any d: a measurement leaves the stack as it was and holds the amplitudes a and
+        # populations q (d, n), and reading the state forms it once, rho * a a^dag, into
+        # the batch-last work array p (d, d, n).
         calls, n = matmul_calls(monkeypatch), 4
         kernels = product_kernels(monkeypatch)
-        for L, work_shapes, kernel in (
-                (ops.annihilation(dim), {"md": (n, dim, dim), "rho_md": (n, dim, dim)},
+        stack = {"rho": (n, dim, dim)}
+        for L, work_shapes, measured, kernel in (
+                (ops.annihilation(dim), {"md": (n, dim, dim), "rho_md": (n, dim, dim)}, {},
                  "matmul" if matmul else "sum"),
-                (np.diag(np.arange(dim, dtype=float)), {"m": (dim, n), "p": (dim, dim, n)},
-                 "diagonal")):
-            step = bel._KrausStep(ops.QuantumModel(H0=np.zeros((dim, dim)), L=L), 1e-2, n)
-            work = {k: v.shape for k, v in vars(step).items()
-                    if isinstance(v, np.ndarray) and n in v.shape}
-            assert work == work_shapes
+                (np.diag(np.arange(dim, dtype=float)), {"p": (dim, dim, n)},
+                 {"a": (dim, n), "q": (dim, n)}, "diagonal")):
+            rho0 = np.broadcast_to(np.eye(dim) / dim, (n, dim, dim)).copy()
+            step = bel._KrausStep(ops.QuantumModel(H0=np.zeros((dim, dim)), L=L), 1e-2, rho0)
+
+            def work():
+                return {k: v.shape for k, v in vars(step).items()
+                        if isinstance(v, np.ndarray) and n in v.shape}
+
+            assert work() == stack | work_shapes
             calls.clear()
             kernels.clear()
-            rho, _ = step.measure(np.broadcast_to(np.eye(dim) / dim, (n, dim, dim)).copy(),
-                                  np.ones(n))
+            step.measure(np.ones(n))
+            assert work() == stack | work_shapes | measured
+            assert (step.rho is rho0) == (kernel == "diagonal")
+            assert kernels == [kernel] * (0 if kernel == "diagonal" else 2)
+            rho = step.state()
+            assert work() == stack | work_shapes
             assert calls == [(n, dim, dim)] * (2 * (kernel == "matmul"))
             assert kernels == [kernel] * (1 if kernel == "diagonal" else 2)
             assert np.allclose(np.einsum("nii->n", rho), 1.0)
+            assert step.state() is rho
+
+
+# (model, product kernels, dense Cayley solve) for `TestExactlyHermitian::test_every_kernel_path`
+KERNEL_PATHS = [("qnd_qubit", {"diagonal"}, False), ("closed_loop_qubit", {"diagonal"}, True),
+                ("qubit", {"sum"}, True), ("oscillator", {"diagonal", "matmul"}, False),
+                ("diagonal_qubit", {"diagonal"}, False)]
 
 
 class TestExactlyHermitian:
@@ -735,24 +830,32 @@ class TestExactlyHermitian:
         one = bel.step_sme(start, [], 0.1, model, cfg)
         assert np.array_equal(one, ops.dagger(one))
 
-    @pytest.mark.parametrize("name, kernels, cayley", [
-        ("qnd_qubit", {"diagonal"}, False), ("closed_loop_qubit", {"diagonal"}, True),
-        ("qubit", {"sum"}, True), ("oscillator", {"diagonal", "matmul"}, False)])
-    def test_every_kernel_path(self, name, kernels, cayley, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, kernels, cayley, keep_states",
+        [case + (keep,) for keep in (True, False) for case in KERNEL_PATHS],
+        ids=[f"{name}-kernels{i}-{cayley}" + ("" if keep else "-final_only")
+             for keep in (True, False) for i, (name, _, cayley) in enumerate(KERNEL_PATHS)])
+    def test_every_kernel_path(self, name, kernels, cayley, keep_states, monkeypatch):
         # The diagonal M alone; a diagonal M with per-state dense half steps; a
-        # dense M by the sum of outer products, with an extra channel; a dense M by
-        # the batched matmul, with the diagonal half step of H0 = a^dag a.
+        # diagonal M with per-state diagonal half steps under state feedback (phases
+        # on the amplitudes); a dense M by the sum of outer products, with an extra
+        # channel; a dense M by the batched matmul, with the diagonal half step of
+        # H0 = a^dag a.
         model, rho0 = TestKrausPhysicality.MODELS[name]
         seen, solves = product_kernels(monkeypatch), []
         solve = ops.cayley
         monkeypatch.setattr(ops, "cayley", lambda h, s: solves.append(h.shape) or solve(h, s))
         policy = None
-        if model.n_controls:
+        if name == "diagonal_qubit":
+            def policy(t, rho, past):
+                return -0.5 * ops.pauli_components(rho)[:, :1]
+        elif model.n_controls:
             def policy(t, rho, past):
                 return np.where(past.y[:, -1] > 0.0, 0.5, -1.0)[:, None]
         _, states, _, _, _ = bel.simulate_ensemble(model, policy, bel.SmeConfig(dt=1e-2, T=0.5),
-                                                   rho0, range(6))
+                                                   rho0, range(6), keep_states)
         assert set(seen) == kernels and bool(solves) == cayley
+        assert states.shape[1] == (51 if keep_states else 1)
         assert np.array_equal(states, ops.dagger(states))
         assert states.flags.c_contiguous
 
@@ -780,8 +883,9 @@ def refuse_cayley(h, s):
 def dense_split_step(model, u, rho, dW, dt):
     """The split Kraus step with U from the dense `ops.cayley` solve."""
     U = ops.cayley(model.hamiltonian(u), dt / (4.0 * model.hbar))
-    r, dy = bel._KrausStep(model, dt, len(rho)).measure(U @ rho @ ops.dagger(U), dW)
-    r = U @ r @ ops.dagger(U)
+    step = bel._KrausStep(model, dt, U @ rho @ ops.dagger(U))
+    dy, _ = step.measure(dW)
+    r = U @ step.state() @ ops.dagger(U)
     return (r + ops.dagger(r)) / 2.0, dy
 
 
@@ -795,12 +899,23 @@ class TestDiagonalHalfStep:
         rho = (x[0] + 1j * x[1]) @ ops.dagger(x[0] + 1j * x[1])
         return rho / np.einsum("nii->n", rho)[:, None, None]
 
-    @pytest.mark.parametrize("case", ["oscillator_shared", "qubit_per_state"])
+    @pytest.mark.parametrize("case", ["oscillator_shared", "qubit_per_state",
+                                      "diagonal_8_extra_channel", "fully_diagonal_per_state"])
     def test_matches_dense_cayley(self, case, monkeypatch):
+        # diagonal_8 has a diagonal M and an extra channel: its shared phases reach the
+        # amplitudes, which are formed before the channel.  The fully diagonal qubit
+        # keeps per-state phases and M on the amplitudes throughout.
         if case == "oscillator_shared":
             model, rho0 = oscillator()[:2]
             u = np.zeros((4, 0))
             rho = np.concatenate([rho0[None], self.states(21, 3, 1)])
+        elif case == "diagonal_8_extra_channel":
+            model, u = TestMeasureFormulations.MODELS["diagonal_8"], np.zeros((4, 0))
+            rho = self.states(8, 4, 5)
+        elif case == "fully_diagonal_per_state":
+            model = TestKrausPhysicality.MODELS["diagonal_qubit"][0]
+            u = np.array([[0.7], [-0.2], [1.3], [0.0]])
+            rho = self.states(2, 4, 6)
         else:
             model = self.QUBIT_Z_CONTROL
             u = np.array([[0.7], [-0.2], [1.3], [0.0]])
@@ -808,7 +923,9 @@ class TestDiagonalHalfStep:
         dW, dt = np.array([0.03, -0.05, 0.01, 0.0]), 1e-2
         want, want_dy = dense_split_step(model, u, rho, dW, dt)
         monkeypatch.setattr(ops, "cayley", refuse_cayley)
-        got, dy = bel._KrausStep(model, dt, len(rho))(u, rho, dW)
+        step = bel._KrausStep(model, dt, rho)
+        dy, _ = step.advance(u, dW)
+        got = step.state()
         assert np.max(np.abs(got - want)) <= 1e-15
         assert np.max(np.abs(dy - want_dy)) <= 1e-15
 
@@ -824,13 +941,15 @@ class TestDiagonalHalfStep:
             return cayley(h, s)
 
         monkeypatch.setattr(ops, "cayley", counted)
-        got, _ = bel._KrausStep(model, dt, 2)(u, rho, dW)
+        step = bel._KrausStep(model, dt, rho)
+        step.advance(u, dW)
+        got = step.state()
         assert calls == [(2, 2, 2)]
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_zero_hamiltonian_is_skipped(self):
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z, Hc=(ops.SIGMA_Z,))
-        step = bel._KrausStep(model, 1e-2, 3)
+        step = bel._KrausStep(model, 1e-2, self.states(2, 3, 4))
         assert step.half_step(np.zeros((3, 1))) is None
         assert step.half_step(np.array([[0.0], [0.5], [0.0]])) is not None
 
