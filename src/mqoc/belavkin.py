@@ -13,10 +13,12 @@ again; a diagonal H(u), as H0 = omega a^dag a, gives a diagonal U
 (`_half_step`).  A diagonal Kraus operator M, as under a QND measurement,
 and a diagonal U act entry by entry, so the step holds such a batch as
 rho = base * a a^dag with amplitudes a (d, n), formed only when read or
-before a dense product (`_KrausStep.state`); any other M acts by `_product`.
+before a dense product (`_KrausStep.state`); any other M acts by `_product`,
+as two real products on float views when M is real, as for L = sqrt(kappa) a.
 Elementwise products with exactly Hermitian factors (`_hermitian_outer`)
 keep rho exactly Hermitian, so the Hermitian part is taken only after a
-dense product (a dense M or U, or an extra channel), and of the start state.
+dense product (a dense M or U, or an extra channel), whose (i, j) and (j, i)
+sums are not conjugate bit for bit, and of the start state.
 No ufunc broadcasts a per-state scalar over the stack.  The mean in dy is
 taken at the state the Kraus map measures, after the first half step, and
 the record gets that same dy.  Every state is positive semidefinite with
@@ -190,7 +192,8 @@ def _conjugate(rho, ud):
 
 
 def _product(a, b, out=None):
-    """a @ b for stacks a and b (n, d, d), into out if given: one batched matmul from
+    """a @ b for stacks a (n, d, d) and b (n, d, c), into out if given; for a real M, b is
+    the (n, d, 2 d) float view of a complex stack.  One batched matmul from
     d = MATMUL_DIM up; below it, where a batched matmul costs about 0.4 us a matrix, the
     sum over j of the outer products of column j of a with row j of b.  Below MATMUL_DIM
     no rule calls BLAS per matrix, so each state's product is the same in any batch."""
@@ -261,8 +264,9 @@ class _KrausStep:
     a diagonal half step by its phases, and dy and tr read the populations q |a|^2,
     q (d, n) rho's diagonal.  `state` forms the stack, into the work array p (d, d, n),
     for a reader (a policy, stored states, the run's end, `step_sme`), a dense half
-    step or an extra channel.  Else they are the (2 d^2, 3) table of their real views,
-    with work arrays md and rho_md (n, d, d), as fresh pages cost more at d = 21.
+    step or an extra channel.  Else they are a k-major table: (3, d^2), L, L^2 and a0,
+    when all are real, else (3, 2 d^2), the float views of L^dag, L^dag^2 and a0; with
+    work arrays m (n, d, d), a real M or else M^dag, and work, as fresh pages cost more.
     The last control rows and half step are reused while the rows repeat.
     """
 
@@ -280,8 +284,11 @@ class _KrausStep:
             self.w, self.table = 2.0 * dt * self.l[:, 0].real, None
             self.p = np.empty((d, d, n), dtype=complex)
         else:
-            self.table, self.ld_floats = _floats(np.stack(shared)).T, _floats(ld[None])[0]
-            self.md, self.rho_md = np.empty((2, n, d, d), dtype=complex)
+            table, self.ld_floats = np.stack(shared), _floats(ld[None])[0]
+            real = not table.imag.any()  # then M = (M^dag)^T, from the rows of L, L^2 and a0
+            self.table = table.real.transpose(0, 2, 1).reshape(3, -1) if real else _floats(table)
+            self.m = np.empty((n, d, d), dtype=float if real else complex)
+            self.work = np.empty((n, d, d), dtype=complex)
 
     def state(self):
         """The states (n, d, d), exactly Hermitian after `advance`.  Amplitudes are formed
@@ -297,9 +304,14 @@ class _KrausStep:
 
     def half_step(self, u):
         """`_half_step` for controls u (n, k): shared when every row equals the first, else
-        one per state; None when H(u) = 0 for every row.  With a dense M a diagonal U acts
-        on the stack, as rho times the phase matrix u_j conj(u_k) (`_hermitian_outer`)."""
-        if self.rows is not None and not u.shape[-1]:
+        one per state; None when H(u) = 0 for every row.  u None (no policy) means every
+        control 0, whose turn is reused without comparing rows.  With a dense M a diagonal
+        U acts on the stack, as rho times the phase matrix u_j conj(u_k) (`_hermitian_outer`)."""
+        if u is None:
+            if self.rows is not None and not self.rows.any():
+                return self.turn
+            u = np.zeros((1, self.model.n_controls))
+        elif self.rows is not None and not u.shape[-1]:
             return self.turn
         if (u == u[:1]).all():
             u = u[0]
@@ -330,10 +342,11 @@ class _KrausStep:
         positive semidefinite by construction.  For a diagonal M, dy and tr read the
         populations alone and a <- a m / sqrt(tr), m = diag(M) (d, n); with an extra
         channel the stack is formed first, and M rho M^dag = rho * m m^dag.  Else
-        Re tr(L rho) is one `np.vecdot` of float views, M^dag is formed per state by one
-        `np.einsum` with the float table, and M rho M^dag = (rho M^dag)^dag M^dag is two
-        calls of `_product`.  K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs
-        per extra channel (`_conjugate`).  tr is as computed, non-finite if a state is.
+        Re tr(L rho) is one `np.vecdot` of float views, M (M^dag if complex) is formed per
+        state by one `np.einsum` with the table, and M rho M^dag is two calls of `_product`:
+        M X^dag after X = M rho, real on float views, else (rho M^dag)^dag M^dag.
+        K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs per extra channel
+        (`_conjugate`).  tr is as computed, non-finite if a state is.
         """
         dt = self.dt
         rho = self.state() if self.kd else self.rho
@@ -343,7 +356,8 @@ class _KrausStep:
             q = self.q if self.a is None else self.q * (self.a * self.a.conj()).real
             dy = sum((w * x for w, x in zip(self.w, q)), dW)
         else:
-            dy = 2.0 * np.vecdot(_floats(rho), self.ld_floats) * dt + dW
+            floats = _floats(rho)
+            dy = 2.0 * np.vecdot(floats, self.ld_floats) * dt + dW
         c2 = 0.5 * (dy * dy - dt)
         if self.table is None:
             m = self.l * dy + self.l2 * c2 + self.a0
@@ -357,17 +371,23 @@ class _KrausStep:
             out = self._formed()
         else:
             coef = np.stack((dy, c2, np.ones_like(dy)), axis=1)
-            np.einsum("nk,mk->nm", coef, self.table, out=_floats(self.md))
-            rho_md = _product(rho, self.md, self.rho_md)
-            out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), self.md)
+            np.einsum("nk,km->nm", coef, self.table, out=self.m.reshape(len(dy), -1).view(float))
+            if self.m.dtype == complex:
+                rho_md = _product(rho, self.m, self.work)
+                out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), self.m)
+            else:  # X = M rho into out, then M X^dag over it
+                out = np.empty_like(self.work)
+                _product(self.m, floats.reshape(self.work.shape[:2] + (-1,)), out.view(float))
+                xd = np.conjugate(out.transpose(0, 2, 1), out=self.work).view(float)
+                _product(self.m, xd, out.view(float))
         for kd in self.kd:
             out += dt * _conjugate(rho, kd)
         (self.rho, tr), self.a, self.q = _normalised(out), None, None
         return dy, tr
 
     def advance(self, u, dW):
-        """One step under controls u (n, k); returns `measure`'s (dy, tr).  A dense
-        product is followed by the Hermitian part (module docstring)."""
+        """One step under controls u (n, k) or None (`half_step`); returns `measure`'s
+        (dy, tr).  A dense product is followed by the Hermitian part (module docstring)."""
         turn = self.half_step(u)
         self._turn(turn)
         dy, tr = self.measure(dW)
@@ -442,7 +462,7 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
                                                (n_traj,))
         if k == n:
             break
-        dy, tr = step.advance(controls[:, k], w[k + 1])
+        dy, tr = step.advance(None if policy is None else controls[:, k], w[k + 1])
         # tr itself, not 1 / tr, which is 0 and finite at tr = inf
         if not 0.0 < tr.min() <= tr.max() < np.inf:
             bad = np.flatnonzero(~((tr > 0.0) & (tr < np.inf)))[0]

@@ -393,14 +393,16 @@ def product_kernels(monkeypatch):
     """The kernel of every product of the filter step from here on: "diagonal" for each
     `bel._hermitian_outer` call (a diagonal M's map makes one per call of `measure`, and
     a diagonal half step one per new phase matrix), else for each `bel._product` call
-    "matmul" when it calls `np.matmul` and "sum" when it does not."""
+    "matmul" when it calls `np.matmul` and "sum" when it does not, "real matmul" and
+    "real sum" when both factors are real (a real M on float views; `bel._KrausStep`)."""
     kernels, calls = [], matmul_calls(monkeypatch)
     product, outer = bel._product, bel._hermitian_outer
 
     def counted(a, b, out=None):
         before = len(calls)
         result = product(a, b, out)
-        kernels.append("matmul" if len(calls) > before else "sum")
+        kind = "matmul" if len(calls) > before else "sum"
+        kernels.append(kind if np.iscomplexobj(a) or np.iscomplexobj(b) else "real " + kind)
         return result
 
     def counted_outer(m, out=None):
@@ -557,6 +559,9 @@ class TestKrausPhysicality:
                                    L_extra=(0.5 * np.array([[0.0, 1.0], [0.0, 0.0]]),)),
                   GROUND),
         "oscillator": oscillator(12)[:2],
+        # L = -i sqrt(0.5) a: a complex M, by the batched matmul at d = 8.
+        "complex_8": (ops.QuantumModel(H0=oscillator(8).model.H0,
+                                       L=-1j * oscillator(8).model.L), oscillator(8).rho0),
         # The closed-loop workload's filter: QND measurement, so a diagonal M.
         "closed_loop_qubit": (ops.QuantumModel(H0=np.zeros((2, 2)),
                                                L=np.sqrt(0.5) * ops.SIGMA_Z, Hc=(ops.SIGMA_Y,)),
@@ -613,11 +618,12 @@ class TestKrausPhysicality:
         assert np.array_equal(out, ((kraus + ops.dagger(kraus)) / 2.0)[0])
 
     @pytest.mark.parametrize("name, feedback, keep_states", [
-        ("oscillator", "record", True), ("qubit", "record", True), ("qubit", "state", True),
+        ("oscillator", "record", True), ("complex_8", "record", True),
+        ("qubit", "record", True), ("qubit", "state", True),
         ("closed_loop_qubit", "record", True), ("closed_loop_qubit", "state", True),
         ("qnd_qubit", "record", True), ("qnd_qubit", "record", False),
         ("diagonal_qubit", "state", True), ("diagonal_qubit", "state", False)],
-        ids=["oscillator", "qubit", "qubit_state_feedback", "closed_loop_qubit",
+        ids=["oscillator", "complex_8", "qubit", "qubit_state_feedback", "closed_loop_qubit",
              "closed_loop_qubit_state_feedback", "qnd_qubit", "qnd_qubit_final_only",
              "diagonal_qubit_state_feedback", "diagonal_qubit_state_feedback_final_only"])
     def test_batch_equals_single_runs_bitwise(self, name, feedback, keep_states):
@@ -709,10 +715,11 @@ def matmul_calls(monkeypatch):
 class TestMeasureFormulations:
     """`_KrausStep.measure` is one map, M rho M^dag: for a diagonal M one elementwise
     product rho * P (`bel._hermitian_outer`), else two calls of `bel._product`, a batched
-    matmul from d = MATMUL_DIM up and a sum of outer products below it; under each
-    kernel it is `kraus_map_reference`.  diagonal_8's extra channel K = 0.4 a has a
-    diagonal K^dag K, so M stays diagonal; dense_loss_8's L is diagonal too, but
-    K = 0.3 (a + a^dag) makes I + dt loss dense, and so M.
+    matmul from d = MATMUL_DIM up and a sum of outer products below it, real when L is
+    real and complex for complex_8 alone (the qubit's L = sigma_z + 0.4 i sigma_y is a
+    real matrix); under each kernel it is `kraus_map_reference`.  diagonal_8's extra
+    channel K = 0.4 a has a diagonal K^dag K, so M stays diagonal; dense_loss_8's L is
+    diagonal too, but K = 0.3 (a + a^dag) makes I + dt loss dense, and so M.
     complex_diagonal_3's L is diagonal but not Hermitian, so M rho M^dag differs from
     M^dag rho M there."""
 
@@ -720,6 +727,7 @@ class TestMeasureFormulations:
         "qubit": TestKrausPhysicality.MODELS["qubit"][0],
         "oscillator_12": oscillator(12)[0],
         "oscillator_21": oscillator(21)[0],
+        "complex_8": TestKrausPhysicality.MODELS["complex_8"][0],
         "non_normal_8": ops.QuantumModel(
             H0=np.zeros((8, 8)), L=np.sqrt(0.3) * (ops.annihilation(8) + 0.2 * ops.annihilation(8)
                                                    @ ops.annihilation(8)),
@@ -749,26 +757,30 @@ class TestMeasureFormulations:
             step = bel._KrausStep(model, 1e-2, rho)
             dy, _ = step.measure(dW)
             got = step.state()
-            assert kernels == (["diagonal"] if name in self.DIAGONAL else [dense] * 2)
+            kernel = dense if name == "complex_8" else "real " + dense
+            assert kernels == (["diagonal"] if name in self.DIAGONAL else [kernel] * 2)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert np.max(np.abs(dy - want_dy)) <= 1e-13
 
     @pytest.mark.parametrize("dim, matmul", [(2, False), (21, True)])
     def test_size_rule(self, dim, matmul, monkeypatch):
-        # A dense M (L = a) takes the sum of outer products below MATMUL_DIM and the
-        # batched matmul from it, and the step holds its stack and two (n, d, d) work
-        # arrays.  A diagonal M (L = n^, QND as in the d = 2 workloads) takes neither at
-        # any d: a measurement leaves the stack as it was and holds the amplitudes a and
-        # populations q (d, n), and reading the state forms it once, rho * a a^dag, into
-        # the batch-last work array p (d, d, n).
-        calls, n = matmul_calls(monkeypatch), 4
+        # A dense M takes the sum of outer products below MATMUL_DIM and the batched
+        # matmul from it, and the step holds its stack and two (n, d, d) work arrays, m and
+        # work.  L = a gives a real M from the (3, d^2) table of L, L^2 and a0, and two real
+        # products; L = -i a gives a complex M^dag from the (3, 2 d^2) float table.  A diagonal
+        # M (L = n^, QND as in the d = 2 workloads) takes neither at any d: a measurement
+        # leaves the stack as it was and holds the amplitudes a and populations q (d, n),
+        # and reading the state forms it once, rho * a a^dag, into the batch-last work
+        # array p (d, d, n).
+        calls, n = matmul_calls(monkeypatch), 5
         kernels = product_kernels(monkeypatch)
-        stack = {"rho": (n, dim, dim)}
-        for L, work_shapes, measured, kernel in (
-                (ops.annihilation(dim), {"md": (n, dim, dim), "rho_md": (n, dim, dim)}, {},
-                 "matmul" if matmul else "sum"),
+        stack, dense = {"rho": (n, dim, dim)}, {"m": (n, dim, dim), "work": (n, dim, dim)}
+        kind = "matmul" if matmul else "sum"
+        for L, work_shapes, measured, kernel, table in (
+                (ops.annihilation(dim), dense, {}, "real " + kind, (3, dim * dim)),
+                (-1j * ops.annihilation(dim), dense, {}, kind, (3, 2 * dim * dim)),
                 (np.diag(np.arange(dim, dtype=float)), {"p": (dim, dim, n)},
-                 {"a": (dim, n), "q": (dim, n)}, "diagonal")):
+                 {"a": (dim, n), "q": (dim, n)}, "diagonal", None)):
             rho0 = np.broadcast_to(np.eye(dim) / dim, (n, dim, dim)).copy()
             step = bel._KrausStep(ops.QuantumModel(H0=np.zeros((dim, dim)), L=L), 1e-2, rho0)
 
@@ -777,6 +789,10 @@ class TestMeasureFormulations:
                         if isinstance(v, np.ndarray) and n in v.shape}
 
             assert work() == stack | work_shapes
+            assert getattr(step.table, "shape", None) == table
+            if table is not None:
+                assert step.table.flags.c_contiguous and step.table.dtype == float
+                assert np.iscomplexobj(step.m) == (kernel == kind)
             calls.clear()
             kernels.clear()
             step.measure(np.ones(n))
@@ -785,7 +801,7 @@ class TestMeasureFormulations:
             assert kernels == [kernel] * (0 if kernel == "diagonal" else 2)
             rho = step.state()
             assert work() == stack | work_shapes
-            assert calls == [(n, dim, dim)] * (2 * (kernel == "matmul"))
+            assert calls == [(n, dim, dim)] * (2 * kernel.endswith("matmul"))
             assert kernels == [kernel] * (1 if kernel == "diagonal" else 2)
             assert np.allclose(np.einsum("nii->n", rho), 1.0)
             assert step.state() is rho
@@ -793,8 +809,9 @@ class TestMeasureFormulations:
 
 # (model, product kernels, dense Cayley solve) for `TestExactlyHermitian::test_every_kernel_path`
 KERNEL_PATHS = [("qnd_qubit", {"diagonal"}, False), ("closed_loop_qubit", {"diagonal"}, True),
-                ("qubit", {"sum"}, True), ("oscillator", {"diagonal", "matmul"}, False),
-                ("diagonal_qubit", {"diagonal"}, False)]
+                ("qubit", {"real sum"}, True), ("oscillator", {"diagonal", "real matmul"}, False),
+                ("diagonal_qubit", {"diagonal"}, False),
+                ("complex_8", {"diagonal", "matmul"}, False)]
 
 
 class TestExactlyHermitian:
@@ -838,9 +855,9 @@ class TestExactlyHermitian:
     def test_every_kernel_path(self, name, kernels, cayley, keep_states, monkeypatch):
         # The diagonal M alone; a diagonal M with per-state dense half steps; a
         # diagonal M with per-state diagonal half steps under state feedback (phases
-        # on the amplitudes); a dense M by the sum of outer products, with an extra
-        # channel; a dense M by the batched matmul, with the diagonal half step of
-        # H0 = a^dag a.
+        # on the amplitudes); a real dense M by the sum of outer products, with an extra
+        # channel; a real dense M by the batched matmul, with the diagonal half step of
+        # H0 = a^dag a; and a complex one, L = -i sqrt(0.5) a at d = 8.
         model, rho0 = TestKrausPhysicality.MODELS[name]
         seen, solves = product_kernels(monkeypatch), []
         solve = ops.cayley
@@ -952,6 +969,25 @@ class TestDiagonalHalfStep:
         step = bel._KrausStep(model, 1e-2, self.states(2, 3, 4))
         assert step.half_step(np.zeros((3, 1))) is None
         assert step.half_step(np.array([[0.0], [0.5], [0.0]])) is not None
+
+    def test_no_policy_makes_the_zero_turn_once(self, monkeypatch):
+        # u None (a run without a policy) means every control 0: its turn is made at the
+        # first step and reused, made again after nonzero rows, and the run equals one
+        # whose policy returns 0, whose rows are compared at every step.
+        model, rho0 = TestKrausPhysicality.MODELS["qubit"]
+        built, hamiltonian = [], ops.QuantumModel.hamiltonian
+        monkeypatch.setattr(ops.QuantumModel, "hamiltonian",
+                            lambda self, u: built.append(u) or hamiltonian(self, u))
+        step = bel._KrausStep(model, 1e-2, self.states(2, 3, 4))
+        zero = step.half_step(None)
+        assert step.half_step(None) is zero and len(built) == 1
+        assert step.half_step(np.full((3, 1), 0.5)) is not zero
+        assert step.half_step(None) is not zero and len(built) == 3
+        cfg = bel.SmeConfig(dt=1e-2, T=0.5)
+        runs = [bel.simulate_ensemble(model, policy, cfg, rho0, range(4))
+                for policy in (None, lambda t, rho, past: [0.0])]
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
 
 
 def cost_case(name):
