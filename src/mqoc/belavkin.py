@@ -13,13 +13,15 @@ again; a diagonal H(u), as H0 = omega a^dag a, gives a diagonal U
 (`_half_step`).  A diagonal Kraus operator M, as under a QND measurement,
 and a diagonal U act entry by entry, so the step holds such a batch as
 rho = base * a a^dag with amplitudes a (d, n), formed only when read or
-before a dense product (`_KrausStep.state`); any other M acts by `_product`,
-as two real products on float views when M is real, as for L = sqrt(kappa) a.
+before a dense product (`_KrausStep.state`).  Any other M acts by one
+formula, X = M rho and then M X^dag, two batched matmuls, on float views when
+M is real (as for L = sqrt(kappa) a) and on complex stacks when it is not.
 Elementwise products with exactly Hermitian factors (`_hermitian_outer`)
 keep rho exactly Hermitian, so the Hermitian part is taken only after a
 dense product (a dense M or U, or an extra channel), whose (i, j) and (j, i)
-sums are not conjugate bit for bit, and of the start state.
-No ufunc broadcasts a per-state scalar over the stack.  The mean in dy is
+sums are not conjugate bit for bit, and of the start state.  One ufunc
+broadcasts a per-state scalar over the stack: the scale by 1 / tr of a
+formed stack (`_normalised`).  The mean in dy is
 taken at the state the Kraus map measures, after the first half step, and
 the record gets that same dy.  Every state is positive semidefinite with
 unit trace by construction, up to rounding; nothing is projected.
@@ -39,7 +41,6 @@ from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputE
 from .io import write_csv
 
 STEP_COUNT_TOL = 1e-9
-MATMUL_DIM = 5  # `_product`'s crossover: batched matmul from d = 5 up (the sum won at d = 4)
 
 
 @dataclass(frozen=True)
@@ -191,20 +192,6 @@ def _conjugate(rho, ud):
     return (u_rho.reshape(n * d, d) @ ud).reshape(n, d, d)
 
 
-def _product(a, b, out=None):
-    """a @ b for stacks a (n, d, d) and b (n, d, c), into out if given; for a real M, b is
-    the (n, d, 2 d) float view of a complex stack.  One batched matmul from
-    d = MATMUL_DIM up; below it, where a batched matmul costs about 0.4 us a matrix, the
-    sum over j of the outer products of column j of a with row j of b.  Below MATMUL_DIM
-    no rule calls BLAS per matrix, so each state's product is the same in any batch."""
-    if a.shape[-1] >= MATMUL_DIM:
-        return np.matmul(a, b, out=out)
-    out = np.multiply(a[:, :, :1], b[:, None, 0], out=out)
-    for j in range(1, a.shape[-1]):
-        out += a[:, :, j : j + 1] * b[:, None, j]
-    return out
-
-
 def _hermitian_outer(m, out=None):
     """P[i, j] = m[i] conj(m[j]) for m (d, ...), into out if given.  As numpy's complex product
     is fused (FMA), P is made exactly Hermitian: lower triangle = conj(upper), real diagonal."""
@@ -264,9 +251,9 @@ class _KrausStep:
     a diagonal half step by its phases, and dy and tr read the populations q |a|^2,
     q (d, n) rho's diagonal.  `state` forms the stack, into the work array p (d, d, n),
     for a reader (a policy, stored states, the run's end, `step_sme`), a dense half
-    step or an extra channel.  Else they are a k-major table: (3, d^2), L, L^2 and a0,
-    when all are real, else (3, 2 d^2), the float views of L^dag, L^dag^2 and a0; with
-    work arrays m (n, d, d), a real M or else M^dag, and work, as fresh pages cost more.
+    step or an extra channel.  Else L, L^2 and a0 are one k-major table, (3, d^2) when
+    all are real, else (3, 2 d^2), their float views; with work arrays m (n, d, d), M
+    in the table's dtype, and work, as fresh pages cost more.
     The last control rows and half step are reused while the rows repeat.
     """
 
@@ -284,9 +271,9 @@ class _KrausStep:
             self.w, self.table = 2.0 * dt * self.l[:, 0].real, None
             self.p = np.empty((d, d, n), dtype=complex)
         else:
-            table, self.ld_floats = np.stack(shared), _floats(ld[None])[0]
-            real = not table.imag.any()  # then M = (M^dag)^T, from the rows of L, L^2 and a0
-            self.table = table.real.transpose(0, 2, 1).reshape(3, -1) if real else _floats(table)
+            table, self.ld_floats = ops.dagger(np.stack(shared)), _floats(ld[None])[0]
+            real = not table.imag.any()
+            self.table = table.real.reshape(3, -1) if real else _floats(table)
             self.m = np.empty((n, d, d), dtype=float if real else complex)
             self.work = np.empty((n, d, d), dtype=complex)
 
@@ -342,11 +329,11 @@ class _KrausStep:
         positive semidefinite by construction.  For a diagonal M, dy and tr read the
         populations alone and a <- a m / sqrt(tr), m = diag(M) (d, n); with an extra
         channel the stack is formed first, and M rho M^dag = rho * m m^dag.  Else
-        Re tr(L rho) is one `np.vecdot` of float views, M (M^dag if complex) is formed per
-        state by one `np.einsum` with the table, and M rho M^dag is two calls of `_product`:
-        M X^dag after X = M rho, real on float views, else (rho M^dag)^dag M^dag.
-        K rho K^dag = (rho K^dag)^dag K^dag is two shared GEMMs per extra channel
-        (`_conjugate`).  tr is as computed, non-finite if a state is.
+        Re tr(L rho) is one `np.vecdot` of float views, M is formed per state by one
+        `np.einsum` of (dy, c2, 1) with the table into m's float view, and M rho M^dag is
+        M X^dag after X = M rho, two `np.matmul` calls, on the (n, d, 2 d) float views
+        of rho and X^dag when M is real.  K rho K^dag = (rho K^dag)^dag K^dag is two shared
+        GEMMs per extra channel (`_conjugate`).  tr is as computed, non-finite if a state is.
         """
         dt = self.dt
         rho = self.state() if self.kd else self.rho
@@ -369,17 +356,14 @@ class _KrausStep:
                 return dy, tr
             self.a = m
             out = self._formed()
-        else:
+        else:  # X = M rho into out, then M X^dag over it, each stack viewed as M's dtype
             coef = np.stack((dy, c2, np.ones_like(dy)), axis=1)
             np.einsum("nk,km->nm", coef, self.table, out=self.m.reshape(len(dy), -1).view(float))
-            if self.m.dtype == complex:
-                rho_md = _product(rho, self.m, self.work)
-                out = _product(np.conjugate(rho_md, out=rho_md).transpose(0, 2, 1), self.m)
-            else:  # X = M rho into out, then M X^dag over it
-                out = np.empty_like(self.work)
-                _product(self.m, floats.reshape(self.work.shape[:2] + (-1,)), out.view(float))
-                xd = np.conjugate(out.transpose(0, 2, 1), out=self.work).view(float)
-                _product(self.m, xd, out.view(float))
+            out, dtype = np.empty_like(self.work), self.m.dtype
+            x = floats.reshape(out.shape[:2] + (-1,)).view(dtype)
+            np.matmul(self.m, x, out=out.view(dtype))
+            xd = np.conjugate(out.transpose(0, 2, 1), out=self.work)
+            np.matmul(self.m, xd.view(dtype), out=out.view(dtype))
         for kd in self.kd:
             out += dt * _conjugate(rho, kd)
         (self.rho, tr), self.a, self.q = _normalised(out), None, None
@@ -406,6 +390,8 @@ def step_sme(rho, u, dW, model, cfg):
     if dW.ndim or dW.dtype.kind not in "iuf" or not np.isfinite(dW):
         raise RejectedInputError(f"dW must be one finite real number, got {dW!r}")
     u, rho = ops.check_drift_inputs(model, u, rho)
+    if rho.ndim != 2:
+        raise DimensionMismatchError(f"rho is {rho.shape}, not one state")
     step = _KrausStep(model, cfg.dt, _hermitian_part(rho)[None])
     step.advance(np.broadcast_to(u, (1, model.n_controls)), dW[None])
     out = step.state()[0]
@@ -434,8 +420,8 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
     before normalisation is not finite and positive raises NumericalBlowupError.
     """
     rho0 = _hermitian_part(ops.check_density(rho0))
-    if rho0.shape[-1] != model.dim:
-        raise DimensionMismatchError("rho0 dimension does not match model")
+    if rho0.shape != (model.dim,) * 2:
+        raise DimensionMismatchError(f"rho0 is {rho0.shape}, not one state of the model's dim")
     seeds = _seed_list(seeds)
     n_traj = len(seeds)
     n = cfg.n_steps

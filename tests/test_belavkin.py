@@ -18,6 +18,10 @@ GROUND = np.diag([1.0, 0.0]).astype(complex)
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
 
+def refuse_step(*args):
+    raise AssertionError("the filter step ran")
+
+
 class TestSmeConfig:
     def test_rejects_bad_step(self):
         with pytest.raises(RejectedInputError):
@@ -85,10 +89,7 @@ class TestSeeds:
         lambda cfg: bel.simulate_ensemble(QUBIT_Z, None, cfg, MIXED, [[1, 2], [3, 4]]),
     ], ids=["empty", "negative", "2**64", "float", "2-D"])
     def test_rejected_before_any_step(self, make, monkeypatch):
-        def step(*args):
-            raise AssertionError("the filter step ran")
-
-        monkeypatch.setattr(bel._KrausStep, "advance", step)
+        monkeypatch.setattr(bel._KrausStep, "advance", refuse_step)
         with pytest.raises(RejectedInputError, match="seed"):
             make(self.CFG)
 
@@ -186,6 +187,14 @@ class TestStepSme:
             assert np.array_equal(rho, want)
         assert set(vars(model)) == attributes
 
+    def test_stack_of_states_is_a_dimension_mismatch(self, monkeypatch):
+        # Before: numpy's bare "operands could not be broadcast" ValueError.
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z, Hc=(ops.SIGMA_Y,))
+        monkeypatch.setattr(bel._KrausStep, "advance", refuse_step)
+        with pytest.raises(DimensionMismatchError, match="rho"):
+            bel.step_sme(np.stack([GROUND, MIXED]), [0.0], 0.1, model,
+                         bel.SmeConfig(dt=0.1, T=0.2))
+
     @pytest.mark.parametrize("dW", [np.array([0.1, 0.2]), np.array([0.1]), 0.1j, np.nan,
                                     "0.1", None],
                              ids=["vector", "1-vector", "complex", "nan", "string", "none"])
@@ -270,6 +279,14 @@ class TestGenerateRecord:
         with pytest.raises(DimensionMismatchError, match="rho0"):
             bel.simulate_ensemble(QUBIT_Z, None, bel.SmeConfig(dt=0.1, T=0.2),
                                   np.eye(3) / 3, [0])
+
+    def test_stack_of_start_states_is_a_dimension_mismatch(self, monkeypatch):
+        # Before: numpy's bare "could not broadcast" ValueError.  Every trajectory
+        # starts from the one state rho0.
+        monkeypatch.setattr(bel._KrausStep, "advance", refuse_step)
+        with pytest.raises(DimensionMismatchError, match="rho0"):
+            bel.simulate_ensemble(QUBIT_Z, None, bel.SmeConfig(dt=0.1, T=0.2),
+                                  np.stack([GROUND, MIXED]), [0])
 
 
 class TestTrajectoryRecordTimes:
@@ -392,24 +409,20 @@ class TestKrausQndOracle:
 def product_kernels(monkeypatch):
     """The kernel of every product of the filter step from here on: "diagonal" for each
     `bel._hermitian_outer` call (a diagonal M's map makes one per call of `measure`, and
-    a diagonal half step one per new phase matrix), else for each `bel._product` call
-    "matmul" when it calls `np.matmul` and "sum" when it does not, "real matmul" and
-    "real sum" when both factors are real (a real M on float views; `bel._KrausStep`)."""
-    kernels, calls = [], matmul_calls(monkeypatch)
-    product, outer = bel._product, bel._hermitian_outer
+    a diagonal half step one per new phase matrix), else for each `np.matmul` call (a
+    dense M's map makes two per call of `measure`) "matmul", or "real matmul" when both
+    factors are real (a real M on float views; `bel._KrausStep`)."""
+    kernels, matmul, outer = [], np.matmul, bel._hermitian_outer
 
-    def counted(a, b, out=None):
-        before = len(calls)
-        result = product(a, b, out)
-        kind = "matmul" if len(calls) > before else "sum"
-        kernels.append(kind if np.iscomplexobj(a) or np.iscomplexobj(b) else "real " + kind)
-        return result
+    def counted(a, b, **kw):
+        kernels.append("matmul" if np.iscomplexobj(a) or np.iscomplexobj(b) else "real matmul")
+        return matmul(a, b, **kw)
 
     def counted_outer(m, out=None):
         kernels.append("diagonal")
         return outer(m, out)
 
-    monkeypatch.setattr(bel, "_product", counted)
+    monkeypatch.setattr(np, "matmul", counted)
     monkeypatch.setattr(bel, "_hermitian_outer", counted_outer)
     return kernels
 
@@ -418,10 +431,9 @@ class TestKrausQndOracleAnyDim:
     """H = n^ and L = sqrt(kappa) n^ from a mixed state with coherences: the filter on
     its own record against `qnd_filter_exact` (`qnd_oracle_error`).  Diagonal, M is
     diagonal and the map is one elementwise product with `bel._hermitian_outer`; rotated
-    by a fixed random unitary, M is dense, and d = 3 runs the sum of outer products, d = 8
-    the batched matmul."""
+    by a fixed random unitary, M is dense and complex, and both d run the batched matmul."""
 
-    KERNELS = {(3, False): "diagonal", (8, False): "diagonal", (3, True): "sum",
+    KERNELS = {(3, False): "diagonal", (8, False): "diagonal", (3, True): "matmul",
                (8, True): "matmul"}
 
     @pytest.mark.parametrize("dim, rotated", sorted(KERNELS))
@@ -559,9 +571,11 @@ class TestKrausPhysicality:
                                    L_extra=(0.5 * np.array([[0.0, 1.0], [0.0, 0.0]]),)),
                   GROUND),
         "oscillator": oscillator(12)[:2],
-        # L = -i sqrt(0.5) a: a complex M, by the batched matmul at d = 8.
+        # L = -i sqrt(0.5) a: a complex M, by the batched matmul at d = 8 and d = 3.
         "complex_8": (ops.QuantumModel(H0=oscillator(8).model.H0,
                                        L=-1j * oscillator(8).model.L), oscillator(8).rho0),
+        "complex_3": (ops.QuantumModel(H0=oscillator(3).model.H0,
+                                       L=-1j * oscillator(3).model.L), oscillator(3).rho0),
         # The closed-loop workload's filter: QND measurement, so a diagonal M.
         "closed_loop_qubit": (ops.QuantumModel(H0=np.zeros((2, 2)),
                                                L=np.sqrt(0.5) * ops.SIGMA_Z, Hc=(ops.SIGMA_Y,)),
@@ -619,13 +633,14 @@ class TestKrausPhysicality:
 
     @pytest.mark.parametrize("name, feedback, keep_states", [
         ("oscillator", "record", True), ("complex_8", "record", True),
-        ("qubit", "record", True), ("qubit", "state", True),
+        ("complex_3", "record", True), ("qubit", "record", True), ("qubit", "state", True),
         ("closed_loop_qubit", "record", True), ("closed_loop_qubit", "state", True),
         ("qnd_qubit", "record", True), ("qnd_qubit", "record", False),
         ("diagonal_qubit", "state", True), ("diagonal_qubit", "state", False)],
-        ids=["oscillator", "complex_8", "qubit", "qubit_state_feedback", "closed_loop_qubit",
-             "closed_loop_qubit_state_feedback", "qnd_qubit", "qnd_qubit_final_only",
-             "diagonal_qubit_state_feedback", "diagonal_qubit_state_feedback_final_only"])
+        ids=["oscillator", "complex_8", "complex_3", "qubit", "qubit_state_feedback",
+             "closed_loop_qubit", "closed_loop_qubit_state_feedback", "qnd_qubit",
+             "qnd_qubit_final_only", "diagonal_qubit_state_feedback",
+             "diagonal_qubit_state_feedback_final_only"])
     def test_batch_equals_single_runs_bitwise(self, name, feedback, keep_states):
         # With keep_states False and no policy, nothing reads the states before the end.
         model, rho0 = self.MODELS[name]
@@ -714,20 +729,20 @@ def matmul_calls(monkeypatch):
 
 class TestMeasureFormulations:
     """`_KrausStep.measure` is one map, M rho M^dag: for a diagonal M one elementwise
-    product rho * P (`bel._hermitian_outer`), else two calls of `bel._product`, a batched
-    matmul from d = MATMUL_DIM up and a sum of outer products below it, real when L is
-    real and complex for complex_8 alone (the qubit's L = sigma_z + 0.4 i sigma_y is a
-    real matrix); under each kernel it is `kraus_map_reference`.  diagonal_8's extra
-    channel K = 0.4 a has a diagonal K^dag K, so M stays diagonal; dense_loss_8's L is
-    diagonal too, but K = 0.3 (a + a^dag) makes I + dt loss dense, and so M.
-    complex_diagonal_3's L is diagonal but not Hermitian, so M rho M^dag differs from
-    M^dag rho M there."""
+    product rho * P (`bel._hermitian_outer`), else two batched matmuls, real when L is
+    real and complex for complex_3 and complex_8 alone (the qubit's L = sigma_z +
+    0.4 i sigma_y is a real matrix); under each kernel it is `kraus_map_reference`.
+    diagonal_8's extra channel K = 0.4 a has a diagonal K^dag K, so M stays diagonal;
+    dense_loss_8's L is diagonal too, but K = 0.3 (a + a^dag) makes I + dt loss dense,
+    and so M.  complex_diagonal_3's L is diagonal but not Hermitian, so M rho M^dag
+    differs from M^dag rho M there."""
 
     MODELS = {
         "qubit": TestKrausPhysicality.MODELS["qubit"][0],
         "oscillator_12": oscillator(12)[0],
         "oscillator_21": oscillator(21)[0],
         "complex_8": TestKrausPhysicality.MODELS["complex_8"][0],
+        "complex_3": TestKrausPhysicality.MODELS["complex_3"][0],
         "non_normal_8": ops.QuantumModel(
             H0=np.zeros((8, 8)), L=np.sqrt(0.3) * (ops.annihilation(8) + 0.2 * ops.annihilation(8)
                                                    @ ops.annihilation(8)),
@@ -743,6 +758,7 @@ class TestMeasureFormulations:
                                                L=np.diag([0.5, 0.3j, -0.2 + 0.4j])),
     }
     DIAGONAL = {"closed_loop_qubit", "diagonal_8", "complex_diagonal_3"}
+    COMPLEX = {"complex_3", "complex_8"}
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_formulations_agree(self, name, monkeypatch):
@@ -751,23 +767,20 @@ class TestMeasureFormulations:
         dW = np.random.default_rng(5).normal(0.0, 0.1, 5)
         want, want_dy = kraus_map_reference(model, 1e-2, rho, dW)
         kernels = product_kernels(monkeypatch)
-        for matmul_dim, dense in ((0, "matmul"), (10 ** 9, "sum")):
-            monkeypatch.setattr(bel, "MATMUL_DIM", matmul_dim)
-            kernels.clear()
-            step = bel._KrausStep(model, 1e-2, rho)
-            dy, _ = step.measure(dW)
-            got = step.state()
-            kernel = dense if name == "complex_8" else "real " + dense
-            assert kernels == (["diagonal"] if name in self.DIAGONAL else [kernel] * 2)
-            assert np.max(np.abs(got - want)) <= 1e-13
-            assert np.max(np.abs(dy - want_dy)) <= 1e-13
+        step = bel._KrausStep(model, 1e-2, rho)
+        dy, _ = step.measure(dW)
+        got = step.state()
+        kernel = "matmul" if name in self.COMPLEX else "real matmul"
+        assert kernels == (["diagonal"] if name in self.DIAGONAL else [kernel] * 2)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(dy - want_dy)) <= 1e-13
 
-    @pytest.mark.parametrize("dim, matmul", [(2, False), (21, True)])
-    def test_size_rule(self, dim, matmul, monkeypatch):
-        # A dense M takes the sum of outer products below MATMUL_DIM and the batched
-        # matmul from it, and the step holds its stack and two (n, d, d) work arrays, m and
-        # work.  L = a gives a real M from the (3, d^2) table of L, L^2 and a0, and two real
-        # products; L = -i a gives a complex M^dag from the (3, 2 d^2) float table.  A diagonal
+    @pytest.mark.parametrize("dim", [2, 21])
+    def test_size_rule(self, dim, monkeypatch):
+        # A dense M takes the batched matmul at every d, and the step holds its stack and
+        # two (n, d, d) work arrays, m and work.  L = a gives a real M from the (3, d^2)
+        # table of L, L^2 and a0, and two real products; L = -i a gives a complex M from
+        # the (3, 2 d^2) float table, and two complex products.  A diagonal
         # M (L = n^, QND as in the d = 2 workloads) takes neither at any d: a measurement
         # leaves the stack as it was and holds the amplitudes a and populations q (d, n),
         # and reading the state forms it once, rho * a a^dag, into the batch-last work
@@ -775,10 +788,9 @@ class TestMeasureFormulations:
         calls, n = matmul_calls(monkeypatch), 5
         kernels = product_kernels(monkeypatch)
         stack, dense = {"rho": (n, dim, dim)}, {"m": (n, dim, dim), "work": (n, dim, dim)}
-        kind = "matmul" if matmul else "sum"
         for L, work_shapes, measured, kernel, table in (
-                (ops.annihilation(dim), dense, {}, "real " + kind, (3, dim * dim)),
-                (-1j * ops.annihilation(dim), dense, {}, kind, (3, 2 * dim * dim)),
+                (ops.annihilation(dim), dense, {}, "real matmul", (3, dim * dim)),
+                (-1j * ops.annihilation(dim), dense, {}, "matmul", (3, 2 * dim * dim)),
                 (np.diag(np.arange(dim, dtype=float)), {"p": (dim, dim, n)},
                  {"a": (dim, n), "q": (dim, n)}, "diagonal", None)):
             rho0 = np.broadcast_to(np.eye(dim) / dim, (n, dim, dim)).copy()
@@ -792,7 +804,7 @@ class TestMeasureFormulations:
             assert getattr(step.table, "shape", None) == table
             if table is not None:
                 assert step.table.flags.c_contiguous and step.table.dtype == float
-                assert np.iscomplexobj(step.m) == (kernel == kind)
+                assert np.iscomplexobj(step.m) == (kernel == "matmul")
             calls.clear()
             kernels.clear()
             step.measure(np.ones(n))
@@ -809,9 +821,11 @@ class TestMeasureFormulations:
 
 # (model, product kernels, dense Cayley solve) for `TestExactlyHermitian::test_every_kernel_path`
 KERNEL_PATHS = [("qnd_qubit", {"diagonal"}, False), ("closed_loop_qubit", {"diagonal"}, True),
-                ("qubit", {"real sum"}, True), ("oscillator", {"diagonal", "real matmul"}, False),
+                ("qubit", {"real matmul"}, True),
+                ("oscillator", {"diagonal", "real matmul"}, False),
                 ("diagonal_qubit", {"diagonal"}, False),
-                ("complex_8", {"diagonal", "matmul"}, False)]
+                ("complex_8", {"diagonal", "matmul"}, False),
+                ("complex_3", {"diagonal", "matmul"}, False)]
 
 
 class TestExactlyHermitian:
@@ -855,9 +869,9 @@ class TestExactlyHermitian:
     def test_every_kernel_path(self, name, kernels, cayley, keep_states, monkeypatch):
         # The diagonal M alone; a diagonal M with per-state dense half steps; a
         # diagonal M with per-state diagonal half steps under state feedback (phases
-        # on the amplitudes); a real dense M by the sum of outer products, with an extra
-        # channel; a real dense M by the batched matmul, with the diagonal half step of
-        # H0 = a^dag a; and a complex one, L = -i sqrt(0.5) a at d = 8.
+        # on the amplitudes); a real dense M at d = 2, with an extra channel; a real dense
+        # M at d = 12, with the diagonal half step of H0 = a^dag a; and a complex one,
+        # L = -i sqrt(0.5) a at d = 8 and d = 3.
         model, rho0 = TestKrausPhysicality.MODELS[name]
         seen, solves = product_kernels(monkeypatch), []
         solve = ops.cayley
