@@ -10,23 +10,24 @@ A 91, 012118, 2015), written once in `_KrausStep`: rho <- U rho U^dag with
 the Cayley half step U = (I + i H(u) dt / 4 hbar)^-1 (I - i H(u) dt / 4 hbar)
 (`operators.cayley`), then the measurement map `_KrausStep.measure`, then U
 again; a diagonal H(u), as H0 = omega a^dag a, gives a diagonal U
-(`_half_step`).  A diagonal Kraus operator M, as under a QND measurement,
-and a diagonal U act entry by entry, so the step holds such a batch as
-rho = base * a a^dag with amplitudes a (d, n), formed only when read or
-before a dense product (`_KrausStep.state`).  Any other M acts by one
-formula, X = M rho and then M X^dag, two batched matmuls, on float views when
-M is real (as for L = sqrt(kappa) a) and on complex stacks when it is not.
-Elementwise products with exactly Hermitian factors (`_hermitian_outer`)
-keep rho exactly Hermitian, so the Hermitian part is taken only after a
-dense product (a dense M or U, or an extra channel), whose (i, j) and (j, i)
-sums are not conjugate bit for bit, and of the start state.  One ufunc
-broadcasts a per-state scalar over the stack: the scale by 1 / tr of a
-formed stack (`_normalised`).  The mean in dy is
+(`_half_step`).  The step holds one of two forms, decided once from the run.
+When the Kraus operator M is diagonal, as under a QND measurement, there is
+no extra channel, and every U the run can take is diagonal, each step acts
+entry by entry, and the batch is held as rho = base * a a^dag with amplitudes
+a (d, n), scaled by M's and U's diagonals and formed only when read.  Every
+other run holds the formed stack: M acts by one formula, X = M rho and then
+M X^dag, two batched matmuls, on float views when M is real (as for
+L = sqrt(kappa) a) and on complex stacks when it is not, and U by a callable.
+Every formed stack is the Hermitian part of what formed it (`_hermitian_part`),
+after each step on a formed stack and when amplitudes are formed, so every
+state is exactly Hermitian.  One ufunc broadcasts a per-state scalar over the
+stack: the scale by 1 / tr (`_normalised`).  The mean in dy is
 taken at the state the Kraus map measures, after the first half step, and
 the record gets that same dy.  Every state is positive semidefinite with
 unit trace by construction, up to rounding; nothing is projected.
 `simulate_ensemble`, the one trajectory generator, and `step_sme` run this
-step, keeping no state on the model; a `TrajectoryRecord` is packed from
+step, keeping no state on the model, and refuse a step whose trace before
+normalisation is not finite and positive; a `TrajectoryRecord` is packed from
 the generator's output, and `trajectory_cost` checks every running operator.
 """
 
@@ -192,18 +193,13 @@ def _conjugate(rho, ud):
     return (u_rho.reshape(n * d, d) @ ud).reshape(n, d, d)
 
 
-def _hermitian_outer(m, out=None):
-    """P[i, j] = m[i] conj(m[j]) for m (d, ...), into out if given.  As numpy's complex product
-    is fused (FMA), P is made exactly Hermitian: lower triangle = conj(upper), real diagonal."""
-    p = np.multiply(m[:, None], np.conj(m[None]), out=out)
-    for i in range(len(m)):
-        np.conjugate(p[:i, i], out=p[i, :i])
-        p[i, i, ...].imag = 0.0
-    return p
+def _outer(m):
+    """P[i, j] = m[i] conj(m[j]) for m (d, ...)."""
+    return m[:, None] * np.conj(m[None])
 
 
 def _hermitian_part(rho):
-    """(rho + rho^dag) / 2 as a new C-ordered array, exactly Hermitian; rho if it is."""
+    """(rho + rho^dag) / 2 as a new C-ordered array, exactly Hermitian."""
     out = np.conjugate(np.swapaxes(rho, -1, -2), order="C")
     out += rho
     out *= 0.5
@@ -211,9 +207,10 @@ def _hermitian_part(rho):
 
 
 def _normalised(out):
-    """(out, tr): the stack out (n, d, d) scaled in place by 1 / tr, its traces tr (n,)."""
+    """(out, tr): the C-ordered stack out (n, d, d) scaled in place by 1 / tr, its traces
+    tr (n,)."""
     tr = np.einsum("nii->n", out).real
-    scaled = (out if out.flags.c_contiguous else out.transpose(0, 2, 1)).view(float)
+    scaled = out.view(float)
     scaled *= (1.0 / tr)[:, None, None]
     return out, tr
 
@@ -245,19 +242,18 @@ def _floats(x):
 class _KrausStep:
     """The filter step (module docstring) on a stack rho (n, d, d) of states it holds.
 
-    L^dag, L^dag^2 and a0 = I + dt loss are built once.  If all are diagonal, as M's
-    columns l, l2, a0 (d, 1) and dy's weights w = 2 dt Re l, the states are
-    rho * a a^dag, a (d, n) None meaning 1: a measurement scales a by m / sqrt(tr),
-    a diagonal half step by its phases, and dy and tr read the populations q |a|^2,
-    q (d, n) rho's diagonal.  `state` forms the stack, into the work array p (d, d, n),
-    for a reader (a policy, stored states, the run's end, `step_sme`), a dense half
-    step or an extra channel.  Else L, L^2 and a0 are one k-major table, (3, d^2) when
-    all are real, else (3, 2 d^2), their float views; with work arrays m (n, d, d), M
-    in the table's dtype, and work, as fresh pages cost more.
-    The last control rows and half step are reused while the rows repeat.
+    L^dag, L^dag^2 and a0 = I + dt loss are built once.  The step holds amplitudes when all
+    three are diagonal, there is no extra channel, and H0 and, if the run is controlled
+    (has a policy), each Hc are diagonal: M's columns l, l2, a0 (d, 1) and dy's weights
+    w = 2 dt Re l are kept, and the states are rho * a a^dag, a (d, n) None meaning 1.  A
+    measurement scales a by m / sqrt(tr), a half step by its phases, and dy and tr read
+    the populations q |a|^2, q (d, n) rho's diagonal.  Else it holds the formed stack, and
+    L, L^2 and a0 are one k-major table, (3, d^2) when all are real, else (3, 2 d^2), their
+    float views; with work arrays m (n, d, d), M in the table's dtype, and work, as fresh
+    pages cost more.  The last control rows and half step are reused while the rows repeat.
     """
 
-    def __init__(self, model, dt, rho):
+    def __init__(self, model, dt, rho, controlled=True):
         n, d = rho.shape[:2]
         self.model, self.dt, self.rho, self.a, self.q = model, dt, rho, None, None
         self.rows = self.turn = None
@@ -265,11 +261,11 @@ class _KrausStep:
         loss = -0.5 * sum(ops.dagger(c) @ c for c in model.channels())  # over every channel
         shared = (ld, ld @ ld, np.eye(d) + dt * loss)
         self.kd = [ops.dagger(K) for K in model.L_extra]
-        if all(map(_is_diagonal, shared)):
+        turns = (model.H0,) + (model.Hc if controlled else ())
+        if not self.kd and all(map(_is_diagonal, shared + turns)):
             cols = [np.conj(np.diagonal(x))[:, None] for x in shared]
             self.l, self.l2, self.a0 = cols if any(c.imag.any() for c in cols) else np.real(cols)
             self.w, self.table = 2.0 * dt * self.l[:, 0].real, None
-            self.p = np.empty((d, d, n), dtype=complex)
         else:
             table, self.ld_floats = ops.dagger(np.stack(shared)), _floats(ld[None])[0]
             real = not table.imag.any()
@@ -279,21 +275,18 @@ class _KrausStep:
 
     def state(self):
         """The states (n, d, d), exactly Hermitian after `advance`.  Amplitudes are formed
-        here, rho * a a^dag over its own trace, which becomes the base with a = 1."""
+        here: the Hermitian part of rho * a a^dag over its trace becomes the base, a = 1."""
         if self.a is not None:
-            self.rho = _normalised(self._formed())[0]
+            formed = _hermitian_part(self.rho * _outer(self.a).transpose(2, 0, 1))
+            self.rho = _normalised(formed)[0]
             self.a = self.q = None
         return self.rho
-
-    def _formed(self):
-        """rho * a a^dag (n, d, d), exactly Hermitian (`_hermitian_outer`), unnormalised."""
-        return self.rho * _hermitian_outer(self.a, self.p).transpose(2, 0, 1)
 
     def half_step(self, u):
         """`_half_step` for controls u (n, k): shared when every row equals the first, else
         one per state; None when H(u) = 0 for every row.  u None (no policy) means every
-        control 0, whose turn is reused without comparing rows.  With a dense M a diagonal
-        U acts on the stack, as rho times the phase matrix u_j conj(u_k) (`_hermitian_outer`)."""
+        control 0, whose turn is reused without comparing rows.  On a formed stack a
+        diagonal U acts as rho times the phase matrix u_j conj(u_k) (`_outer`)."""
         if u is None:
             if self.rows is not None and not self.rows.any():
                 return self.turn
@@ -306,17 +299,17 @@ class _KrausStep:
             self.rows = u.copy()
             turn = _half_step(self.model.hamiltonian(u), self.dt / (4.0 * self.model.hbar))
             if isinstance(turn, np.ndarray) and self.table is not None:
-                phase = np.moveaxis(_hermitian_outer(turn), (0, 1), (-2, -1))
+                phase = np.moveaxis(_outer(turn), (0, 1), (-2, -1))
                 turn = lambda rho: rho * phase
             self.turn = turn
         return self.turn
 
     def _turn(self, turn):
-        """U rho U^dag: a diagonal U's phases scale the amplitudes, else turn acts on the stack."""
-        if isinstance(turn, np.ndarray):
-            self.a = turn if self.a is None else self.a * turn
+        """U rho U^dag: a callable turns the formed stack, phases scale the amplitudes."""
+        if callable(turn):
+            self.rho = turn(self.rho)
         elif turn is not None:
-            self.rho = turn(self.state())
+            self.a = turn if self.a is None else self.a * turn
 
     def measure(self, dW):
         """Rouchon-Ralph measurement map of the held states; returns (dy, tr), each (n,).
@@ -326,9 +319,8 @@ class _KrausStep:
 
             rho' = (M rho M^dag + sum_K K rho K^dag dt) / tr,  tr = tr(...),
 
-        positive semidefinite by construction.  For a diagonal M, dy and tr read the
-        populations alone and a <- a m / sqrt(tr), m = diag(M) (d, n); with an extra
-        channel the stack is formed first, and M rho M^dag = rho * m m^dag.  Else
+        positive semidefinite by construction.  On amplitudes dy and tr read the
+        populations alone, and a <- a m / sqrt(tr), m = diag(M) (d, n).  On a formed stack
         Re tr(L rho) is one `np.vecdot` of float views, M is formed per state by one
         `np.einsum` of (dy, c2, 1) with the table into m's float view, and M rho M^dag is
         M X^dag after X = M rho, two `np.matmul` calls, on the (n, d, 2 d) float views
@@ -336,47 +328,40 @@ class _KrausStep:
         GEMMs per extra channel (`_conjugate`).  tr is as computed, non-finite if a state is.
         """
         dt = self.dt
-        rho = self.state() if self.kd else self.rho
         if self.table is None:  # Re tr(L rho) = sum_i Re(l_i) rho_ii |a_i|^2
             if self.q is None:
-                self.q = np.ascontiguousarray(_floats(rho)[:, :: 2 * len(self.w) + 2].T)
+                self.q = np.ascontiguousarray(_floats(self.rho)[:, :: 2 * len(self.w) + 2].T)
             q = self.q if self.a is None else self.q * (self.a * self.a.conj()).real
             dy = sum((w * x for w, x in zip(self.w, q)), dW)
-        else:
-            floats = _floats(rho)
-            dy = 2.0 * np.vecdot(floats, self.ld_floats) * dt + dW
-        c2 = 0.5 * (dy * dy - dt)
-        if self.table is None:
-            m = self.l * dy + self.l2 * c2 + self.a0
-            if not self.kd:
-                weights = q * (m * m.conj()).real
-                tr = sum(weights[1:], weights[0])
-                m *= 1.0 / np.sqrt(tr)
-                self.a = m if self.a is None else self.a * m
-                return dy, tr
-            self.a = m
-            out = self._formed()
-        else:  # X = M rho into out, then M X^dag over it, each stack viewed as M's dtype
-            coef = np.stack((dy, c2, np.ones_like(dy)), axis=1)
-            np.einsum("nk,km->nm", coef, self.table, out=self.m.reshape(len(dy), -1).view(float))
-            out, dtype = np.empty_like(self.work), self.m.dtype
-            x = floats.reshape(out.shape[:2] + (-1,)).view(dtype)
-            np.matmul(self.m, x, out=out.view(dtype))
-            xd = np.conjugate(out.transpose(0, 2, 1), out=self.work)
-            np.matmul(self.m, xd.view(dtype), out=out.view(dtype))
+            m = self.l * dy + self.l2 * (0.5 * (dy * dy - dt)) + self.a0
+            weights = q * (m * m.conj()).real
+            tr = sum(weights[1:], weights[0])
+            m *= 1.0 / np.sqrt(tr)
+            self.a = m if self.a is None else self.a * m
+            return dy, tr
+        floats = _floats(self.rho)
+        dy = 2.0 * np.vecdot(floats, self.ld_floats) * dt + dW
+        # X = M rho into out, then M X^dag over it, each stack viewed as M's dtype
+        coef = np.stack((dy, 0.5 * (dy * dy - dt), np.ones_like(dy)), axis=1)
+        np.einsum("nk,km->nm", coef, self.table, out=self.m.reshape(len(dy), -1).view(float))
+        out, dtype = np.empty_like(self.work), self.m.dtype
+        x = floats.reshape(out.shape[:2] + (-1,)).view(dtype)
+        np.matmul(self.m, x, out=out.view(dtype))
+        xd = np.conjugate(out.transpose(0, 2, 1), out=self.work)
+        np.matmul(self.m, xd.view(dtype), out=out.view(dtype))
         for kd in self.kd:
-            out += dt * _conjugate(rho, kd)
-        (self.rho, tr), self.a, self.q = _normalised(out), None, None
+            out += dt * _conjugate(self.rho, kd)
+        self.rho, tr = _normalised(out)
         return dy, tr
 
     def advance(self, u, dW):
         """One step under controls u (n, k) or None (`half_step`); returns `measure`'s
-        (dy, tr).  A dense product is followed by the Hermitian part (module docstring)."""
+        (dy, tr).  A step on a formed stack ends with its Hermitian part."""
         turn = self.half_step(u)
         self._turn(turn)
         dy, tr = self.measure(dW)
         self._turn(turn)
-        if self.table is not None or self.kd or isinstance(turn, partial):
+        if self.table is not None:
             self.rho = _hermitian_part(self.rho)
         return dy, tr
 
@@ -393,11 +378,11 @@ def step_sme(rho, u, dW, model, cfg):
     if rho.ndim != 2:
         raise DimensionMismatchError(f"rho is {rho.shape}, not one state")
     step = _KrausStep(model, cfg.dt, _hermitian_part(rho)[None])
-    step.advance(np.broadcast_to(u, (1, model.n_controls)), dW[None])
-    out = step.state()[0]
-    if not np.all(np.isfinite(out)):
-        raise NumericalBlowupError("non-finite state after step_sme")
-    return out
+    tr = step.advance(np.broadcast_to(u, (1, model.n_controls)), dW[None])[1][0]
+    if not 0.0 < tr < np.inf:
+        raise NumericalBlowupError(f"step_sme: trace {tr} before normalisation is not "
+                                   "finite and positive")
+    return step.state()[0]
 
 
 def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
@@ -440,7 +425,8 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
         states = np.empty((n_traj, n + 1, d, d), dtype=complex)
         states[:, 0] = rho0
 
-    step = _KrausStep(model, cfg.dt, np.broadcast_to(rho0, (n_traj, d, d)).copy())
+    step = _KrausStep(model, cfg.dt, np.broadcast_to(rho0, (n_traj, d, d)).copy(),
+                      controlled=policy is not None)
     for k in range(n + 1):  # the controls at every k, and a step from each k < n
         if policy is not None:  # y and w are time-major
             past = RecordView(times[: k + 1], y[: k + 1].T, w[: k + 1].T)
@@ -453,7 +439,8 @@ def simulate_ensemble(model, policy, cfg, rho0, seeds, keep_states=True):
         if not 0.0 < tr.min() <= tr.max() < np.inf:
             bad = np.flatnonzero(~((tr > 0.0) & (tr < np.inf)))[0]
             raise NumericalBlowupError(
-                f"non-finite state after step_sme at step {k} (seed {seeds[bad]})",
+                f"simulate_ensemble: trace before normalisation is not finite and "
+                f"positive at step {k} (seed {seeds[bad]})",
                 step_index=k, t=float(times[k + 1]))
 
         np.add(y[k], dy, out=y[k + 1])

@@ -10,20 +10,7 @@ import numpy as np
 from .errors import RejectedInputError
 
 
-# Exact-type fast path for the Python scalars that `tolist()` rows hold and for text
-# (unchanged); it gives the same text as the isinstance chain below, which serves the rest.
-_FMT_EXACT = {
-    float: repr,
-    int: str,
-    str: str,
-    bool: lambda x: "true" if x else "false",
-}
-
-
 def fmt(x):
-    exact = _FMT_EXACT.get(type(x))
-    if exact is not None:
-        return exact(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):

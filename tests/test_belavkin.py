@@ -408,29 +408,29 @@ class TestKrausQndOracle:
 
 def product_kernels(monkeypatch):
     """The kernel of every product of the filter step from here on: "diagonal" for each
-    `bel._hermitian_outer` call (a diagonal M's map makes one per call of `measure`, and
-    a diagonal half step one per new phase matrix), else for each `np.matmul` call (a
-    dense M's map makes two per call of `measure`) "matmul", or "real matmul" when both
-    factors are real (a real M on float views; `bel._KrausStep`)."""
-    kernels, matmul, outer = [], np.matmul, bel._hermitian_outer
+    `bel._outer` call (amplitudes make one each time they are formed, and a diagonal half
+    step on a formed stack one per new phase matrix), else for each `np.matmul` call (the
+    map on a formed stack makes two per call of `measure`) "matmul", or "real matmul" when
+    both factors are real (a real M on float views; `bel._KrausStep`)."""
+    kernels, matmul, outer = [], np.matmul, bel._outer
 
     def counted(a, b, **kw):
         kernels.append("matmul" if np.iscomplexobj(a) or np.iscomplexobj(b) else "real matmul")
         return matmul(a, b, **kw)
 
-    def counted_outer(m, out=None):
+    def counted_outer(m):
         kernels.append("diagonal")
-        return outer(m, out)
+        return outer(m)
 
     monkeypatch.setattr(np, "matmul", counted)
-    monkeypatch.setattr(bel, "_hermitian_outer", counted_outer)
+    monkeypatch.setattr(bel, "_outer", counted_outer)
     return kernels
 
 
 class TestKrausQndOracleAnyDim:
     """H = n^ and L = sqrt(kappa) n^ from a mixed state with coherences: the filter on
     its own record against `qnd_filter_exact` (`qnd_oracle_error`).  Diagonal, M is
-    diagonal and the map is one elementwise product with `bel._hermitian_outer`; rotated
+    diagonal, the step holds amplitudes and forms them once with `bel._outer`; rotated
     by a fixed random unitary, M is dense and complex, and both d run the batched matmul."""
 
     KERNELS = {(3, False): "diagonal", (8, False): "diagonal", (3, True): "matmul",
@@ -494,14 +494,22 @@ class TestBlowup:
             bel.simulate_ensemble(model, None, cfg, MIXED, [11, 12], keep_states=False)
         assert err.value.step_index == 0 and err.value.t == cfg.dt
 
+    def test_step_sme_refuses_by_the_same_rule(self):
+        # One state, L = 1e100 sigma_z: the trace `advance` returns overflows, and
+        # step_sme reads it as simulate_ensemble does.
+        model = ops.QuantumModel(H0=np.zeros((2, 2)), L=1e100 * ops.SIGMA_Z)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBlowupError,
+                                                      match="step_sme: trace inf"):
+            bel.step_sme(MIXED, [], 0.1, model, bel.SmeConfig(dt=1e-2, T=0.1))
+
     @pytest.mark.parametrize("Hc, L", [(ops.SIGMA_Z, ops.SIGMA_Z), (ops.SIGMA_X, ops.SIGMA_Z),
                                        (ops.SIGMA_X, ops.SIGMA_X)],
                              ids=["diagonal_phases", "dense_half_step", "dense"])
     def test_one_trajectory_failing_mid_run(self, Hc, L):
         # From t = 0.03, trajectory 1's control 1e308 makes H(u) = 2e308 Hc = inf, so its
-        # half step is NaN: as phases on the amplitudes, as a dense U on the stack of a
-        # diagonal M, and with a dense M.  The first half step of step 3 already carries
-        # it into that step's trace.
+        # half step is NaN: as phases on the amplitudes, as a dense U on the formed stack
+        # of a diagonal M, and with a dense M.  The first half step of step 3 already
+        # carries it into that step's trace.
         model = ops.QuantumModel(H0=np.zeros((2, 2)), L=L, Hc=(2.0 * Hc,))
         cfg = bel.SmeConfig(dt=1e-2, T=0.1)
 
@@ -607,6 +615,35 @@ class TestKrausPhysicality:
         assert np.max(np.abs(np.einsum("sii->s", final) - 1.0)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(final)) >= -1e-12
         assert np.max(ops.herm_defect(final)) == 0.0
+
+    def test_held_form_follows_the_run(self, monkeypatch):
+        # Amplitudes are held only when M is diagonal, there is no extra channel and every
+        # half step the run can take is diagonal: H0, and each Hc under a policy.  The
+        # closed-loop qubit's Hc = sigma_y is dense, so its forms differ with and without
+        # a policy, and a policy of zeros agrees with none to rounding (measured 1.4e-15).
+        steps = []
+
+        class Recorded(bel._KrausStep):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                steps.append(self)
+
+        monkeypatch.setattr(bel, "_KrausStep", Recorded)
+
+        def zeros(t, rho, past):
+            return np.zeros((len(rho), 1))
+
+        cfg, runs = bel.SmeConfig(dt=1e-2, T=1.0), []
+        for (model, rho0), policy, amplitudes in (
+                (self.MODELS["closed_loop_qubit"], None, True),
+                (self.MODELS["closed_loop_qubit"], zeros, False),
+                (self.MODELS["diagonal_qubit"], zeros, True),
+                ((TestMeasureFormulations.MODELS["diagonal_8"],
+                  TestDiagonalHalfStep.states(8, 1, 8)[0]), None, False)):
+            runs.append(bel.simulate_ensemble(model, policy, cfg, rho0, range(20))[1])
+            assert (steps.pop().table is None) == amplitudes
+        assert runs[0].shape == (20, 101, 2, 2)
+        assert np.max(np.abs(runs[0] - runs[1])) <= 1e-13
 
     @pytest.mark.parametrize("dim", [2, 5, 21])
     def test_cayley_is_unitary(self, dim):
@@ -728,14 +765,15 @@ def matmul_calls(monkeypatch):
 
 
 class TestMeasureFormulations:
-    """`_KrausStep.measure` is one map, M rho M^dag: for a diagonal M one elementwise
-    product rho * P (`bel._hermitian_outer`), else two batched matmuls, real when L is
-    real and complex for complex_3 and complex_8 alone (the qubit's L = sigma_z +
-    0.4 i sigma_y is a real matrix); under each kernel it is `kraus_map_reference`.
-    diagonal_8's extra channel K = 0.4 a has a diagonal K^dag K, so M stays diagonal;
-    dense_loss_8's L is diagonal too, but K = 0.3 (a + a^dag) makes I + dt loss dense,
-    and so M.  complex_diagonal_3's L is diagonal but not Hermitian, so M rho M^dag
-    differs from M^dag rho M there."""
+    """`_KrausStep.measure` is one map, M rho M^dag: on amplitudes one elementwise product
+    rho * P (`bel._outer`) when read, else two batched matmuls, real when L is real and
+    complex for complex_3 and complex_8 alone (the qubit's L = sigma_z + 0.4 i sigma_y is
+    a real matrix); under each kernel it is `kraus_map_reference`.  A step built without
+    a run holds amplitudes only if every Hc is diagonal: closed_loop_qubit's Hc = sigma_y
+    is not, so its diagonal M takes the matmuls, as does diagonal_8's, which has an extra
+    channel.  dense_loss_8's L is diagonal too, but K = 0.3 (a + a^dag) makes I + dt
+    loss dense, and so M.  complex_diagonal_3's L is diagonal but not Hermitian, so
+    M rho M^dag differs from M^dag rho M there."""
 
     MODELS = {
         "qubit": TestKrausPhysicality.MODELS["qubit"][0],
@@ -748,6 +786,7 @@ class TestMeasureFormulations:
                                                    @ ops.annihilation(8)),
             L_extra=(0.4 * ops.dagger(ops.annihilation(8)),)),
         "closed_loop_qubit": TestKrausPhysicality.MODELS["closed_loop_qubit"][0],
+        "qnd_qubit": TestKrausPhysicality.MODELS["qnd_qubit"][0],
         "diagonal_8": ops.QuantumModel(H0=np.diag(np.arange(8.0)),
                                        L=np.sqrt(0.05) * np.diag(np.arange(8.0)),
                                        L_extra=(0.4 * ops.annihilation(8),)),
@@ -757,7 +796,7 @@ class TestMeasureFormulations:
         "complex_diagonal_3": ops.QuantumModel(H0=np.zeros((3, 3)),
                                                L=np.diag([0.5, 0.3j, -0.2 + 0.4j])),
     }
-    DIAGONAL = {"closed_loop_qubit", "diagonal_8", "complex_diagonal_3"}
+    DIAGONAL = {"qnd_qubit", "complex_diagonal_3"}
     COMPLEX = {"complex_3", "complex_8"}
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -783,15 +822,14 @@ class TestMeasureFormulations:
         # the (3, 2 d^2) float table, and two complex products.  A diagonal
         # M (L = n^, QND as in the d = 2 workloads) takes neither at any d: a measurement
         # leaves the stack as it was and holds the amplitudes a and populations q (d, n),
-        # and reading the state forms it once, rho * a a^dag, into the batch-last work
-        # array p (d, d, n).
+        # and reading the state forms it once, rho * a a^dag, with no work array.
         calls, n = matmul_calls(monkeypatch), 5
         kernels = product_kernels(monkeypatch)
         stack, dense = {"rho": (n, dim, dim)}, {"m": (n, dim, dim), "work": (n, dim, dim)}
         for L, work_shapes, measured, kernel, table in (
                 (ops.annihilation(dim), dense, {}, "real matmul", (3, dim * dim)),
                 (-1j * ops.annihilation(dim), dense, {}, "matmul", (3, 2 * dim * dim)),
-                (np.diag(np.arange(dim, dtype=float)), {"p": (dim, dim, n)},
+                (np.diag(np.arange(dim, dtype=float)), {},
                  {"a": (dim, n), "q": (dim, n)}, "diagonal", None)):
             rho0 = np.broadcast_to(np.eye(dim) / dim, (n, dim, dim)).copy()
             step = bel._KrausStep(ops.QuantumModel(H0=np.zeros((dim, dim)), L=L), 1e-2, rho0)
@@ -820,7 +858,8 @@ class TestMeasureFormulations:
 
 
 # (model, product kernels, dense Cayley solve) for `TestExactlyHermitian::test_every_kernel_path`
-KERNEL_PATHS = [("qnd_qubit", {"diagonal"}, False), ("closed_loop_qubit", {"diagonal"}, True),
+KERNEL_PATHS = [("qnd_qubit", {"diagonal"}, False),
+                ("closed_loop_qubit", {"real matmul"}, True),
                 ("qubit", {"real matmul"}, True),
                 ("oscillator", {"diagonal", "real matmul"}, False),
                 ("diagonal_qubit", {"diagonal"}, False),
@@ -830,8 +869,8 @@ KERNEL_PATHS = [("qnd_qubit", {"diagonal"}, False), ("closed_loop_qubit", {"diag
 
 class TestExactlyHermitian:
     """Every state the filter returns is exactly Hermitian, `array_equal(rho, rho^dag)`:
-    elementwise steps by construction (`bel._hermitian_outer`), a step with a dense product
-    as its Hermitian part, and the start state made so once at entry."""
+    every formed stack is the Hermitian part of what formed it, after a step on a formed
+    stack and when amplitudes are formed, and the start state is made so once at entry."""
 
     QND_8 = ops.QuantumModel(H0=np.diag(np.arange(8.0)), L=np.sqrt(0.05) * np.diag(np.arange(8.0)))
 
@@ -867,11 +906,11 @@ class TestExactlyHermitian:
         ids=[f"{name}-kernels{i}-{cayley}" + ("" if keep else "-final_only")
              for keep in (True, False) for i, (name, _, cayley) in enumerate(KERNEL_PATHS)])
     def test_every_kernel_path(self, name, kernels, cayley, keep_states, monkeypatch):
-        # The diagonal M alone; a diagonal M with per-state dense half steps; a
-        # diagonal M with per-state diagonal half steps under state feedback (phases
-        # on the amplitudes); a real dense M at d = 2, with an extra channel; a real dense
-        # M at d = 12, with the diagonal half step of H0 = a^dag a; and a complex one,
-        # L = -i sqrt(0.5) a at d = 8 and d = 3.
+        # The diagonal M alone; a diagonal M with per-state dense half steps, on the
+        # formed stack; a diagonal M with per-state diagonal half steps under state
+        # feedback (phases on the amplitudes); a real dense M at d = 2, with an extra
+        # channel; a real dense M at d = 12, with the diagonal half step of H0 = a^dag a;
+        # and a complex one, L = -i sqrt(0.5) a at d = 8 and d = 3.
         model, rho0 = TestKrausPhysicality.MODELS[name]
         seen, solves = product_kernels(monkeypatch), []
         solve = ops.cayley
@@ -933,9 +972,9 @@ class TestDiagonalHalfStep:
     @pytest.mark.parametrize("case", ["oscillator_shared", "qubit_per_state",
                                       "diagonal_8_extra_channel", "fully_diagonal_per_state"])
     def test_matches_dense_cayley(self, case, monkeypatch):
-        # diagonal_8 has a diagonal M and an extra channel: its shared phases reach the
-        # amplitudes, which are formed before the channel.  The fully diagonal qubit
-        # keeps per-state phases and M on the amplitudes throughout.
+        # diagonal_8 has a diagonal M and an extra channel, so a formed stack, which its
+        # shared phases act on as a phase matrix.  The fully diagonal qubit keeps
+        # per-state phases and M on the amplitudes throughout.
         if case == "oscillator_shared":
             model, rho0 = oscillator()[:2]
             u = np.zeros((4, 0))
