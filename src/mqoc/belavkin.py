@@ -39,7 +39,6 @@ import numpy as np
 
 from . import operators as ops
 from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
-from .io import write_csv
 
 STEP_COUNT_TOL = 1e-9
 
@@ -118,7 +117,8 @@ class TrajectoryRecord:
     """One filtered trajectory, kept as the arrays it is checked as: states, controls, record
     y, innovations W, packed from row i of the output of `simulate_ensemble`, the one
     generator.  Every consumer reads one dt, so times must be two or more finite points,
-    evenly increasing (relative STEP_COUNT_TOL), with one row of each array per time."""
+    evenly increasing (relative STEP_COUNT_TOL), with one row of each array per time, and
+    every array must be finite."""
 
     times: np.ndarray
     states: np.ndarray
@@ -136,6 +136,8 @@ class TrajectoryRecord:
             a = np.asarray(getattr(self, name), dtype=complex if name == "states" else float)
             if a.shape[:1] != t.shape:
                 raise RejectedInputError(f"{name} length differs from times")
+            if not np.all(np.isfinite(a)):
+                raise RejectedInputError(f"{name} has non-finite entries")
             object.__setattr__(self, name, a)
         if self.states.shape[1:] != self.states.shape[-1:] * 2 or self.controls.ndim != 2:
             raise DimensionMismatchError("states must be (n, d, d) and controls (n, k)")
@@ -497,19 +499,3 @@ def filter_observable_check(traj, X, model):
         worst = max(worst, abs(m - refs[k + 1]))
     return worst
 
-
-def trajectory_csv_header(dim, n_controls):
-    cols = ["t", "y", "W"]
-    cols += [f"u_{i}" for i in range(n_controls)]
-    cols += [f"rho_re_{i}_{j}" for i in range(dim) for j in range(dim)]
-    cols += [f"rho_im_{i}_{j}" for i in range(dim) for j in range(dim)]
-    return cols
-
-
-def write_trajectory_csv(traj, path):
-    """One row per stored step: t, y, W, u_0..u_k, rho_re flat, rho_im flat."""
-    n, d = len(traj.times), traj.states.shape[-1]
-    header = trajectory_csv_header(d, traj.controls.shape[-1])
-    rows = np.column_stack([traj.times, traj.record_y, traj.innovations_W, traj.controls,
-                            traj.states.real.reshape(n, -1), traj.states.imag.reshape(n, -1)])
-    write_csv(path, header, map(np.ndarray.tolist, rows))

@@ -7,8 +7,8 @@ moves it by dr = b dt + s dW with
     s(r) = s0 + S1 r - (l.r) r,    l_j = tr((L + L^dag) sigma_j) / 2.
 
 These images are read off the model's kernel once (`operators.BlochGenerator`,
-held as `model.bloch`); `bloch_dynamics`, the grid solver and the Hamiltonian
-of `pontryagin` all evaluate them.
+held as `model.bloch`); the grid solver and the Hamiltonian of `pontryagin`
+evaluate them.
 
 The value function is computed by explicit backward Euler on a cubic grid masked
 to the ball.  Each grid size has one cached stencil, a tap table: for every inside
@@ -63,25 +63,6 @@ def bloch_from_density(rho):
     if rho.shape[-2:] != (2, 2):
         raise DimensionMismatchError(f"bloch_from_density needs a qubit state, got {rho.shape}")
     return ops.pauli_components(rho)
-
-
-def density_from_bloch(r):
-    """rho = (I + r.sigma)/2; accepts stacked vectors (..., 3)."""
-    r = check_bloch(r)
-    rho = 0.5 * (np.einsum("...k,kij->...ij", r, np.stack(ops.PAULI)) + ops.IDENTITY2)
-    return rho
-
-
-def bloch_dynamics(model, u, r):
-    """Drift b(r, u) = A(u) r + c and diffusion s(r) = s0 + S1 r - (l.r) r.
-
-    dr = b dt + s dW reproduces the density-matrix stochastic step under the
-    linear Bloch map.  r is (..., 3); u is (k,) or one row per point.
-    """
-    gen = model.bloch
-    r = check_bloch(r)
-    u = ops.check_control(model, u, r.shape[:-1])
-    return gen.drift(u, r), gen.diffusion(r)
 
 
 @dataclass(frozen=True)

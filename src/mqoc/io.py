@@ -1,13 +1,10 @@
-"""Small deterministic writers, flat CSV and key-value text, and a strict key-value reader.
+"""Small deterministic writers: flat CSV and key-value text.
 
-All numbers are written with shortest round-trip formatting so identical
-inputs produce byte-identical files, and the arrays that `read_keyvalue`
-reads back are the values that were written.
+All numbers are written with shortest round-trip formatting, so identical
+inputs produce byte-identical files.
 """
 
 import numpy as np
-
-from .errors import RejectedInputError
 
 
 def fmt(x):
@@ -40,38 +37,3 @@ def write_keyvalue(path, items):
                 body = fmt(value)
             fh.write(f"{key} = {body}\n")
 
-
-def read_keyvalue(path, names):
-    """Arrays from `write_keyvalue` text, each as `<name>.shape = [...]` plus `<name> = [...]`.
-
-    The shape is [] for a scalar and the entries are row-major; an entry
-    with a `j` is complex.  Every name must be in `names`.  A malformed
-    line, a duplicate or unknown key, a missing shape or data line, or a
-    length that does not fit the shape raises RejectedInputError naming the
-    key.
-    """
-    entries = {}
-    with open(path) as fh:
-        for line in filter(str.strip, fh):
-            key, _, body = (part.strip() for part in line.partition("="))
-            if key.removesuffix(".shape") not in names:
-                raise RejectedInputError(f"unknown key {key!r}")
-            if key in entries:
-                raise RejectedInputError(f"duplicate key {key!r}")
-            if not (body.startswith("[") and body.endswith("]")):
-                raise RejectedInputError(f"key {key!r}: expected `{key} = [...]`")
-            entries[key] = body[1:-1].split(",") if body[1:-1].strip() else []
-    arrays = {}
-    for name in dict.fromkeys(key.removesuffix(".shape") for key in entries):
-        for key in (f"{name}.shape", name):
-            if key not in entries:
-                raise RejectedInputError(f"key {key!r} is missing")
-        try:
-            shape = [int(t) for t in entries[f"{name}.shape"]]
-            data = np.array([complex(t) if "j" in t else float(t) for t in entries[name]])
-            if data.size != np.prod(shape):
-                raise ValueError(f"{data.size} entries do not fit shape {shape}")
-            arrays[name] = data.reshape(shape)
-        except ValueError as exc:
-            raise RejectedInputError(f"key {name!r}: {exc}") from exc
-    return arrays

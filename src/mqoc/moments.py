@@ -15,8 +15,7 @@ F F^T comes from the dissipator and always enters (F=None: none).  So
 them, `MomentFilter` advances a batch of means one Euler step at a time,
 x <- x + (A x + B u) dt + Ktilde_k dy, written as the affine map
 x <- Phi x + g with Phi = I + A dt and g = (B u) dt + Ktilde_k dy, and
-`run_moment_filter` runs the same step over whole records.  Model files
-are the package's key-value text (`save_linear_model`).
+`run_moment_filter` runs the same step over whole records.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ import numpy as np
 
 from . import operators as ops
 from .errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
-from .io import read_keyvalue, write_keyvalue
 
 HERM_CONSTRAINT_TOL = 1e-10
 SIGMA_PSD_TOL = 1e-9
@@ -134,9 +132,6 @@ def to_quadrature(mat, m):
         raise DimensionMismatchError(f"expected shape {(2*m, 2*m)}, got {mat.shape}")
     u = _quadrature_basis(m)
     return u @ mat @ np.linalg.inv(u)
-
-
-MODEL_MATRICES = ("A", "B", "C", "F", "M_cov")
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,18 +335,3 @@ def run_moment_filter(state, model, dt, n_steps, controls=None, innovations=None
         raise NumericalBlowupError("non-finite mean in run_moment_filter")
     return xs, filt.sigmas
 
-
-def save_linear_model(model, path):
-    """Key-value text through `io.write_keyvalue`: `<name>.shape = [...]` and
-    `<name> = [...]` (row-major) for each matrix of `MODEL_MATRICES`."""
-    items = {}
-    for name in MODEL_MATRICES:
-        arr = getattr(model, name)
-        items.update({f"{name}.shape": list(arr.shape), name: arr})
-    write_keyvalue(path, items)
-
-
-def load_linear_model(path):
-    """Read a `save_linear_model` file with the strict `io.read_keyvalue`: bad keys
-    are refused by name, and bad matrices as `LinearModel` refuses them."""
-    return LinearModel(**read_keyvalue(path, MODEL_MATRICES))

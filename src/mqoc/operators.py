@@ -99,8 +99,9 @@ def check_density(rho, name="rho"):
 
 
 def check_hbar(hbar):
-    """Refuse all but one finite real hbar > 0."""
-    if np.ndim(hbar) or np.iscomplexobj(hbar) or not 0 < hbar < np.inf:
+    """Refuse all but one finite real hbar > 0: a string, None or a bool is no number."""
+    h = np.asarray(hbar)
+    if h.ndim or h.dtype.kind not in "iuf" or not 0 < h < np.inf:
         raise RejectedInputError(f"hbar must be one finite number > 0, got {hbar!r}")
 
 
@@ -320,10 +321,15 @@ def fluctuation(L, rho):
 
 
 def expectation(rho, X):
-    """tr(rho X); real up to rounding when X is Hermitian."""
+    """tr(rho X); real up to rounding when X is Hermitian.  Stacks must broadcast."""
     rho = as_operator(rho, "rho")
     X = as_operator(X, "X")
     _same_dim(rho, X, "rho and X")
+    try:
+        np.broadcast_shapes(rho.shape, X.shape)
+    except ValueError:
+        raise DimensionMismatchError(
+            f"rho {rho.shape} and X {X.shape} do not broadcast") from None
     return np.einsum("...ij,...ji->...", rho, X)
 
 
@@ -350,7 +356,7 @@ def project_physical(m):
 
 
 def annihilation(dim):
-    """Truncated Fock-space annihilation operator of the given dimension."""
-    if dim < 1:
-        raise RejectedInputError("dim must be >= 1")
+    """Truncated Fock-space annihilation operator of the given integer dimension."""
+    if not is_count(dim) or dim < 1:
+        raise RejectedInputError(f"dim must be >= 1 and an integer, got {dim!r}")
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)

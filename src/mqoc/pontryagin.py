@@ -40,11 +40,6 @@ def _check_costate(p, P, batch=()):
     return p, P
 
 
-def generalized_hamiltonian(t, u, rho, p, P, model, cost):
-    """C + <drift, p> + (1/2) s^T P s at u: the minimum over the one-point grid [u]."""
-    return minimize_hamiltonian(t, rho, p, P, model, cost, [u])[1]
-
-
 def hamiltonian_gradient_r(t, u, r, p, P, model, cost):
     """Exact gradient of the Hamiltonian in r, with p and P held fixed (module docstring)."""
     gen = model.bloch

@@ -1,9 +1,9 @@
 """Reference formulas the tests compare the library against, written apart from its kernel,
-the one-seed record the tests pack from `simulate_ensemble`, the exact QND oracle
-ladders that the tests and `scripts/orders.py` run, the damped oscillator that the tests
-and `scripts/feedback_run.py` share with its coherent-state oracle, and the stacked HJB
-step and the value-by-value grid CSV that the sweep and the grid writer must match bit for
-bit."""
+the one-seed record the tests pack from `simulate_ensemble`, the qubit state of a Bloch
+vector, the exact QND oracle ladders that the tests and `scripts/orders.py` run, the
+damped oscillator that the tests and `scripts/feedback_run.py` share with its
+coherent-state oracle, and the stacked HJB step and the value-by-value grid CSV that the
+sweep and the grid writer must match bit for bit."""
 
 from collections import namedtuple
 from math import factorial
@@ -23,6 +23,13 @@ def record(model, policy, cfg, rho0, seed):
     """The `TrajectoryRecord` of one seed, packed from `simulate_ensemble`'s output."""
     times, states, controls, y, w = bel.simulate_ensemble(model, policy, cfg, rho0, [seed])
     return bel.TrajectoryRecord(times, states[0], controls[0], y[0], w[0], seed)
+
+
+def density_from_bloch(r):
+    """rho = (I + r.sigma)/2 for r in the unit ball (`hjb_bloch.check_bloch`); accepts
+    stacked vectors (..., 3)."""
+    r = hjb.check_bloch(r)
+    return 0.5 * (np.einsum("...k,kij->...ij", r, np.stack(ops.PAULI)) + ops.IDENTITY2)
 
 
 def trajectory_cost_loop(traj, cost):

@@ -8,9 +8,9 @@ from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
-from reference import (adjoint_generator, coherent_oracle_error, kraus_map_reference, oscillator,
-                       qnd_filter_exact, qnd_oracle_error, record, tanh_oracle_error,
-                       trajectory_cost_loop)
+from reference import (adjoint_generator, coherent_oracle_error, density_from_bloch,
+                       kraus_map_reference, oscillator, qnd_filter_exact, qnd_oracle_error,
+                       record, tanh_oracle_error, trajectory_cost_loop)
 
 QUBIT_Z = ops.QuantumModel(H0=np.zeros((2, 2)), L=ops.SIGMA_Z)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -320,8 +320,7 @@ class TestTrajectoryRecordShapes:
         ((3, 2, 2), (3, 1, 1)),
     ], ids=["flat_states", "non_square_states", "4d_states", "flat_controls", "3d_controls"])
     def test_refuses_misshapen_states_and_controls(self, states, controls):
-        # Before: only the first axis was checked, and (3, 3) states were accepted
-        # and written as 9 values a row under a 21-column CSV header.
+        # Before: only the first axis was checked, and (3, 3) states were accepted.
         with pytest.raises(DimensionMismatchError, match=r"\(n, d, d\) and controls \(n, k\)"):
             bel.TrajectoryRecord(np.linspace(0.0, 0.1, 3), np.zeros(states), np.zeros(controls),
                                  np.zeros(3), np.zeros(3), 0)
@@ -331,6 +330,14 @@ class TestTrajectoryRecordShapes:
             traj = bel.TrajectoryRecord(np.linspace(0.0, 0.1, 3), np.zeros((3, d, d)),
                                         np.zeros((3, k)), np.zeros(3), np.zeros(3), 0)
             assert traj.states.shape == (3, d, d) and traj.controls.shape == (3, k)
+
+    def test_record_of_lists_is_kept_as_arrays(self):
+        # Before: the lists were kept as given.
+        traj = record(QUBIT_Z, None, bel.SmeConfig(dt=0.05, T=0.2), MIXED, 4)
+        fields = ("times", "states", "controls", "record_y", "innovations_W")
+        listed = bel.TrajectoryRecord(*(getattr(traj, f).tolist() for f in fields), traj.seed)
+        for f in fields:
+            assert np.array_equal(getattr(listed, f), getattr(traj, f))
 
 
 class TestPolicyControls:
@@ -1053,7 +1060,7 @@ def cost_case(name):
         spec = hjb.GridSpec(T=0.05, n_space=11, n_time=100)
         grid = hjb.solve_hjb_grid(model, cost, u_grid, spec)
         policy = pmp.GridPolicy(grid, model, cost, u_grid)
-        rho0 = hjb.density_from_bloch([0.3, 0.0, 0.2])
+        rho0 = density_from_bloch([0.3, 0.0, 0.2])
         return record(model, policy, bel.SmeConfig(dt=5e-4, T=0.05), rho0, 17), cost
     if name == "t_dependent":
         cost = bel.CostSpec(running_op=lambda t, u: (1.0 + t) * EXCITED + t * t * np.eye(2),
@@ -1227,27 +1234,3 @@ class TestFilterObservableCheck:
             assert abs(bel.filter_observable_check(traj, X, model) - worst) <= 1e-12
             assert worst > 1e-4
 
-
-class TestCsvExport:
-    def test_roundtrip_columns(self, tmp_path):
-        traj = record(QUBIT_Z, None, bel.SmeConfig(dt=0.05, T=0.2), MIXED, 4)
-        path = tmp_path / "traj.csv"
-        bel.write_trajectory_csv(traj, path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:3] == ["t", "y", "W"]
-        assert "rho_re_0_0" in header and "rho_im_1_1" in header
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (5, len(header))
-        assert np.allclose(data[:, 0], traj.times)
-
-    def test_record_of_lists_is_kept_as_arrays(self, tmp_path):
-        # Before: the lists were kept as given, and writing raised
-        # AttributeError ('list' object has no attribute 'shape').
-        traj = record(QUBIT_Z, None, bel.SmeConfig(dt=0.05, T=0.2), MIXED, 4)
-        fields = ("times", "states", "controls", "record_y", "innovations_W")
-        listed = bel.TrajectoryRecord(*(getattr(traj, f).tolist() for f in fields), traj.seed)
-        for f in fields:
-            assert np.array_equal(getattr(listed, f), getattr(traj, f))
-        bel.write_trajectory_csv(traj, tmp_path / "arrays.csv")
-        bel.write_trajectory_csv(listed, tmp_path / "lists.csv")
-        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()

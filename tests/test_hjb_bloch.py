@@ -10,7 +10,7 @@ from mqoc import belavkin as bel
 from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc.errors import DimensionMismatchError, RejectedInputError, StabilityError
-from reference import StackedSweep, grid_csv_reference, hjb_grid_values
+from reference import StackedSweep, density_from_bloch, grid_csv_reference, hjb_grid_values
 
 KAPPA = 0.5
 DEPHASING = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(KAPPA) * ops.SIGMA_Z)
@@ -88,12 +88,12 @@ class TestBlochMaps:
         for _ in range(20):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 1) / np.linalg.norm(r)
-            rho = hjb.density_from_bloch(r)
+            rho = density_from_bloch(r)
             assert np.max(np.abs(hjb.bloch_from_density(rho) - r)) < 1e-12
 
     def test_rejects_outside_ball(self):
         with pytest.raises(RejectedInputError):
-            hjb.density_from_bloch([1.0, 1.0, 1.0])
+            hjb.check_bloch([1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 2, 3)])
     def test_bloch_from_density_refuses_non_qubit_shapes(self, shape):
@@ -118,13 +118,13 @@ class TestBlochDynamics:
         omega = 0.7
         model = ops.QuantumModel(H0=0.5 * omega * ops.SIGMA_Z, L=np.zeros((2, 2)))
         r = np.array([0.3, -0.2, 0.5])
-        b, s = hjb.bloch_dynamics(model, [], r)
+        b, s = model.bloch.drift([], r), model.bloch.diffusion(r)
         assert np.allclose(b, omega * np.array([-r[1], r[0], 0.0]), atol=1e-12)
         assert np.allclose(s, 0.0, atol=1e-12)
 
     def test_dephasing_channel(self):
         r = np.array([0.4, 0.1, -0.3])
-        b, s = hjb.bloch_dynamics(DEPHASING, [], r)
+        b, s = DEPHASING.bloch.drift([], r), DEPHASING.bloch.diffusion(r)
         assert np.allclose(b, [-2 * KAPPA * r[0], -2 * KAPPA * r[1], 0.0], atol=1e-12)
         root = 2 * np.sqrt(KAPPA)
         expect_s = root * np.array([-r[0] * r[2], -r[1] * r[2], 1 - r[2] ** 2])
@@ -141,9 +141,9 @@ class TestBlochDynamics:
             r *= rng.uniform(0, 0.99) / np.linalg.norm(r)
             u = rng.normal(size=1)
             dW = rng.normal(0, np.sqrt(dt))
-            b, s = hjb.bloch_dynamics(model, u, r)
+            b, s = model.bloch.drift(u, r), model.bloch.diffusion(r)
             r_next = r + b * dt + s * dW
-            rho = hjb.density_from_bloch(r)
+            rho = density_from_bloch(r)
             rho_next = (rho + ops.lindblad_drift(model, u, rho) * dt
                         + ops.fluctuation(model.L, rho) * dW)
             assert np.max(np.abs(hjb.bloch_from_density(rho_next) - r_next)) \
@@ -205,7 +205,7 @@ class TestSolveHjbGrid:
         q, grad, A = random_quadratic(3)
         stencil = hjb._BallStencil(21)
         r = stencil.points_in
-        b, s = hjb.bloch_dynamics(model, [0.7], r)
+        b, s = model.bloch.drift([0.7], r), model.bloch.diffusion(r)
         dt = 1e-2
         stepped = hjb._Sweep(stencil, model.bloch, [[0.7]], s)(q(r), np.zeros((1, len(r))), dt)
         exact = q(r) + dt * (np.sum(b * grad(r), axis=1)
@@ -618,7 +618,7 @@ class TestCostChart:
         c = g + np.conj(np.swapaxes(g, 1, 2))
         r = rng.normal(size=(5, 3))
         r *= rng.uniform(0, 1, size=(5, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
-        want = np.real(np.einsum("nij,uji->un", hjb.density_from_bloch(r), c))
+        want = np.real(np.einsum("nij,uji->un", density_from_bloch(r), c))
         got = hjb.expectation_fields(hjb.cost_chart(c, "C"), r)
         assert np.max(np.abs(got - want)) <= 1e-12
 

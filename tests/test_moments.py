@@ -1,5 +1,4 @@
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -10,6 +9,9 @@ from mqoc import moments as mom
 from mqoc import operators as ops
 from mqoc.errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
 from reference import adjoint_generator, damped_oscillator_model, oscillator
+
+# The five matrices of a `LinearModel`, by field name.
+MATRICES = ("A", "B", "C", "F", "M_cov")
 
 
 def oscillator_R(omega, hbar=1.0):
@@ -572,7 +574,7 @@ class TestCovariancePathCache:
         # Before: the model aliased the caller's arrays, and the cache keyed on
         # the bytes of A, C, M_cov and F to see them edited in place.
         given = {k: np.array(getattr(filter_inputs(9, (1, 2), 1e-2)[0], k))
-                 for k in mom.MODEL_MATRICES}
+                 for k in MATRICES}
         model = mom.LinearModel(**given)
         first = mom.covariance_path(model, **self.ARGS)
         for name, arr in given.items():
@@ -621,37 +623,6 @@ class TestBelavkinAgreement:
         assert rel <= 0.05
 
 
-class TestModelFile:
-    def test_roundtrip(self, tmp_path):
-        model = damped_oscillator_model()
-        path = tmp_path / "model.yaml"
-        mom.save_linear_model(model, path)
-        loaded = mom.load_linear_model(path)
-        for name in mom.MODEL_MATRICES:
-            assert np.array_equal(getattr(loaded, name), getattr(model, name))
-
-    @pytest.mark.parametrize("key, edit", [
-        ("B.shape", lambda lines: [ln for ln in lines if not ln.startswith("B.shape")]),
-        ("C", lambda lines: [("C = [1.0]" if ln.startswith("C = ") else ln) for ln in lines]),
-        ("A", lambda lines: lines + ["A = [0.0, 0.0, 0.0, 0.0]"]),
-        ("A", lambda lines: [("A.shape = [-1, 2]" if ln.startswith("A.shape") else ln)
-                             for ln in lines]),
-        ("Z.shape", lambda lines: lines + ["Z.shape = [1]", "Z = [0.0]"]),
-        ("D.shape", lambda lines: lines + ["D.shape = [1, 1]", "D = [1.0]"]),
-        ("G.shape", lambda lines: lines + ["G.shape = [1, 1]", "G = [5.0]"]),
-        ("construction.omega", lambda lines: lines + ["construction.omega = [1.0]"]),
-        ("M_cov", lambda lines: [("M_cov = [0.0, x]" if ln.startswith("M_cov = ") else ln)
-                                 for ln in lines]),
-    ], ids=["missing-shape", "length-mismatch", "duplicate", "negative-shape", "unknown",
-            "stray-D", "stray-G", "unknown-construction", "not-a-number"])
-    def test_reader_names_offending_key(self, tmp_path, key, edit):
-        path = tmp_path / "model.txt"
-        mom.save_linear_model(damped_oscillator_model(), path)
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        with pytest.raises(RejectedInputError, match=re.escape(repr(key))):
-            mom.load_linear_model(path)
-
-
 @pytest.mark.parametrize("field", ["D", "G", "construction"])
 def test_linear_model_has_no_unused_fields(field):
     with pytest.raises(TypeError):
@@ -680,39 +651,27 @@ def test_build_ab_rejects_hbar_that_is_not_finite_positive(hbar):
         mom.build_AB(oscillator_R(1.0), np.zeros((2, 1)), hbar=hbar)
 
 
-@pytest.mark.parametrize("name", mom.MODEL_MATRICES)
+@pytest.mark.parametrize("name", MATRICES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_linear_model_rejects_non_finite_matrices_in_code_and_file(name, bad, tmp_path):
+def test_linear_model_rejects_non_finite_matrices(name, bad):
     # Before: each was accepted, and the filter later raised NumericalBlowupError.
     model = damped_oscillator_model()
-    mats = {k: getattr(model, k).copy() for k in mom.MODEL_MATRICES}
+    mats = {k: getattr(model, k).copy() for k in MATRICES}
     mats[name][0, 0] = bad
     with pytest.raises(RejectedInputError, match=f"{name} has non-finite"):
         mom.LinearModel(**mats)
-    path = tmp_path / "model.txt"
-    mom.save_linear_model(model, path)
-    path.write_text(re.sub(rf"^{name} = \[[^,]+", f"{name} = [{bad!r}", path.read_text(),
-                           flags=re.M))
-    with pytest.raises(RejectedInputError, match=f"{name} has non-finite"):
-        mom.load_linear_model(path)
 
 
-@pytest.mark.parametrize("name", mom.MODEL_MATRICES)
-def test_linear_model_rejects_complex_matrices_in_code_and_file(name, tmp_path):
+@pytest.mark.parametrize("name", MATRICES)
+def test_linear_model_rejects_complex_matrices(name):
     # Before: accepted; `MomentFilter` refused a complex A, B, C or M_cov but
     # not F, and `covariance_path` dropped the imaginary part with a warning.
     model = damped_oscillator_model()
     mats = {k: np.array(getattr(model, k), dtype=complex) if k == name else getattr(model, k)
-            for k in mom.MODEL_MATRICES}
+            for k in MATRICES}
     mats[name][0, 0] += 0.5j
     with pytest.raises(RejectedInputError, match=f"{name} must be real"):
         mom.LinearModel(**mats)
-    path = tmp_path / "model.txt"
-    mom.save_linear_model(model, path)
-    path.write_text(re.sub(rf"^{name} = \[([^,\]]+)", rf"{name} = [\1+0.5j", path.read_text(),
-                           flags=re.M))
-    with pytest.raises(RejectedInputError, match=f"{name} must be real"):
-        mom.load_linear_model(path)
 
 
 @pytest.mark.parametrize("name, shape", [("A", (2, 3)), ("B", (3, 1)), ("C", (1, 3)),
@@ -720,7 +679,7 @@ def test_linear_model_rejects_complex_matrices_in_code_and_file(name, tmp_path):
                          ids=["A", "B", "C", "F", "M_cov"])
 def test_linear_model_rejects_misshapen_matrices_by_name(name, shape):
     model = damped_oscillator_model()
-    mats = {k: getattr(model, k) for k in mom.MODEL_MATRICES}
+    mats = {k: getattr(model, k) for k in MATRICES}
     mats[name] = np.zeros(shape)
     with pytest.raises(DimensionMismatchError, match=f"^{name} must have shape"):
         mom.LinearModel(**mats)

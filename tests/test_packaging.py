@@ -53,3 +53,50 @@ def test_console_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name} -> {target} is not callable"
+
+
+# Public names of `src/mqoc` that nothing in the package, the scripts or the benchmark's
+# pipelines reads, each kept for one reason.  Any other such name is dead code.
+KEPT = {
+    "lindblad_drift": "the validated drift, named as the kernel's entry by the design",
+    "fluctuation": "the validated fluctuation, named as the kernel's entry by the design",
+    "filter_observable_check": "the filter's scalar-SDE check, named by the design",
+    "build_AB": "the moment model's A and B from its Hamiltonian parameters",
+    "to_quadrature": "moves build_AB's matrices into the quadratures a LinearModel takes",
+    "step_sme": "one filter step on a caller's increment, the entry for a given record",
+    "noise_increments": "one seed's innovation stream, by which simulate_ensemble's "
+                        "docstring defines each trajectory's noise",
+}
+CALLERS = [*(ROOT / "src" / "mqoc").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+           *(ROOT / "bench" / f"{name}.py" for name in ("workloads", "run", "selftest"))]
+
+
+def public_names(path):
+    """Top-level functions, classes and constants of a module whose names lack a leading _."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def read_names(path):
+    """Every name a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_public_names_have_a_caller():
+    defined = set().union(*map(public_names, (ROOT / "src" / "mqoc").glob("*.py")))
+    read = set().union(*map(read_names, CALLERS))
+    assert sorted(defined - read) == sorted(KEPT), (
+        "a public name with no caller must go or get a reason in KEPT, and a KEPT "
+        "name must still be defined and uncalled")

@@ -10,7 +10,7 @@ from mqoc import hjb_bloch as hjb
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, RejectedInputError
-from reference import record
+from reference import density_from_bloch, record
 
 KAPPA = 0.5
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -24,10 +24,10 @@ def plain_cost(weight=0.0, state_scale=0.5):
 
 class TestGeneralizedHamiltonian:
     def test_reduces_to_running_cost(self):
-        rho = hjb.density_from_bloch([0.2, 0.1, -0.3])
+        rho = density_from_bloch([0.2, 0.1, -0.3])
         cost = plain_cost()
-        h = pmp.generalized_hamiltonian(0.0, [0.4], rho, np.zeros(3), np.zeros((3, 3)),
-                                        CONTROLLED, cost)
+        h = pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)), CONTROLLED, cost,
+                                     [[0.4]])[1]
         assert h == pytest.approx(np.real(ops.expectation(rho, cost.running(0.0, [0.4]))))
 
     def test_paper_convention_is_minus_drift_pairing(self):
@@ -35,10 +35,10 @@ class TestGeneralizedHamiltonian:
         cost = bel.CostSpec(running_op=lambda t, u: np.zeros((2, 2)),
                             terminal_op=np.zeros((2, 2)))
         r = np.array([0.4, 0.0, 0.1])
-        rho = hjb.density_from_bloch(r)
+        rho = density_from_bloch(r)
         p = np.array([0.3, -0.2, 0.5])
-        b, _ = hjb.bloch_dynamics(model, [], r)
-        h = pmp.generalized_hamiltonian(0.0, [], rho, p, np.zeros((3, 3)), model, cost)
+        b = model.bloch.drift([], r)
+        h = pmp.minimize_hamiltonian(0.0, rho, p, np.zeros((3, 3)), model, cost, [[]])[1]
         assert h == pytest.approx(float(b @ p), abs=1e-12)
 
     def test_gradient_in_p_is_signed_drift(self):
@@ -49,26 +49,26 @@ class TestGeneralizedHamiltonian:
         for _ in range(50):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 0.95) / np.linalg.norm(r)
-            rho = hjb.density_from_bloch(r)
+            rho = density_from_bloch(r)
             p = rng.normal(size=3)
             P = rng.normal(size=(3, 3))
             P = (P + P.T) / 2
             u = rng.normal(size=1)
-            b, _ = hjb.bloch_dynamics(CONTROLLED, u, r)
+            b = CONTROLLED.bloch.drift(u, r)
             grad = np.zeros(3)
             for i in range(3):
                 dp = np.zeros(3)
                 dp[i] = eps
                 grad[i] = (
-                    pmp.generalized_hamiltonian(0.0, u, rho, p + dp, P, CONTROLLED, cost)
-                    - pmp.generalized_hamiltonian(0.0, u, rho, p - dp, P, CONTROLLED, cost)
+                    pmp.minimize_hamiltonian(0.0, rho, p + dp, P, CONTROLLED, cost, [u])[1]
+                    - pmp.minimize_hamiltonian(0.0, rho, p - dp, P, CONTROLLED, cost, [u])[1]
                 ) / (2 * eps)
             assert np.max(np.abs(grad - b)) < 1e-6
 
 
 class TestMinimizeHamiltonian:
     def test_singleton(self):
-        rho = hjb.density_from_bloch([0.1, 0.0, 0.2])
+        rho = density_from_bloch([0.1, 0.0, 0.2])
         u, _ = pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
                                         CONTROLLED, plain_cost(0.3), [[0.7]])
         assert np.allclose(u, [0.7])
@@ -77,7 +77,7 @@ class TestMinimizeHamiltonian:
         # Before: numpy's bare "operands could not be broadcast" ValueError,
         # from here and so from GridPolicy.
         cost = bel.CostSpec(running_op=lambda t, u: np.eye(3), terminal_op=EXCITED)
-        rho = hjb.density_from_bloch([0.1, 0.0, 0.2])
+        rho = density_from_bloch([0.1, 0.0, 0.2])
         with pytest.raises(DimensionMismatchError, match="2 x 2"):
             pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)), CONTROLLED, cost,
                                      [[0.7]])
@@ -87,10 +87,10 @@ class TestMinimizeHamiltonian:
         weight = 0.5
         cost = plain_cost(weight=weight, state_scale=0.0)
         r = np.array([0.0, 0.0, 0.5])
-        rho = hjb.density_from_bloch(r)
+        rho = density_from_bloch(r)
         p = np.array([0.4, 0.0, 0.0])
-        b0, _ = hjb.bloch_dynamics(CONTROLLED, [0.0], r)
-        b1, _ = hjb.bloch_dynamics(CONTROLLED, [1.0], r)
+        b0 = CONTROLLED.bloch.drift([0.0], r)
+        b1 = CONTROLLED.bloch.drift([1.0], r)
         slope = (b1 - b0) @ p
         u_star = -slope / weight
         spacing = 0.25
@@ -100,7 +100,7 @@ class TestMinimizeHamiltonian:
         assert abs(u_best[0] - u_star) <= spacing
 
     def test_tie_break_lexicographic(self):
-        rho = hjb.density_from_bloch([0.0, 0.0, 0.3])
+        rho = density_from_bloch([0.0, 0.0, 0.3])
         cost = plain_cost(weight=0.0, state_scale=0.5)
         u_grid = [[0.5], [-0.5], [0.0]]  # H independent of u here (p = 0)
         u, _ = pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
@@ -109,7 +109,7 @@ class TestMinimizeHamiltonian:
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(5)
-        rho = hjb.density_from_bloch([0.2, -0.1, 0.4])
+        rho = density_from_bloch([0.2, -0.1, 0.4])
         p = rng.normal(size=3)
         P = np.eye(3)
         cost = plain_cost(weight=0.2)
@@ -122,7 +122,7 @@ class TestMinimizeHamiltonian:
             assert np.allclose(u, ref)
 
     def test_empty_grid_rejected(self):
-        rho = hjb.density_from_bloch([0.0, 0.0, 0.0])
+        rho = density_from_bloch([0.0, 0.0, 0.0])
         with pytest.raises(RejectedInputError):
             pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
                                      CONTROLLED, plain_cost(), [])
@@ -133,7 +133,7 @@ class TestMinimizeHamiltonian:
         # solver and fbsde_residual accept; the argmin and the policy must too.
         model = ops.QuantumModel(H0=0.3 * ops.SIGMA_X, L=np.sqrt(KAPPA) * ops.SIGMA_Z)
         cost = bel.CostSpec(running_op=lambda t, u: EXCITED, terminal_op=EXCITED)
-        rho = hjb.density_from_bloch([0.1, 0.2, 0.3])
+        rho = density_from_bloch([0.1, 0.2, 0.3])
         u, h = pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)),
                                         model, cost, [np.zeros(0)])
         assert u.shape == (0,)
@@ -147,7 +147,7 @@ class TestMinimizeHamiltonian:
         rng = np.random.default_rng(11)
         r = rng.normal(size=(6, 3))
         r *= rng.uniform(0, 0.95, size=(6, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
-        rho = hjb.density_from_bloch(r)
+        rho = density_from_bloch(r)
         p = rng.normal(size=(6, 3))
         P = rng.normal(size=(6, 3, 3))
         cost = plain_cost(weight=0.2)
@@ -157,12 +157,13 @@ class TestMinimizeHamiltonian:
             ui, hi = pmp.minimize_hamiltonian(0.0, rho[i], p[i], P[i], CONTROLLED, cost, u_grid)
             assert np.array_equal(u[i], ui)
             assert h[i] == pytest.approx(hi, abs=1e-14)
-            assert hi == pytest.approx(pmp.generalized_hamiltonian(0.0, ui, rho[i], p[i], P[i],
-                                                                   CONTROLLED, cost), abs=1e-14)
+            assert hi == pytest.approx(pmp.minimize_hamiltonian(0.0, rho[i], p[i], P[i],
+                                                                CONTROLLED, cost, [ui])[1],
+                                       abs=1e-14)
 
 
 class TestCostateValidation:
-    RHO = hjb.density_from_bloch([0.1, 0.0, 0.2])
+    RHO = density_from_bloch([0.1, 0.0, 0.2])
 
     @pytest.mark.parametrize("p, P", [
         (np.array([np.nan, 0.0, 0.0]), np.zeros((3, 3))),
@@ -176,7 +177,7 @@ class TestCostateValidation:
         with pytest.raises(RejectedInputError):
             pmp.minimize_hamiltonian(0.0, self.RHO, *args, [[0.0], [1.0]])
         with pytest.raises(RejectedInputError):
-            pmp.generalized_hamiltonian(0.0, [0.0], self.RHO, *args)
+            pmp.minimize_hamiltonian(0.0, self.RHO, *args, [[0.0]])
         with pytest.raises(RejectedInputError):
             pmp.hamiltonian_gradient_r(0.0, [0.0], np.array([0.1, 0.0, 0.2]), *args)
 
@@ -201,7 +202,7 @@ class TestNonFiniteControl:
             hjb.solve_hjb_grid(CONTROLLED, plain_cost(), self.U_GRID, spec)
 
     def test_argmin_refuses(self):
-        rho = hjb.density_from_bloch([0.1, 0.0, 0.2])
+        rho = density_from_bloch([0.1, 0.0, 0.2])
         with pytest.raises(RejectedInputError, match="control"):
             pmp.minimize_hamiltonian(0.0, rho, np.zeros(3), np.zeros((3, 3)), CONTROLLED,
                                      plain_cost(), self.U_GRID)
@@ -225,7 +226,7 @@ class TestGridPolicyHorizon:
         grid = hjb.solve_hjb_grid(CONTROLLED, plain_cost(), [[0.0]],
                                   hjb.GridSpec(T=0.05, n_space=11, n_time=20))
         policy = pmp.GridPolicy(grid, CONTROLLED, plain_cost(), [[0.0]])
-        rho = hjb.density_from_bloch([0.1, 0.0, 0.2])
+        rho = density_from_bloch([0.1, 0.0, 0.2])
         assert np.array_equal(policy(0.05 + 5e-10, rho, None), policy(0.05, rho, None))
         with pytest.raises(RejectedInputError, match="horizon"):
             policy(0.05 + 1e-8, rho, None)
@@ -239,7 +240,7 @@ NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 @pytest.mark.parametrize("reader", [
     lambda cost: hjb.solve_hjb_grid(CONTROLLED, cost, [[0.0]],
                                     hjb.GridSpec(T=0.05, n_space=11, n_time=20)),
-    lambda cost: pmp.minimize_hamiltonian(0.0, hjb.density_from_bloch([0.1, 0.0, 0.2]),
+    lambda cost: pmp.minimize_hamiltonian(0.0, density_from_bloch([0.1, 0.0, 0.2]),
                                           np.zeros(3), np.zeros((3, 3)), CONTROLLED, cost,
                                           [[0.0]]),
     lambda cost: pmp.hamiltonian_gradient_r(0.0, [0.0], np.array([0.1, 0.0, 0.2]), np.zeros(3),
@@ -296,7 +297,7 @@ class TestGridPolicyBatch:
         rng = np.random.default_rng(8)
         r = rng.normal(size=(40, 3))
         r *= rng.uniform(0, 1, size=(40, 1)) ** (1 / 3) / np.linalg.norm(r, axis=1, keepdims=True)
-        rho = hjb.density_from_bloch(r)
+        rho = density_from_bloch(r)
         for t in (0.0, 0.0123, 0.05):
             batch = policy(t, rho, None)
             assert batch.shape == (40, 1)
@@ -330,8 +331,8 @@ class TestBlochGeneratorProperties:
             L_extra=tuple(random_operator(rng) for _ in range(n_extra)), hbar=hbar)
         r = random_ball_points(rng, 5, 1.0)
         u = rng.normal(size=(5, n_controls))
-        b, s = hjb.bloch_dynamics(model, u, r)
-        w, sig, _ = ops.drift_and_fluctuation(model, u, hjb.density_from_bloch(r))
+        b, s = model.bloch.drift(u, r), model.bloch.diffusion(r)
+        w, sig, _ = ops.drift_and_fluctuation(model, u, density_from_bloch(r))
         assert np.max(np.abs(b - hjb.bloch_from_density(w))) <= 1e-12
         assert np.max(np.abs(s - hjb.bloch_from_density(sig))) <= 1e-12
 
@@ -343,8 +344,8 @@ class TestBlochGeneratorProperties:
         step = 1e-3
         for x, ux in zip(random_ball_points(rng, 3, 0.99 - 2 * step), u):
             def H(y):
-                return pmp.generalized_hamiltonian(0.0, ux, hjb.density_from_bloch(y), p, P,
-                                                   model, cost)
+                return pmp.minimize_hamiltonian(0.0, density_from_bloch(y), p, P, model, cost,
+                                                [ux])[1]
             # H is quartic in r, so the five-point central difference is exact
             # up to rounding.
             fd = np.array([(H(x - 2 * e) - 8 * H(x - e) + 8 * H(x + e) - H(x + 2 * e))
@@ -360,7 +361,7 @@ def _qubit_scenario(n_space=21, n_time=200, seed=17, T=0.1):
     grid = hjb.solve_hjb_grid(CONTROLLED, cost, u_grid, spec)
     policy = pmp.GridPolicy(grid, CONTROLLED, cost, u_grid)
     cfg = bel.SmeConfig(dt=T / n_time, T=T)
-    rho0 = hjb.density_from_bloch([0.3, 0.0, 0.2])
+    rho0 = density_from_bloch([0.3, 0.0, 0.2])
     traj = record(CONTROLLED, policy, cfg, rho0, seed)
     return traj, grid, cost, u_grid
 
@@ -371,7 +372,7 @@ def _costate_recursion_report(path, g, model, c, ug):
     with q = P s and grad_r H taken at step k + 1.  Returns (report, p_0, p_T)."""
     r = hjb.bloch_from_density(path.states)
     p_ref, P_ref = hjb.extract_costate(g, path.times, r)
-    _, s = hjb.bloch_dynamics(model, path.controls, r)
+    s = model.bloch.diffusion(r)
     dW = np.diff(path.innovations_W)
     p = p_ref[-1]
     residuals = np.zeros(path.n_steps + 1)
@@ -397,7 +398,7 @@ class TestCostateBackwardStep:
         grid = hjb.solve_hjb_grid(model, cost, [np.zeros(0)],
                                   hjb.GridSpec(T=0.05, n_space=11, n_time=50))
         traj = record(model, None, bel.SmeConfig(dt=0.001, T=0.05),
-                      hjb.density_from_bloch([0.3, 0.0, 0.2]), 3)
+                      density_from_bloch([0.3, 0.0, 0.2]), 3)
         _, p0, p_terminal = _costate_recursion_report(traj, grid, model, cost, [np.zeros(0)])
         assert np.array_equal(p0, p_terminal)
         assert np.allclose(p_terminal, [0.0, 0.0, -0.5], atol=1e-12)

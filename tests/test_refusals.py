@@ -12,11 +12,11 @@ from mqoc import moments as mom
 from mqoc import operators as ops
 from mqoc import pontryagin as pmp
 from mqoc.errors import DimensionMismatchError, NumericalBlowupError, RejectedInputError
-from reference import record
+from reference import density_from_bloch, record
 
 QUBIT = ops.QuantumModel(H0=np.zeros((2, 2)), L=np.sqrt(0.5) * ops.SIGMA_Z, Hc=(ops.SIGMA_Y,))
 CFG = bel.SmeConfig(dt=2.5e-3, T=0.05)
-START = hjb.density_from_bloch([0.3, 0.0, 0.2])
+START = density_from_bloch([0.3, 0.0, 0.2])
 
 
 def trajectory(**changes):
@@ -44,12 +44,6 @@ def costate_overflow(tmp_path):
     pmp.fbsde_residual(trajectory(innovations_W=w), grid, QUBIT, cost, u_grid)
 
 
-def load_scalar_matrix(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text("A = 3\n")
-    mom.load_linear_model(path)
-
-
 CASES = {
     "check_density_trace": (
         lambda tmp_path: bel.simulate_ensemble(QUBIT, None, CFG, 0.6 * np.eye(2), [1]),
@@ -69,15 +63,42 @@ CASES = {
         RejectedInputError, "L must be a single matrix"),
     "annihilation_zero": (lambda tmp_path: ops.annihilation(0),
                           RejectedInputError, "dim must be >= 1"),
+    # Before: 2.5 gave a 3 x 3 operator and True a 1 x 1 one.
+    "annihilation_float": (lambda tmp_path: ops.annihilation(2.5),
+                           RejectedInputError, "an integer, got 2.5"),
+    "annihilation_bool": (lambda tmp_path: ops.annihilation(True),
+                          RejectedInputError, "an integer, got True"),
+    # Before: a bare TypeError from comparing the string or None with 0.
+    "hbar_string": (
+        lambda tmp_path: ops.QuantumModel(H0=np.zeros((2, 2)), L=np.eye(2), hbar="1"),
+        RejectedInputError, "hbar must be one finite number > 0, got '1'"),
+    "hbar_none": (lambda tmp_path: mom.build_AB(np.zeros((2, 2)), np.zeros((2, 1)), hbar=None),
+                  RejectedInputError, "hbar must be one finite number > 0, got None"),
+    # Before: numpy's bare "operands could not be broadcast" ValueError.
+    "expectation_batches": (
+        lambda tmp_path: ops.expectation(np.zeros((3, 2, 2)), np.zeros((2, 2, 2))),
+        DimensionMismatchError, "rho (3, 2, 2) and X (2, 2, 2) do not broadcast"),
     "record_too_few_states": (lambda tmp_path: trajectory(states=np.eye(2)[None] / 2),
                               RejectedInputError, "states length differs from times"),
     "record_y_start": (
         lambda tmp_path: trajectory(record_y=np.ones(CFG.n_steps + 1)),
         RejectedInputError, "must start at 0"),
+    # Before: each was accepted, and an infinite innovation failed late, in
+    # `fbsde_residual`'s backward leg.
+    "record_states_non_finite": (
+        lambda tmp_path: trajectory(states=np.full((CFG.n_steps + 1, 2, 2), np.nan)),
+        RejectedInputError, "states has non-finite entries"),
+    "record_controls_non_finite": (
+        lambda tmp_path: trajectory(controls=np.full((CFG.n_steps + 1, 1), np.inf)),
+        RejectedInputError, "controls has non-finite entries"),
+    "record_y_non_finite": (
+        lambda tmp_path: trajectory(record_y=np.r_[0.0, np.full(CFG.n_steps, np.inf)]),
+        RejectedInputError, "record_y has non-finite entries"),
+    "record_W_non_finite": (
+        lambda tmp_path: trajectory(innovations_W=np.r_[0.0, np.full(CFG.n_steps, np.nan)]),
+        RejectedInputError, "innovations_W has non-finite entries"),
     "check_bloch_two_components": (lambda tmp_path: hjb.check_bloch([0.1, 0.2]),
                                    RejectedInputError, "must have 3 components"),
-    "load_linear_model_scalar": (load_scalar_matrix, RejectedInputError,
-                                 "key 'A': expected `A = [...]`"),
     "build_AB_vector_R": (lambda tmp_path: mom.build_AB(np.zeros(2), np.zeros((2, 1))),
                           RejectedInputError, "R_param must be a matrix"),
     "build_AB_odd_R": (lambda tmp_path: mom.build_AB(np.zeros((3, 3)), np.zeros((3, 1))),
