@@ -193,6 +193,13 @@ class TestQuantumModel:
         with pytest.raises(RejectedInputError, match="hbar"):
             ops.QuantumModel(H0=ops.SIGMA_X, L=ops.SIGMA_Z, hbar=hbar)
 
+    @pytest.mark.parametrize("hbar", [1, 0.5, np.float64(2.0), np.array(1.0)],
+                             ids=["int", "float", "numpy-float", "0d-array"])
+    def test_accepts_hbar_that_is_one_finite_positive_number(self, hbar):
+        # The dtype rule that refuses strings, None and bools keeps every real number.
+        model = ops.QuantumModel(H0=ops.SIGMA_X, L=ops.SIGMA_Z, hbar=hbar)
+        assert model.hbar == hbar
+
     def test_hashes_keys_a_dict_and_compares_by_identity(self):
         # Before: the generated field-wise __hash__ raised TypeError on the arrays.
         model = ops.QuantumModel(H0=ops.SIGMA_X, L=ops.SIGMA_Z)

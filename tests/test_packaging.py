@@ -94,9 +94,29 @@ def read_names(path):
     return names
 
 
+def uncalled(modules, callers):
+    """Public names defined in modules that no file in callers reads."""
+    defined = set().union(*map(public_names, modules))
+    return defined - set().union(*map(read_names, callers))
+
+
 def test_public_names_have_a_caller():
-    defined = set().union(*map(public_names, (ROOT / "src" / "mqoc").glob("*.py")))
-    read = set().union(*map(read_names, CALLERS))
-    assert sorted(defined - read) == sorted(KEPT), (
+    assert sorted(uncalled((ROOT / "src" / "mqoc").glob("*.py"), CALLERS)) == sorted(KEPT), (
         "a public name with no caller must go or get a reason in KEPT, and a KEPT "
         "name must still be defined and uncalled")
+
+
+def test_guard_flags_a_new_public_name_with_no_caller(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("LIMIT = 3\n_PRIVATE = 1\ndef used(): pass\n"
+                      "def unused(): pass\nclass Unused: pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("import module\nmodule.used()\nx = LIMIT\n")
+    assert uncalled([module], [caller]) == {"unused", "Unused"}
+
+
+def test_guard_flags_a_kept_name_that_gained_a_caller(tmp_path):
+    caller = tmp_path / "caller.py"
+    caller.write_text("from mqoc import belavkin\nbelavkin.step_sme\n")
+    found = uncalled((ROOT / "src" / "mqoc").glob("*.py"), [*CALLERS, caller])
+    assert "step_sme" not in found and sorted(found) != sorted(KEPT)
